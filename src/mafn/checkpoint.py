@@ -68,39 +68,46 @@ def save_checkpoint(bundle: CheckpointBundle, path):
             fh.write(_f64le(arr))
 
 
+def _read(fh, n: int, path, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise DataError(f"{path}: truncated checkpoint ({what})")
+    return buf
+
+
 def load_checkpoint(path) -> CheckpointBundle:
+    """Read a checkpoint; a truncated or corrupt file raises DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path, "version"))
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen))
-        arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for meta in header["arrays"]:
-            count = int(np.prod(meta["shape"])) if meta["shape"] else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise DataError(f"{path}: truncated array {meta['name']}")
-            arrays[meta["name"]] = (
-                np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(meta["shape"])
+        (hlen,) = struct.unpack("<Q", _read(fh, 8, path, "header length"))
+        try:
+            header = json.loads(_read(fh, hlen, path, "header"))
+            arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
+            for meta in header["arrays"]:
+                shape = tuple(meta["shape"])
+                buf = _read(fh, int(np.prod(shape)) * 8, path, f"array {meta['name']}")
+                arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+            cfg_dict = dict(header["config"])
+            cfg_dict["fusion_widths"] = tuple(cfg_dict["fusion_widths"])
+            cfg_dict["rul_widths"] = tuple(cfg_dict["rul_widths"])
+            config = TrainConfig(**cfg_dict)
+            cluster = ClusterModel(
+                k=header["cluster"]["k"],
+                centroids=arrays.pop("cluster.centroids"),
+                inertia=header["cluster"]["inertia"],
+                feature_spec=header["cluster"]["feature_spec"],
             )
-    cfg_dict = dict(header["config"])
-    cfg_dict["fusion_widths"] = tuple(cfg_dict["fusion_widths"])
-    cfg_dict["rul_widths"] = tuple(cfg_dict["rul_widths"])
-    config = TrainConfig(**cfg_dict)
-    cluster = ClusterModel(
-        k=header["cluster"]["k"],
-        centroids=arrays.pop("cluster.centroids"),
-        inertia=header["cluster"]["inertia"],
-        feature_spec=header["cluster"]["feature_spec"],
-    )
-    stats = NormalizationStats(
-        sensor_ids=tuple(header["sensor_ids"]),
-        mins=arrays.pop("stats.mins"),
-        maxs=arrays.pop("stats.maxs"),
-    )
+            stats = NormalizationStats(
+                sensor_ids=tuple(header["sensor_ids"]),
+                mins=arrays.pop("stats.mins"),
+                maxs=arrays.pop("stats.maxs"),
+            )
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataError(f"{path}: corrupt checkpoint header: {e!r}") from None
     params = OrderedDict(
         (name[len("param.") :], arr) for name, arr in arrays.items() if name.startswith("param.")
     )

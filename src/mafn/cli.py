@@ -20,25 +20,22 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
-from .cluster import assign_states, kmeans_fit, relabel_canonical
 from .config import TrainConfig, apply_env_overrides, default_config_text, load_config
 from .data import (
-    make_windows,
     normalize_record,
     normalize_values,
-    fit_normalization,
     pack_windows,
     parse_cmapss,
     parse_rul_file,
-    save_window_cache,
+    record_states,
     select_sensors,
     split_by_engine,
     truncate_at_fraction,
-    window_config_key,
     write_cmapss,
 )
 from .errors import ContractError, DataError, MafnError, NumericError
-from .model import MafnModel, PreprocessBundle, forecast_trajectory, predict_rul
+from .model import forecast_trajectory, predict_rul
+from .pipeline import fit_pipeline, load_predictor, windows_for_records
 from .svgplot import LineChart
 from .synthetic import default_synth_spec_text, generate, parse_synth_spec_text, write_truth
 from .training import evaluate_cutoffs, evaluate_testset, format_log_csv, train
@@ -92,53 +89,6 @@ def _prepare_out(path) -> Path:
     return out
 
 
-# -- pipeline pieces shared by commands -------------------------------------------
-
-
-def fit_pipeline(records, cfg: TrainConfig):
-    """Cluster, select, and normalize training records.
-
-    Returns (cluster_model, stats, processed_records).  Clustering runs on
-    the raw operational settings, or on the normalized selected sensors when
-    ``cluster_features = sensors``.
-    """
-    selected = [select_sensors(r) for r in records]
-    stats = fit_normalization(selected)
-    normalized = [normalize_record(r, stats) for r in selected]
-    if cfg.cluster_features == "settings":
-        points = np.concatenate([r.op_settings for r in records], axis=0)
-    else:
-        points = np.concatenate([r.sensors for r in normalized], axis=0)
-    model = kmeans_fit(
-        points,
-        cfg.k_states,
-        max_iter=cfg.cluster_max_iter,
-        tol=cfg.cluster_tol,
-        seed=cfg.seed,
-        restarts=cfg.cluster_restarts,
-        feature_spec=cfg.cluster_features,
-    )
-    model = relabel_canonical(model, points)
-    return model, stats, normalized
-
-
-def windows_for_records(records, cluster_model, cfg: TrainConfig):
-    samples = []
-    for rec in records:
-        samples.extend(
-            make_windows(rec, cluster_model, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
-        )
-    return samples
-
-
-def _predictor(bundle: CheckpointBundle):
-    cfg = bundle.config
-    model = MafnModel(cfg, bundle.n_sensors, np.random.default_rng(cfg.seed))
-    model.load_state(bundle.params)
-    prep = PreprocessBundle(config=cfg, cluster=bundle.cluster, stats=bundle.stats)
-    return model, prep
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -156,14 +106,10 @@ def cmd_cluster(args) -> int:
     cfg = _load_cfg(args)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
-    if cfg.cluster_features == "settings":
-        points = np.concatenate([r.op_settings for r in records], axis=0)
-    else:
-        points = np.concatenate([r.sensors for r in normalized], axis=0)
-    labels = assign_states(points, model)
+    labels = np.concatenate([record_states(r, model) for r in normalized])
     counts = np.bincount(labels, minlength=model.k)
     out = _prepare_out(args.out)
-    report_lines = ["cluster,count," + ",".join(f"c{i}" for i in range(points.shape[1]))]
+    report_lines = ["cluster,count," + ",".join(f"c{i}" for i in range(model.centroids.shape[1]))]
     for j in range(model.k):
         coords = ",".join(format(v, ".12g") for v in model.centroids[j])
         report_lines.append(f"{j},{counts[j]},{coords}")
@@ -208,17 +154,6 @@ def cmd_train(args) -> int:
             )
         train_ds = pack_windows(train_samples)
         val_ds = pack_windows(val_samples)
-        cache_key = window_config_key(
-            {
-                "window": cfg.window, "horizon": cfg.horizon, "stride": cfg.stride,
-                "rul_cap": cfg.rul_cap, "k_states": cfg.k_states,
-                "cluster_features": cfg.cluster_features, "seed": cfg.seed,
-                "val_fraction": cfg.val_fraction, "data": _sha256(args.data),
-            }
-        )
-        cache_path = out / f"windows-{cache_key}.bin"
-        save_window_cache(train_ds, cache_path, cache_key)
-        created.append(cache_path)
         stage = "train"
         n_sensors = len(stats.sensor_ids)
         result = train(train_ds, val_ds, cfg, n_sensors, progress=_print_epoch(args))
@@ -258,7 +193,7 @@ def _print_epoch(args):
 
 def cmd_evaluate(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    model, prep = _predictor(bundle)
+    model, prep = load_predictor(bundle)
     records = parse_cmapss(args.data)
     out = _prepare_out(args.out)
     cfg = bundle.config
@@ -274,8 +209,6 @@ def cmd_evaluate(args) -> int:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
         path = out / "evaluation_cutoffs.csv"
         path.write_text("\n".join(lines) + "\n")
-        if report.skipped:
-            print(f"skipped {report.skipped} truncations shorter than the window")
         data_files = [args.data, args.checkpoint]
     else:
         if not args.rul:
@@ -292,7 +225,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_forecast(args) -> int:
     bundle = load_checkpoint(args.checkpoint)
-    model, prep = _predictor(bundle)
+    model, prep = load_predictor(bundle)
     cfg = bundle.config
     records = parse_cmapss(args.data)
     by_unit = {r.unit_id: r for r in records}

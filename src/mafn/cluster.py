@@ -190,18 +190,8 @@ def kmeans_fit(
     return ClusterModel(k=k, centroids=centroids, inertia=inertia, feature_spec=feature_spec)
 
 
-def assign_state(point: np.ndarray, model: ClusterModel) -> int:
-    """Index of the nearest centroid; ties break to the lowest index."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (model.centroids.shape[1],):
-        raise DimensionError(
-            f"point dimension {point.shape} does not match centroids {model.centroids.shape}"
-        )
-    d2 = ((model.centroids - point) ** 2).sum(axis=1)
-    return int(d2.argmin())
-
-
 def assign_states(points: np.ndarray, model: ClusterModel) -> np.ndarray:
+    """Index of the nearest centroid per row; ties break to the lowest index."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != model.centroids.shape[1]:
         raise DimensionError(

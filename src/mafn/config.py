@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import ContractError, DataError
+from .losses import LossWeights
 
 ENV_PREFIX = "MAFN_"
 
@@ -72,12 +73,7 @@ class TrainConfig:
             raise ContractError("patience must be >= 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise ContractError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        if not self.lambda_late > self.lambda_early:
-            raise ContractError("lambda_late must exceed lambda_early")
-        if min(self.w_state, self.w_degradation, self.w_forecast, self.w_rul) < 0:
-            raise ContractError("loss weights must be nonnegative")
-        if max(self.w_state, self.w_degradation, self.w_forecast, self.w_rul) == 0:
-            raise ContractError("at least one loss weight must be positive")
+        LossWeights.from_config(self)      # the one check of the loss weights
         if self.cluster_features not in ("settings", "sensors"):
             raise ContractError(f"cluster_features must be 'settings' or 'sensors', got {self.cluster_features!r}")
         if not all(w > 0 for w in self.fusion_widths) or not self.fusion_widths:

@@ -8,12 +8,9 @@ forecasting, state, and RUL targets for every head.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import struct
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,9 +69,12 @@ class WindowSample:
 
 
 def parse_cmapss(path) -> list:
-    """Parse a C-MAPSS text file into one EngineRecord per unit."""
+    """Parse a C-MAPSS text file into one EngineRecord per unit.
+
+    A malformed row, a non-finite value, or a cycle index that does not
+    count 1, 2, ... within its unit raises ParseError naming the line.
+    """
     units: dict = {}
-    order: list = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -86,27 +86,33 @@ def parse_cmapss(path) -> list:
                 )
             try:
                 values = [float(p) for p in parts]
-            except ValueError as e:
+                unit = int(values[0])
+            except (ValueError, OverflowError) as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
-            unit = int(values[0])
+            values[0] = lineno                 # column 0 now maps rows back to lines
             if unit not in units:
                 units[unit] = []
-                order.append(unit)
-            units[unit].append(values[1:])
+            units[unit].append(values)
 
     records = []
-    for unit in order:
-        rows = np.asarray(units[unit], dtype=np.float64)
-        cycles = rows[:, 0].astype(np.int64)
-        expected = np.arange(1, len(cycles) + 1)
-        if not np.array_equal(cycles, expected):
-            raise DataError(f"unit {unit}: cycle index must increase by 1 from 1")
+    for unit, rows in units.items():
+        rows = np.asarray(rows, dtype=np.float64)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            raise ParseError(f"{path}:{int(rows[bad.argmax(), 0])}: non-finite value")
+        cycles = np.arange(1, len(rows) + 1)
+        wrong = rows[:, 1] != cycles
+        if wrong.any():
+            raise ParseError(
+                f"{path}:{int(rows[wrong.argmax(), 0])}: unit {unit}: "
+                "cycle index must increase by 1 from 1"
+            )
         records.append(
             EngineRecord(
                 unit_id=unit,
                 cycle_index=cycles,
-                op_settings=rows[:, 1 : 1 + N_SETTINGS],
-                sensors=rows[:, 1 + N_SETTINGS :],
+                op_settings=rows[:, 2 : 2 + N_SETTINGS],
+                sensors=rows[:, 2 + N_SETTINGS :],
                 sensor_ids=tuple(range(1, N_RAW_SENSORS + 1)),
             )
         )
@@ -188,7 +194,8 @@ def normalize_record(record: EngineRecord, stats: NormalizationStats) -> EngineR
     return replace(record, sensors=normalize_values(record.sensors, stats))
 
 
-def _state_features(record: EngineRecord, feature_spec: str) -> np.ndarray:
+def state_features(record: EngineRecord, feature_spec: str) -> np.ndarray:
+    """The per-cycle columns that ``feature_spec`` clusters."""
     if feature_spec == "settings":
         return record.op_settings
     if feature_spec == "sensors":
@@ -198,7 +205,7 @@ def _state_features(record: EngineRecord, feature_spec: str) -> np.ndarray:
 
 def record_states(record: EngineRecord, model: ClusterModel) -> np.ndarray:
     """Per-cycle state ids from the cluster model's feature columns."""
-    return assign_states(_state_features(record, model.feature_spec), model)
+    return assign_states(state_features(record, model.feature_spec), model)
 
 
 def make_windows(
@@ -319,56 +326,3 @@ def pack_windows(samples: Sequence[WindowSample]) -> WindowDataset:
         ),
     )
 
-
-# -- window cache file ----------------------------------------------------------
-
-_CACHE_MAGIC = b"MAFNWIN1"
-_CACHE_FIELDS = ("inputs", "states", "future_states", "future_sensors", "mask", "rul", "provenance")
-
-
-def window_config_key(fields: dict) -> str:
-    """Stable hash of the preprocessing configuration that shaped a cache."""
-    blob = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def save_window_cache(dataset: WindowDataset, path, config_key: str):
-    """Versioned, timestamp-free binary cache of a packed window dataset."""
-    header = {
-        "format_version": 1,
-        "config_key": config_key,
-        "arrays": [
-            {"name": name, "shape": list(getattr(dataset, name).shape), "dtype": str(getattr(dataset, name).dtype)}
-            for name in _CACHE_FIELDS
-        ],
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name in _CACHE_FIELDS:
-            arr = getattr(dataset, name)
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-
-
-def load_window_cache(path, expect_key: Optional[str] = None) -> WindowDataset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise DataError(f"{path}: not a window cache file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen))
-        if expect_key is not None and header["config_key"] != expect_key:
-            raise DataError(
-                f"{path}: cache key {header['config_key']} does not match expected {expect_key}"
-            )
-        arrays = {}
-        for meta in header["arrays"]:
-            dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-            count = int(np.prod(meta["shape"])) if meta["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
-            arrays[meta["name"]] = np.frombuffer(buf, dtype=dtype).reshape(meta["shape"]).astype(
-                np.dtype(meta["dtype"]), copy=True
-            )
-    return WindowDataset(**arrays)

@@ -8,7 +8,7 @@ parameter values for a given seed.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -59,10 +59,6 @@ class EmbeddingTable:
 
     def parameters(self):
         return [("W", self.weights)]
-
-
-def embed(state_ids, table: EmbeddingTable) -> Tensor:
-    return table(state_ids)
 
 
 class Conv1d:
@@ -163,10 +159,6 @@ class LstmCell:
         return out
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, cell: LstmCell):
-    return cell.step(x, h_prev, c_prev)
-
-
 def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
     """Run a cell over (B, T, F); returns hidden states (B, T, H).
 
@@ -224,18 +216,3 @@ class Attention:
 
     def parameters(self):
         return [("Wh", self.Wh), ("Ws", self.Ws), ("v", self.v), ("s", self.s)]
-
-
-def attention(h: Tensor, params: Attention):
-    return params(h)
-
-
-def dense(x: Tensor, W: Tensor, b: Tensor, activation: Optional[str] = None) -> Tensor:
-    y = T.matmul(x, W) + b
-    if activation == "relu":
-        return T.relu(y)
-    if activation == "tanh":
-        return T.tanh(y)
-    if activation is None:
-        return y
-    raise ContractError(f"unknown activation {activation!r}")

@@ -7,7 +7,7 @@ cannot change the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,13 +38,19 @@ class LossWeights:
         if max(self.w_state, self.w_degradation, self.w_forecast, self.w_rul) == 0:
             raise ContractError("at least one loss weight must be positive")
 
+    @classmethod
+    def from_config(cls, cfg) -> "LossWeights":
+        """The weights and multipliers of a config, which shares their field names."""
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+
 
 def state_loss(logits: Tensor, targets, mask) -> Tensor:
     """Masked sparse categorical cross-entropy.
 
     ``logits`` is (..., H, K); ``targets`` holds class ids (..., H); ``mask``
-    marks valid horizon steps.  Log-probabilities come from a max-shifted
-    log-softmax, never from exponentiated probabilities.
+    marks valid horizon steps; an all-zero mask gives a graph-connected 0.
+    Log-probabilities come from a max-shifted log-softmax, never from
+    exponentiated probabilities.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -53,14 +59,11 @@ def state_loss(logits: Tensor, targets, mask) -> Tensor:
         raise ContractError(
             f"state_loss shapes disagree: logits {logits.shape}, targets {targets.shape}, mask {mask.shape}"
         )
-    total = float(mask.sum())
-    if total <= 0.0:
-        raise ContractError("state_loss needs at least one valid (mask=1) step")
     onehot = np.zeros(logits.shape)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
     lp = T.log_softmax(logits, axis=-1)
     picked = (lp * Tensor(onehot)).sum(axis=-1)
-    return -(picked * Tensor(mask)).sum() / total
+    return -(picked * Tensor(mask)).sum() / max(float(mask.sum()), 1.0)
 
 
 def degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
@@ -82,7 +85,8 @@ def degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
 def forecast_loss(pred: Tensor, target, mask) -> Tensor:
     """Masked mean squared error, summed over sensors per step.
 
-    sum_t m_t ||pred_t - target_t||^2 / sum_t m_t across all leading dims.
+    sum_t m_t ||pred_t - target_t||^2 / sum_t m_t across all leading dims;
+    an all-zero mask gives a graph-connected 0.
     """
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -90,11 +94,8 @@ def forecast_loss(pred: Tensor, target, mask) -> Tensor:
         raise ContractError(
             f"forecast_loss shapes disagree: pred {pred.shape}, target {target.shape}, mask {mask.shape}"
         )
-    total = float(mask.sum())
-    if total <= 0.0:
-        raise ContractError("forecast_loss needs at least one valid (mask=1) step")
     sq = T.square(pred - Tensor(target)).sum(axis=-1)
-    return (sq * Tensor(mask)).sum() / total
+    return (sq * Tensor(mask)).sum() / max(float(mask.sum()), 1.0)
 
 
 def rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> Tensor:
@@ -114,7 +115,10 @@ def rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> T
 
 
 def total_loss(components: dict, weights: LossWeights) -> Tensor:
-    """w_state*L_state + w_degradation*L_degradation + w_forecast*L_forecast + w_rul*L_rul."""
+    """w_state*L_state + w_degradation*L_degradation + w_forecast*L_forecast + w_rul*L_rul.
+
+    Raises NumericError when a component or the weighted sum (0 * inf) is NaN.
+    """
     for name, value in components.items():
         if np.isnan(value.data).any():
             raise NumericError(f"loss component {name!r} is NaN")
@@ -133,6 +137,8 @@ def total_loss(components: dict, weights: LossWeights) -> Tensor:
         out = term if out is None else out + term
     if out is None:
         raise ContractError("total_loss needs at least one component")
+    if np.isnan(out.data).any():
+        raise NumericError("weighted total loss is NaN")
     return out
 
 

@@ -84,45 +84,32 @@ class TrainResult:
     stop_reason: str
 
 
-def _batch_losses(model: MafnModel, ds: WindowDataset, idx: np.ndarray, cfg: TrainConfig) -> dict:
-    weights = loss_weights(cfg)
+def _batch_losses(
+    model: MafnModel, ds: WindowDataset, idx: np.ndarray, cfg: TrainConfig, weights: L.LossWeights
+) -> dict:
     out: MafnOutput = model.forward(
         ds.inputs[idx], ds.states[idx], future_states=ds.future_states[idx]
     )
     mask = ds.mask[idx]
-    components = {}
-    if mask.sum() > 0:
-        components["state"] = L.state_loss(out.state_logits, ds.future_states[idx], mask)
-        components["forecast"] = L.forecast_loss(out.forecast, ds.future_sensors[idx], mask)
-    components["degradation"] = L.degradation_loss(out.degradation, cfg.lambda_smooth)
     rul_target = ds.rul[idx] / cfg.rul_cap
-    components["rul"] = L.rul_loss(out.rul, rul_target, cfg.lambda_late, cfg.lambda_early)
-    components["total"] = L.total_loss(
-        {k: v for k, v in components.items() if k != "total"}, weights
-    )
+    components = {
+        "state": L.state_loss(out.state_logits, ds.future_states[idx], mask),
+        "forecast": L.forecast_loss(out.forecast, ds.future_sensors[idx], mask),
+        "degradation": L.degradation_loss(out.degradation, weights.lambda_smooth),
+        "rul": L.rul_loss(out.rul, rul_target, weights.lambda_late, weights.lambda_early),
+    }
+    components["total"] = L.total_loss(components, weights)
     return components
 
 
-def loss_weights(cfg: TrainConfig) -> L.LossWeights:
-    return L.LossWeights(
-        w_state=cfg.w_state,
-        w_degradation=cfg.w_degradation,
-        w_forecast=cfg.w_forecast,
-        w_rul=cfg.w_rul,
-        lambda_smooth=cfg.lambda_smooth,
-        lambda_late=cfg.lambda_late,
-        lambda_early=cfg.lambda_early,
-    )
-
-
-def _dataset_loss(model: MafnModel, ds: WindowDataset, cfg: TrainConfig) -> float:
+def _dataset_loss(model: MafnModel, ds: WindowDataset, cfg: TrainConfig, weights: L.LossWeights) -> float:
     """Mean total loss over a dataset (no gradient tracking)."""
     total = 0.0
     n = 0
     with T.no_grad():
         for start in range(0, len(ds), cfg.batch_size):
             idx = np.arange(start, min(start + cfg.batch_size, len(ds)))
-            components = _batch_losses(model, ds, idx, cfg)
+            components = _batch_losses(model, ds, idx, cfg, weights)
             total += components["total"].item() * len(idx)
             n += len(idx)
     return total / max(n, 1)
@@ -144,6 +131,7 @@ def train(
     if len(train_ds) < 1 or len(val_ds) < 1:
         raise ContractError("training needs at least one train and one validation window")
     config.validate()
+    weights = L.LossWeights.from_config(config)
     model = MafnModel(config, n_sensors, np.random.default_rng(config.seed))
     params = model.parameters()
     opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -165,27 +153,21 @@ def train(
             idx = order[start : start + config.batch_size]
             opt.zero_grad()
             try:
-                components = _batch_losses(model, train_ds, idx, config)
+                components = _batch_losses(model, train_ds, idx, config, weights)
             except NumericError as e:
                 raise NumericError(f"{e} (epoch {epoch}, batch {b})") from None
-            for name, value in components.items():
-                if np.isnan(value.data).any():
-                    raise NumericError(
-                        f"NaN loss component {name!r} at epoch {epoch}, batch {b}"
-                    )
             components["total"].backward()
             norm = clip_gradients(params, config.grad_clip)
             if config.grad_clip > 0 and norm > config.grad_clip:
                 clipped += 1
             opt.step()
             for name in sums:
-                if name in components:
-                    sums[name] += components[name].item() * len(idx)
+                sums[name] += components[name].item() * len(idx)
             seen += len(idx)
         if clipped:
             log.debug("epoch %d: clipped gradients on %d batches", epoch, clipped)
 
-        val_total = _dataset_loss(model, val_ds, config)
+        val_total = _dataset_loss(model, val_ds, config, weights)
         row = {
             "epoch": epoch,
             "L_state": sums["state"] / seen,

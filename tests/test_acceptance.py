@@ -16,7 +16,8 @@ import pytest
 from mafn import layers as nn
 from mafn import losses as L
 from mafn import tensor as T
-from mafn.cli import fit_pipeline, main, windows_for_records
+from mafn.cli import main
+from mafn.pipeline import fit_pipeline, windows_for_records
 from mafn.cluster import fit_single_restart, kmeans_fit
 from mafn.config import TrainConfig
 from mafn.data import (
@@ -85,7 +86,7 @@ def test_criterion_1_gradient_suite():
     for g in _instance_rngs():
         table = nn.EmbeddingTable(g, 3, 2)
         ids = g.integers(0, 3, size=4)
-        check_gradients(lambda: T.square(nn.embed(ids, table)).sum(), [table.weights])
+        check_gradients(lambda: T.square(table(ids)).sum(), [table.weights])
 
     for i, g in enumerate(_instance_rngs()):
         conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3, activation="relu")
@@ -98,7 +99,7 @@ def test_criterion_1_gradient_suite():
         h0, c0 = cell.initial_state(1)
 
         def step_loss():
-            h, c = nn.lstm_step(x, h0, c0, cell)
+            h, c = cell.step(x, h0, c0)
             return (T.square(h) + T.square(c)).sum()
 
         check_gradients(step_loss, [x] + [t for _, t in cell.parameters()])

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mafn
 from mafn.cli import main
 from mafn.config import TrainConfig, load_config, parse_config_text, default_config_text
 from mafn.errors import DataError
@@ -138,14 +142,33 @@ class TestTrainCommand:
         assert main(["train", "--out", "somewhere"]) == 1
         assert main(["no-such-command"]) == 1
 
+    def test_output_layout(self, workspace):
+        run = workspace / "run1"
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["model.ckpt", "training_log.csv"]
+        assert sorted(p.name for p in run.iterdir()) == ["manifest.json", "model.ckpt", "training_log.csv"]
+
+    def test_non_finite_token_clean_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "data" / "synthetic_train.txt").read_text().splitlines()
+        parts = lines[2].split()
+        parts[6] = "nan"
+        lines[2] = " ".join(parts)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "bad.txt:3: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_numeric_failure_exit_code(self, workspace, tmp_path, capsys):
-        # NaN sensor readings poison normalization and surface as exit 3
+        # finite readings whose span overflows float64 poison normalization
+        # and surface as exit 3
         source = (workspace / "data" / "synthetic_train.txt").read_text().splitlines()
         poisoned = []
         for i, line in enumerate(source):
             parts = line.split()
-            if i == 0:
-                parts[6] = "nan"
+            if i < 2:
+                parts[6] = ("1e308", "-1e308")[i]
             poisoned.append(" ".join(parts))
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(poisoned) + "\n")
@@ -159,6 +182,19 @@ class TestTrainCommand:
 
 
 class TestEvaluateCommand:
+    def test_truncated_checkpoint_clean_error(self, workspace, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((workspace / "run1" / "model.ckpt").read_bytes()[:501])
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(cut),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--mode", "cutoffs", "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
     def test_cutoffs_schema(self, workspace, tmp_path):
         out = tmp_path / "eval"
         code = main(
@@ -257,6 +293,15 @@ class TestClusterCommand:
         assert all(c > 0 for c in counts)
         model = json.loads((out / "cluster.json").read_text())
         assert model["k"] == 2
+
+
+def test_library_modules_do_not_load_the_cli():
+    src = str(Path(mafn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, mafn.pipeline, mafn.training, mafn.model; print('mafn.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSvgDeterminism:

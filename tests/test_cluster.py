@@ -5,7 +5,6 @@ import pytest
 
 from mafn.cluster import (
     ClusterModel,
-    assign_state,
     assign_states,
     kmeans_fit,
     lloyd_iterations,
@@ -97,28 +96,29 @@ class TestAssign:
     def test_exact_centroid(self, rng):
         centroids = rng.normal(size=(5, 3))
         model = ClusterModel(k=5, centroids=centroids, inertia=0.0, feature_spec="settings")
-        assert assign_state(centroids[3], model) == 3
+        np.testing.assert_array_equal(assign_states(centroids, model), np.arange(5))
 
     def test_tie_breaks_low(self):
         model = ClusterModel(
             k=2, centroids=np.array([[0.0], [1.0]]), inertia=0.0, feature_spec="settings"
         )
-        assert assign_state(np.array([0.5]), model) == 0
+        assert assign_states(np.array([[0.5]]), model)[0] == 0
 
     def test_matches_linear_scan(self, rng):
         centroids = rng.normal(size=(5, 4))
         model = ClusterModel(k=5, centroids=centroids, inertia=0.0, feature_spec="settings")
-        for _ in range(20):
-            p = rng.normal(size=4)
+        points = rng.normal(size=(20, 4))
+        labels = assign_states(points, model)
+        for p, label in zip(points, labels):
             dists = [np.sum((p - c) ** 2) for c in centroids]
-            assert assign_state(p, model) == int(np.argmin(dists))
+            assert label == int(np.argmin(dists))
 
     def test_dimension_mismatch(self):
         model = ClusterModel(
             k=1, centroids=np.zeros((1, 3)), inertia=0.0, feature_spec="settings"
         )
         with pytest.raises(DimensionError):
-            assign_state(np.zeros(2), model)
+            assign_states(np.zeros((1, 2)), model)
 
 
 class TestRelabel:
@@ -140,8 +140,7 @@ class TestRelabel:
     def test_assign_centroid_j_is_j(self, rng):
         pts = rng.normal(size=(50, 2))
         model = relabel_canonical(kmeans_fit(pts, 4, seed=1), pts)
-        for j in range(4):
-            assert assign_state(model.centroids[j], model) == j
+        np.testing.assert_array_equal(assign_states(model.centroids, model), np.arange(4))
 
     def test_stable_labels_across_seeds(self, rng):
         centers = np.array(

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -65,6 +68,36 @@ class TestParse:
             np.testing.assert_array_equal(a.cycle_index, b.cycle_index)
             np.testing.assert_array_equal(a.op_settings, b.op_settings)
             np.testing.assert_array_equal(a.sensors, b.sensors)
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+    @pytest.mark.parametrize("column", [0, 1, 4, 25])    # unit, cycle, a setting, a sensor
+    def test_non_finite_token_names_line(self, tmp_path, token, column):
+        rows = [[1, i] + [0.0] * 24 for i in (1, 2, 3)]
+        rows[2][column] = token
+        path = tmp_path / "bad.txt"
+        write_rows(path, rows)
+        with pytest.raises(ParseError, match=r"bad\.txt:3:"):
+            D.parse_cmapss(path)
+
+    @given(st.lists(
+        st.one_of(
+            st.floats().map(repr),
+            st.integers(-3, 3).map(str),
+            st.sampled_from(["nan", "inf", "-Infinity", "1e999", "1_0", "0x1", "--1", "."]),
+            st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4),
+        ),
+        min_size=D.RAW_COLUMNS, max_size=D.RAW_COLUMNS,
+    ))
+    def test_fuzzed_row_parses_or_raises_parse_error(self, tokens):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.txt"
+            path.write_text(" ".join(tokens) + "\n")
+            try:
+                records = D.parse_cmapss(path)
+            except ParseError:
+                return
+        assert len(records) == 1
+        assert np.isfinite(records[0].op_settings).all() and np.isfinite(records[0].sensors).all()
 
     def test_rul_file(self, tmp_path):
         path = tmp_path / "rul.txt"
@@ -214,25 +247,3 @@ class TestSplit:
         assert {r.unit_id for r in tr1} & {r.unit_id for r in va1} == set()
         assert len(va1) == 2
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        rec = D.select_sensors(make_record(length=60))
-        samples = D.make_windows(rec, single_state_cluster(), window=20, horizon=5)
-        ds = D.pack_windows(samples)
-        key = D.window_config_key({"window": 20})
-        path = tmp_path / "cache.bin"
-        D.save_window_cache(ds, path, key)
-        loaded = D.load_window_cache(path, expect_key=key)
-        np.testing.assert_array_equal(loaded.inputs, ds.inputs)
-        np.testing.assert_array_equal(loaded.future_states, ds.future_states)
-        np.testing.assert_array_equal(loaded.rul, ds.rul)
-        assert loaded.states.dtype == ds.states.dtype
-
-    def test_key_mismatch(self, tmp_path):
-        rec = D.select_sensors(make_record(length=30))
-        ds = D.pack_windows(D.make_windows(rec, single_state_cluster(), 20, 5))
-        path = tmp_path / "cache.bin"
-        D.save_window_cache(ds, path, "aaaa")
-        with pytest.raises(DataError):
-            D.load_window_cache(path, expect_key="bbbb")

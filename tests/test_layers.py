@@ -29,25 +29,25 @@ class TestEmbedding:
     def test_single_row(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter([[1.0, 2.0, 3.0]])
-        out = nn.embed([0, 0], table)
+        out = table([0, 0])
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_lookup_order(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter(np.eye(3))
-        out = nn.embed([2, 0], table)
+        out = table([2, 0])
         np.testing.assert_array_equal(out.data, [[0, 0, 1], [1, 0, 0]])
 
     def test_gradient_accumulates_per_row(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter(np.zeros((3, 2)))
-        nn.embed([1, 1], table).sum().backward()
+        table([1, 1]).sum().backward()
         np.testing.assert_array_equal(table.weights.grad, [[0, 0], [2, 2], [0, 0]])
 
     def test_out_of_range_id(self, rng):
         table = nn.EmbeddingTable(rng, 3, 2)
         with pytest.raises(ContractError):
-            nn.embed([3], table)
+            table([3])
 
 
 class TestConv1d:
@@ -103,7 +103,7 @@ class TestLstm:
             cell.W_h[g].data[:] = 0.0
             cell.b[g].data[:] = 0.0
         h, c = cell.initial_state(1)
-        h1, _ = nn.lstm_step(Tensor(rng.normal(size=(1, 3))), h, c, cell)
+        h1, _ = cell.step(Tensor(rng.normal(size=(1, 3))), h, c)
         np.testing.assert_array_equal(h1.data, np.zeros((1, 4)))
 
     def test_saturated_forget_gate_carries_cell(self, rng):
@@ -113,7 +113,7 @@ class TestLstm:
         cell.b["f"].data[:] = 10.0           # forget gate pinned open
         c_prev = Tensor(rng.normal(size=(1, 3)))
         h_prev = Tensor(np.zeros((1, 3)))
-        _, c1 = nn.lstm_step(Tensor(rng.normal(size=(1, 2))), h_prev, c_prev, cell)
+        _, c1 = cell.step(Tensor(rng.normal(size=(1, 2))), h_prev, c_prev)
         np.testing.assert_allclose(c1.data, c_prev.data, atol=1e-3)
 
     def test_hidden_bounded(self, rng):
@@ -230,13 +230,16 @@ class TestDense:
         x = rng.normal(size=(2, 3))
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
-    def test_hand_affine(self):
-        out = nn.dense(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([0.5]), None)
-        np.testing.assert_array_equal(out.data, [[3.5]])
+    def test_hand_affine(self, rng):
+        layer = nn.Dense(rng, 2, 1, None)
+        layer.W.data = np.array([[1.0], [1.0]])
+        layer.b.data = np.array([0.5])
+        np.testing.assert_array_equal(layer(Tensor([[1.0, 2.0]])).data, [[3.5]])
 
-    def test_relu_clamps_negative(self):
-        out = nn.dense(Tensor([[1.0]]), Tensor([[-2.0]]), Tensor([0.0]), "relu")
-        np.testing.assert_array_equal(out.data, [[0.0]])
+    def test_relu_clamps_negative(self, rng):
+        layer = nn.Dense(rng, 1, 1, "relu")
+        layer.W.data = np.array([[-2.0]])
+        np.testing.assert_array_equal(layer(Tensor([[1.0]])).data, [[0.0]])
 
     def test_gradients(self, rng):
         layer = nn.Dense(rng, 3, 2, "relu")

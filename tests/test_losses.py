@@ -29,9 +29,12 @@ class TestStateLoss:
         restricted = L.state_loss(Tensor(logits[:3]), targets[:3], np.ones(3)).item()
         assert masked == pytest.approx(restricted, abs=1e-12)
 
-    def test_all_zero_mask_rejected(self):
-        with pytest.raises(ContractError):
-            L.state_loss(Tensor(np.zeros((2, 3))), [0, 1], [0.0, 0.0])
+    def test_all_zero_mask_gives_zero_loss_and_gradient(self, rng):
+        logits = T.parameter(rng.normal(size=(2, 3)))
+        loss = L.state_loss(logits, [0, 1], [0.0, 0.0])
+        assert loss.item() == 0.0
+        loss.backward()
+        np.testing.assert_array_equal(logits.grad, np.zeros((2, 3)))
 
     def test_masked_positions_ignored(self, rng):
         logits = rng.normal(size=(4, 3))
@@ -96,9 +99,12 @@ class TestForecastLoss:
         b = L.forecast_loss(Tensor(pred), garbage, mask).item()
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_all_zero_mask_rejected(self):
-        with pytest.raises(ContractError):
-            L.forecast_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros(2))
+    def test_all_zero_mask_gives_zero_loss_and_gradient(self, rng):
+        pred = T.parameter(rng.normal(size=(2, 2)))
+        loss = L.forecast_loss(pred, rng.normal(size=(2, 2)), np.zeros(2))
+        assert loss.item() == 0.0
+        loss.backward()
+        np.testing.assert_array_equal(pred.grad, np.zeros((2, 2)))
 
     def test_gradient(self, rng):
         pred = T.parameter(rng.normal(size=(2, 3, 2)))
@@ -159,6 +165,12 @@ class TestTotalLoss:
         comps = self._components((1.0, np.nan, 3.0, 4.0))
         with pytest.raises(NumericError, match="degradation"):
             L.total_loss(comps, L.LossWeights())
+
+    def test_nan_weighted_sum_raises(self):
+        comps = self._components((np.inf, 2.0, 3.0, 4.0))     # 0 * inf is NaN
+        w = L.LossWeights(w_state=0.0, w_degradation=1.0, w_forecast=1.0, w_rul=1.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="total"):
+            L.total_loss(comps, w)
 
     def test_weight_condition_enforced(self):
         with pytest.raises(ContractError):

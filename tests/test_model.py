@@ -9,7 +9,7 @@ from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from mafn.cluster import ClusterModel
 from mafn.config import TrainConfig
 from mafn.data import NormalizationStats
-from mafn.errors import ContractError, DimensionError
+from mafn.errors import ContractError, DataError, DimensionError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul, predict_rul, prepare_window
 from mafn.tensor import Tensor
@@ -159,7 +159,7 @@ class TestForecastTrajectory:
         # noise-free two-state data: the forecast must land on trend + state
         # offset, and predicted states must match the cluster's labeling of
         # the true future settings
-        from mafn.cli import fit_pipeline, windows_for_records
+        from mafn.pipeline import fit_pipeline, windows_for_records
         from mafn.cluster import assign_states
         from mafn.data import pack_windows, split_by_engine, truncate_at_fraction
         from mafn.model import forecast_trajectory
@@ -223,6 +223,32 @@ class TestCheckpoint:
         assert list(loaded.params) == list(bundle.params)
         for name in bundle.params:
             np.testing.assert_array_equal(loaded.params[name], bundle.params[name])
+
+    def _saved(self, tmp_path):
+        model, cfg = tiny_model(seed=5)
+        cluster = ClusterModel(k=2, centroids=np.zeros((2, 3)), inertia=0.0, feature_spec="settings")
+        stats = NormalizationStats(sensor_ids=(2, 3), mins=np.zeros(2), maxs=np.ones(2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(CheckpointBundle(config=cfg, params=model.state_arrays(), cluster=cluster, stats=stats), path)
+        return path.read_bytes()
+
+    def test_every_prefix_loads_or_raises_data_error(self, tmp_path):
+        blob = self._saved(tmp_path)
+        cut = tmp_path / "cut.ckpt"
+        for n in range(0, len(blob), 3):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                load_checkpoint(cut)
+        cut.write_bytes(blob)
+        load_checkpoint(cut)
+
+    def test_corrupt_header_raises_data_error(self, tmp_path):
+        blob = bytearray(self._saved(tmp_path))
+        blob[20] = ord("x")                   # first byte of the JSON header
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="header"):
+            load_checkpoint(bad)
 
     def test_serialization_deterministic(self, tmp_path, rng):
         model, cfg = tiny_model(seed=5)

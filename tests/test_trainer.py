@@ -1,13 +1,18 @@
+import dataclasses
+import functools
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mafn import tensor as T
-from mafn.cli import fit_pipeline, windows_for_records
+from mafn.pipeline import fit_pipeline, windows_for_records
 from mafn.config import TrainConfig
 from mafn.data import pack_windows, split_by_engine
 from mafn.errors import ContractError, NumericError
+from mafn.losses import LossWeights
 from mafn.model import MafnModel
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import (
@@ -126,7 +131,7 @@ class TestTrainLoop:
         losses = []
         for _ in range(5):
             opt.zero_grad()
-            comps = _batch_losses(model, train_ds, idx, cfg)
+            comps = _batch_losses(model, train_ds, idx, cfg, LossWeights.from_config(cfg))
             losses.append(comps["total"].item())
             comps["total"].backward()
             opt.step()
@@ -147,6 +152,33 @@ class TestTrainLoop:
         train_ds.future_sensors[0, 0, 0] = np.nan   # poisons the forecast loss
         with pytest.raises(NumericError, match=r"forecast.*epoch 1, batch \d"):
             train(train_ds, val_ds, cfg, 11)
+
+
+# four engines of 20-24 cycles: every window ending at end of life has an
+# all-zero horizon mask, so small batches are often entirely masked
+SHORT_CFG = small_config(window=15, horizon=4, stride=1, batch_size=1, max_epochs=1)
+
+
+@functools.lru_cache(maxsize=None)
+def short_datasets():
+    spec = SynthSpec(engines=4, life_min=20, life_max=24, dwell_min=5, dwell_max=10, seed=3)
+    records, _ = generate(spec)
+    cluster, _, normalized = fit_pipeline(records, SHORT_CFG)
+    tr, vl = split_by_engine(normalized, SHORT_CFG.val_fraction, SHORT_CFG.seed)
+    return (pack_windows(windows_for_records(tr, cluster, SHORT_CFG)),
+            pack_windows(windows_for_records(vl, cluster, SHORT_CFG)))
+
+
+class TestBatchSizes:
+    @given(st.data())
+    def test_train_succeeds_for_every_batch_size(self, data):
+        train_ds, val_ds = short_datasets()
+        assert (train_ds.mask.sum(axis=1) == 0).any()
+        batch_size = data.draw(st.integers(1, len(train_ds)))
+        cfg = dataclasses.replace(SHORT_CFG, batch_size=batch_size)
+        result = train(train_ds, val_ds, cfg, 11)
+        row = result.log_rows[0]
+        assert all(np.isfinite(row[col]) for col in row)
 
 
 class TestEvaluate:
