@@ -21,7 +21,7 @@ from .data import NormalizationStats
 from .errors import DataError
 
 MAGIC = b"MAFNCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .config import TrainConfig, apply_env_overrides, default_config_text, load_
 from .data import (
     normalize_record,
     normalize_values,
+    numbered_lines,
     pack_windows,
     parse_cmapss,
     parse_rul_file,
@@ -92,14 +93,17 @@ def _prepare_out(path) -> Path:
 # -- subcommands --------------------------------------------------------------------
 
 
-def cmd_config(args) -> int:
-    text = default_config_text()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+def _emit_text(text: str, out) -> int:
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_config(args) -> int:
+    return _emit_text(default_config_text(), args.out)
 
 
 def cmd_cluster(args) -> int:
@@ -246,12 +250,11 @@ def cmd_forecast(args) -> int:
     normalized_full = normalize_record(sel, prep.stats)
     cut = truncated.length
     horizon = cfg.horizon
-    forecast_sensors, _ = forecast_trajectory(truncated, model, prep)
+    forecast_sensors, _, predicted_rul = forecast_trajectory(truncated, model, prep)
     forecast_norm = normalize_values(forecast_sensors, prep.stats)[:, col]
     history = normalized_full.sensors[:cut, col]
     truth_n = min(horizon, record.length - cut)
     truth = normalized_full.sensors[cut : cut + truth_n, col]
-    predicted_rul = predict_rul(truncated, model, prep)
 
     out = _prepare_out(args.out)
     rows = ["cycle,history,forecast,truth"]
@@ -288,7 +291,8 @@ def cmd_forecast(args) -> int:
 
 def cmd_synthesize(args) -> int:
     if args.spec:
-        spec = parse_synth_spec_text(Path(args.spec).read_text(), path=args.spec)
+        text = "".join(line for _, line in numbered_lines(args.spec))
+        spec = parse_synth_spec_text(text, path=args.spec)
     else:
         spec = parse_synth_spec_text("")
     if args.seed is not None:
@@ -367,13 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth_spec(args) -> int:
-    text = default_synth_spec_text()
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit_text(default_synth_spec_text(), args.out)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
+from .data import numbered_lines
 from .errors import ContractError, DataError
 from .losses import LossWeights
 
@@ -167,8 +168,8 @@ def parse_config_text(text: str, path: str = "<string>") -> TrainConfig:
 
 
 def load_config(path, apply_env: bool = True) -> TrainConfig:
-    with open(path) as fh:
-        cfg = parse_config_text(fh.read(), path=str(path))
+    text = "".join(line for _, line in numbered_lines(path))
+    cfg = parse_config_text(text, path=str(path))
     if apply_env:
         cfg = apply_env_overrides(cfg)
     return cfg.validate()

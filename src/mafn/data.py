@@ -68,31 +68,43 @@ class WindowSample:
     rul: float                     # capped cycles to failure
 
 
+def numbered_lines(path):
+    """(line number, text) of each line of a UTF-8 file; ParseError names a line that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text: {e.reason}") from None
+
+
 def parse_cmapss(path) -> list:
     """Parse a C-MAPSS text file into one EngineRecord per unit.
 
-    A malformed row, a non-finite value, or a cycle index that does not
-    count 1, 2, ... within its unit raises ParseError naming the line.
+    A malformed row, a non-integer unit id, a non-finite value, or a cycle
+    index that does not count 1, 2, ... within its unit raises ParseError
+    naming the line.
     """
     units: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != RAW_COLUMNS:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {RAW_COLUMNS} columns, found {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-                unit = int(values[0])
-            except (ValueError, OverflowError) as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            values[0] = lineno                 # column 0 now maps rows back to lines
-            if unit not in units:
-                units[unit] = []
-            units[unit].append(values)
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != RAW_COLUMNS:
+            raise ParseError(
+                f"{path}:{lineno}: expected {RAW_COLUMNS} columns, found {len(parts)}"
+            )
+        try:
+            values = [float(p) for p in parts]
+            unit = int(values[0])
+        except (ValueError, OverflowError) as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if unit != values[0]:
+            raise ParseError(f"{path}:{lineno}: unit id {parts[0]!r} is not an integer")
+        values[0] = lineno                     # column 0 now maps rows back to lines
+        if unit not in units:
+            units[unit] = []
+        units[unit].append(values)
 
     records = []
     for unit, rows in units.items():
@@ -135,14 +147,16 @@ def write_cmapss(records: Sequence[EngineRecord], path):
 def parse_rul_file(path) -> np.ndarray:
     """RUL ground-truth file: one value per test engine, ordered by unit."""
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 1:
-                raise ParseError(f"{path}:{lineno}: expected 1 column, found {len(parts)}")
+    for lineno, line in numbered_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 1:
+            raise ParseError(f"{path}:{lineno}: expected 1 column, found {len(parts)}")
+        try:
             values.append(float(parts[0]))
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
     if not values:
         raise DataError(f"{path}: empty RUL file")
     return np.asarray(values, dtype=np.float64)

@@ -22,23 +22,21 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
+ACTIVATIONS = {None: lambda y: y, "relu": T.relu, "tanh": T.tanh}
+
+
 class Dense:
     """y = activation(x @ W + b); activation in {None, "relu", "tanh"}."""
 
     def __init__(self, rng, n_in: int, n_out: int, activation: Optional[str] = None):
         self.W = T.parameter(glorot_uniform(rng, n_in, n_out, (n_in, n_out)))
         self.b = T.parameter(np.zeros(n_out))
-        if activation not in (None, "relu", "tanh"):
+        if activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.W) + self.b
-        if self.activation == "relu":
-            y = T.relu(y)
-        elif self.activation == "tanh":
-            y = T.tanh(y)
-        return y
+        return ACTIVATIONS[self.activation](T.matmul(x, self.W) + self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]
@@ -76,16 +74,13 @@ class Conv1d:
         self.kernel = kernel
         self.n_channels = n_channels
         self.n_filters = n_filters
-        if activation not in (None, "relu", "tanh"):
+        if activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
         if x.ndim != 3:
-            raise DimensionError(f"conv1d input must be (T, C) or (B, T, C), got {x.shape}")
+            raise DimensionError(f"conv1d input must be (B, T, C), got {x.shape}")
         B, t_len, C = x.shape
         if C != self.n_channels:
             raise DimensionError(f"conv1d expects {self.n_channels} channels, got {C}")
@@ -103,60 +98,59 @@ class Conv1d:
         taps = [xp[:, j : j + t_len, :] for j in range(self.kernel)]
         cols = T.concat(taps, axis=2)                              # (B, T, kernel*C)
         w2 = self.W.reshape((self.kernel * self.n_channels, self.n_filters))
-        y = T.matmul(cols, w2) + self.b
-        if self.activation == "relu":
-            y = T.relu(y)
-        elif self.activation == "tanh":
-            y = T.tanh(y)
-        return y.reshape(y.shape[1:]) if squeeze else y
+        return ACTIVATIONS[self.activation](T.matmul(cols, w2) + self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]
 
 
 class LstmCell:
-    """Standard LSTM gate equations; forget-gate bias starts at 1."""
-
-    GATES = ("i", "f", "g", "o")
+    """Standard LSTM gate equations, gates stacked in i, f, g, o column order:
+    W_x (n_in, 4H), W_h (H, 4H), b (4H); the forget-gate bias b[H:2H] starts
+    at 1.  ``step`` takes the input projection ``x @ W_x``, so a constant
+    input (the decoders') is projected once."""
 
     def __init__(self, rng, n_in: int, n_hidden: int):
         self.n_in = n_in
         self.n_hidden = n_hidden
         lim_x = np.sqrt(6.0 / (n_in + n_hidden))
         lim_h = np.sqrt(6.0 / (2 * n_hidden))
-        self.W_x = {}
-        self.W_h = {}
-        self.b = {}
-        for gate in self.GATES:
-            self.W_x[gate] = T.parameter(rng.uniform(-lim_x, lim_x, size=(n_in, n_hidden)))
-            self.W_h[gate] = T.parameter(rng.uniform(-lim_h, lim_h, size=(n_hidden, n_hidden)))
-            bias = np.ones(n_hidden) if gate == "f" else np.zeros(n_hidden)
-            self.b[gate] = T.parameter(bias)
+        w_x, w_h = [], []
+        for _ in range(4):                 # per-gate draws, in gate order
+            w_x.append(rng.uniform(-lim_x, lim_x, size=(n_in, n_hidden)))
+            w_h.append(rng.uniform(-lim_h, lim_h, size=(n_hidden, n_hidden)))
+        self.W_x = T.parameter(np.concatenate(w_x, axis=1))
+        self.W_h = T.parameter(np.concatenate(w_h, axis=1))
+        bias = np.zeros(4 * n_hidden)
+        bias[n_hidden : 2 * n_hidden] = 1.0
+        self.b = T.parameter(bias)
 
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor):
-        pre = {
-            gate: T.matmul(x, self.W_x[gate]) + T.matmul(h_prev, self.W_h[gate]) + self.b[gate]
-            for gate in self.GATES
-        }
-        i = T.sigmoid(pre["i"])
-        f = T.sigmoid(pre["f"])
-        g = T.tanh(pre["g"])
-        o = T.sigmoid(pre["o"])
+    def step(self, xw: Tensor, h_prev: Tensor, c_prev: Tensor):
+        """One step from the (B, 4H) input projection ``xw = x @ W_x``."""
+        n = self.n_hidden
+        z = (xw + T.matmul(h_prev, self.W_h)) + self.b
+        i = T.sigmoid(z[:, :n])
+        f = T.sigmoid(z[:, n : 2 * n])
+        g = T.tanh(z[:, 2 * n : 3 * n])
+        o = T.sigmoid(z[:, 3 * n :])
         c = f * c_prev + i * g
         h = o * T.tanh(c)
         return h, c
+
+    def scan(self, projections, h: Tensor, c: Tensor) -> list:
+        """Hidden states of ``step`` run over an iterable of input projections."""
+        hidden = []
+        for xw in projections:
+            h, c = self.step(xw, h, c)
+            hidden.append(h)
+        return hidden
 
     def initial_state(self, batch: int):
         zeros = np.zeros((batch, self.n_hidden))
         return Tensor(zeros), Tensor(zeros.copy())
 
     def parameters(self):
-        out = []
-        for gate in self.GATES:
-            out.append((f"W_x{gate}", self.W_x[gate]))
-            out.append((f"W_h{gate}", self.W_h[gate]))
-            out.append((f"b_{gate}", self.b[gate]))
-        return out
+        return [("W_x", self.W_x), ("W_h", self.W_h), ("b", self.b)]
 
 
 def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
@@ -168,24 +162,16 @@ def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
     if x.ndim != 3:
         raise DimensionError(f"lstm_unroll input must be (B, T, F), got {x.shape}")
     B, t_len, _ = x.shape
-    h, c = cell.initial_state(B)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    outputs: dict = {}
-    for t in steps:
-        h, c = cell.step(x[:, t, :], h, c)
-        outputs[t] = h
-    return T.stack([outputs[t] for t in range(t_len)], axis=1)
+    hidden = cell.scan((T.matmul(x[:, t, :], cell.W_x) for t in steps), *cell.initial_state(B))
+    return T.stack(hidden[::-1] if reverse else hidden, axis=1)
 
 
 def bilstm(x: Tensor, fwd_cell: LstmCell, bwd_cell: LstmCell) -> Tensor:
-    """Concatenated forward and backward hidden states, (B, T, 2H) or (T, 2H)."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape((1,) + x.shape)
-    out = T.concat(
+    """Concatenated forward and backward hidden states, (B, T, 2H)."""
+    return T.concat(
         [lstm_unroll(x, fwd_cell), lstm_unroll(x, bwd_cell, reverse=True)], axis=2
     )
-    return out.reshape(out.shape[1:]) if squeeze else out
 
 
 class Attention:
@@ -202,16 +188,14 @@ class Attention:
         self.s = T.parameter(glorot_uniform(rng, 1, n_attn, (1, n_attn)))
 
     def __call__(self, h: Tensor):
-        squeeze = h.ndim == 2
-        if squeeze:
-            h = h.reshape((1,) + h.shape)
+        """Context (B, H) and attention weights (B, T) of hidden states (B, T, H)."""
+        if h.ndim != 3:
+            raise DimensionError(f"attention input must be (B, T, H), got {h.shape}")
         B, t_len, _ = h.shape
         pre = T.tanh(T.matmul(h, self.Wh) + T.matmul(self.s, self.Ws))
         scores = T.matmul(pre, self.v).reshape((B, t_len))
         weights = T.softmax(scores, axis=-1)
         context = (weights.reshape((B, t_len, 1)) * h).sum(axis=1)
-        if squeeze:
-            return context.reshape(context.shape[1:]), weights.reshape((t_len,))
         return context, weights
 
     def parameters(self):

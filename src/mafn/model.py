@@ -110,6 +110,9 @@ class MafnModel:
         missing = set(own) - set(params)
         if missing:
             raise ContractError(f"checkpoint is missing parameters: {sorted(missing)[:5]}")
+        extra = set(params) - set(own)
+        if extra:
+            raise ContractError(f"checkpoint has parameters the model lacks: {sorted(extra)[:5]}")
         for name, tensor in own.items():
             arr = np.asarray(params[name], dtype=np.float64)
             if arr.shape != tensor.shape:
@@ -127,11 +130,8 @@ class MafnModel:
     def _decode(self, cell: LstmCell, init: Dense, context: Tensor, horizon: int) -> Tensor:
         hidden = cell.n_hidden
         hc = init(context)
-        h, c = hc[:, :hidden], hc[:, hidden:]
-        steps = []
-        for _ in range(horizon):
-            h, c = cell.step(context, h, c)
-            steps.append(h)
+        xw = T.matmul(context, cell.W_x)       # the constant input, projected once
+        steps = cell.scan([xw] * horizon, hc[:, :hidden], hc[:, hidden:])
         return T.stack(steps, axis=1)          # (B, H, hidden)
 
     def forward(self, windows, state_ids, future_states=None, horizon: Optional[int] = None) -> MafnOutput:
@@ -188,16 +188,10 @@ class MafnModel:
             fused = layer(fused)
         forecast = self.fusion_out(fused)                  # (B, H, d_s)
 
+        fields = (logits, trend, trend_vecs, forecast, rul, weights)
         if squeeze:
-            return MafnOutput(
-                state_logits=logits.reshape(logits.shape[1:]),
-                degradation=trend.reshape(trend.shape[1:]),
-                trend_vectors=trend_vecs.reshape(trend_vecs.shape[1:]),
-                forecast=forecast.reshape(forecast.shape[1:]),
-                rul=rul.reshape(()),
-                attention_weights=weights.reshape(weights.shape[1:]),
-            )
-        return MafnOutput(logits, trend, trend_vecs, forecast, rul, weights)
+            fields = tuple(f.reshape(f.shape[1:]) for f in fields)
+        return MafnOutput(*fields)
 
 
 # -- inference over raw engine histories -----------------------------------------
@@ -247,10 +241,7 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
 
 def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle) -> float:
     """RUL estimate in cycles from the last window, clamped to [0, rul_cap]."""
-    inputs, states = prepare_window(record, bundle)
-    with T.no_grad():
-        out = model.forward(inputs, states)
-    return clamp_rul(out.rul.item() * bundle.config.rul_cap, bundle.config.rul_cap)
+    return forecast_trajectory(record, model, bundle)[2]
 
 
 def forecast_trajectory(
@@ -259,10 +250,12 @@ def forecast_trajectory(
     bundle: PreprocessBundle,
     horizon: Optional[int] = None,
 ):
-    """Post-cutoff forecast: denormalized (H, d_s) sensors plus H state ids."""
+    """Post-cutoff forecast from one forward: denormalized (H, d_s) sensors,
+    H state ids and the RUL in cycles as :func:`predict_rul` gives it."""
     inputs, states = prepare_window(record, bundle)
     with T.no_grad():
         out = model.forward(inputs, states, horizon=horizon)
     predicted_states = out.state_logits.data.argmax(axis=-1)
     sensors = denormalize_values(out.forecast.data, bundle.stats)
-    return sensors, predicted_states
+    rul = clamp_rul(out.rul.item() * bundle.config.rul_cap, bundle.config.rul_cap)
+    return sensors, predicted_states, rul

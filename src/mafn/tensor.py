@@ -377,12 +377,20 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(out, (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 def getitem(x: Tensor, idx) -> Tensor:
+    """Basic indexing only (ints, slices, ``...``, ``None``): each output
+    element has its own source element, so the gradient is a slice assignment."""
+    for item in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(item, bool) or not isinstance(item, _BASIC_INDEX):
+            raise ContractError(f"getitem of {type(item).__name__}: use gather_rows for an array index")
     out = x.data[idx]
 
     def grad_fn(g):
         buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, g)
+        buf[idx] = g
         return (buf,)
 
     return _make(out, (x,), grad_fn, "getitem")

@@ -90,7 +90,7 @@ def test_criterion_1_gradient_suite():
 
     for i, g in enumerate(_instance_rngs()):
         conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3, activation="relu")
-        x = T.parameter(g.normal(size=(5, 2)))
+        x = T.parameter(g.normal(size=(1, 5, 2)))
         check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
 
     for g in _instance_rngs():
@@ -99,20 +99,20 @@ def test_criterion_1_gradient_suite():
         h0, c0 = cell.initial_state(1)
 
         def step_loss():
-            h, c = cell.step(x, h0, c0)
+            h, c = cell.step(T.matmul(x, cell.W_x), h0, c0)
             return (T.square(h) + T.square(c)).sum()
 
         check_gradients(step_loss, [x] + [t for _, t in cell.parameters()])
 
     for g in _instance_rngs():
         fwd, bwd = nn.LstmCell(g, 2, 2), nn.LstmCell(g, 2, 2)
-        x = T.parameter(g.normal(size=(3, 2)))
+        x = T.parameter(g.normal(size=(1, 3, 2)))
         params = [t for _, t in fwd.parameters()] + [t for _, t in bwd.parameters()]
         check_gradients(lambda: T.square(nn.bilstm(x, fwd, bwd)).sum(), [x] + params)
 
     for g in _instance_rngs():
         attn = nn.Attention(g, 4, 3)
-        h = T.parameter(g.normal(size=(3, 4)))
+        h = T.parameter(g.normal(size=(1, 3, 4)))
 
         def attn_loss():
             context, _ = attn(h)
@@ -260,26 +260,26 @@ def test_criterion_4_structural_oracles():
         conv = nn.Conv1d(rng, 3, 4, kernel, "relu")
         x = rng.normal(size=(7, 3))
         np.testing.assert_allclose(
-            conv(Tensor(x)).data, naive_conv1d(x, conv.W.data, conv.b.data, kernel), atol=0
+            conv(Tensor(x[None])).data[0], naive_conv1d(x, conv.W.data, conv.b.data, kernel), atol=0
         )
 
     fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
     x = rng.normal(size=(6, 2))
-    base = nn.bilstm(Tensor(x), fwd, bwd).data
+    base = nn.bilstm(Tensor(x[None]), fwd, bwd).data[0]
     for t in range(5):
         perturbed = x.copy()
         perturbed[t + 1] += 0.7
-        after = nn.bilstm(Tensor(perturbed), fwd, bwd).data
+        after = nn.bilstm(Tensor(perturbed[None]), fwd, bwd).data[0]
         np.testing.assert_array_equal(base[: t + 1, :3], after[: t + 1, :3])
         np.testing.assert_array_equal(base[t + 2 :, 3:], after[t + 2 :, 3:])
 
     attn = nn.Attention(rng, 4, 3)
     for _ in range(50):
-        _, weights = attn(Tensor(rng.normal(size=(6, 4)) * 5.0))
+        _, weights = attn(Tensor(rng.normal(size=(1, 6, 4)) * 5.0))
         assert abs(weights.data.sum() - 1.0) <= 1e-12
-    h_same = np.tile(rng.normal(size=(1, 4)), (5, 1))
+    h_same = np.tile(rng.normal(size=(1, 1, 4)), (1, 5, 1))
     _, weights = attn(Tensor(h_same))
-    np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
+    np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
     assert time.time() - start < 60.0
 
 

@@ -78,6 +78,12 @@ class TestConfig:
         with pytest.raises(DataError, match="unknown config key"):
             parse_config_text("no_such_knob = 3")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "mafn.cfg"
+        path.write_bytes(b"\xff\xfes\x00e\x00e\x00d\x00")
+        with pytest.raises(DataError, match=r"mafn\.cfg:1: not UTF-8"):
+            load_config(path)
+
     def test_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "mafn.cfg"
         path.write_text("seed = 1\n")
@@ -102,6 +108,12 @@ class TestSynthesizeCommand:
     def test_truth_matches_engine_count(self, workspace):
         truth = json.loads((workspace / "data" / "truth.json").read_text())
         assert len(truth["engines"]) == 5
+
+    def test_non_utf8_spec_clean_error(self, tmp_path, capsys):
+        spec = tmp_path / "synth.spec"
+        spec.write_bytes(b"\xff\xfee\x00\n")
+        assert main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert "synth.spec:1: not UTF-8" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -158,6 +170,13 @@ class TestTrainCommand:
         code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 2
         assert "bad.txt:3: non-finite" in capsys.readouterr().err
+
+    def test_non_utf8_data_clean_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1\x00\n")
+        code = main(["train", "--data", str(bad), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "bad.txt:1: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_numeric_failure_exit_code(self, workspace, tmp_path, capsys):

@@ -50,6 +50,21 @@ class TestParse:
         with pytest.raises(ParseError, match=":2:"):
             D.parse_cmapss(path)
 
+    @pytest.mark.parametrize("unit", ["1.5", "1.000001"])
+    def test_fractional_unit_id_names_line(self, tmp_path, unit):
+        rows = [[1, 1] + [0.0] * 24, [unit, 2] + [0.0] * 24]
+        path = tmp_path / "bad.txt"
+        write_rows(path, rows)
+        with pytest.raises(ParseError, match=r"bad\.txt:2: unit id"):
+            D.parse_cmapss(path)
+
+    @pytest.mark.parametrize("reader", [D.parse_cmapss, D.parse_rul_file])
+    def test_non_utf8_file_names_line(self, tmp_path, reader):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\x00 \x001\x00\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:1: not UTF-8"):
+            reader(path)
+
     def test_non_monotone_cycles(self, tmp_path):
         path = tmp_path / "bad.txt"
         write_rows(path, [[1, 1] + [0.0] * 24, [1, 3] + [0.0] * 24])
@@ -103,6 +118,12 @@ class TestParse:
         path = tmp_path / "rul.txt"
         path.write_text("10\n20\n30\n")
         np.testing.assert_array_equal(D.parse_rul_file(path), [10.0, 20.0, 30.0])
+
+    def test_rul_file_bad_token_names_line(self, tmp_path):
+        path = tmp_path / "rul.txt"
+        path.write_text("10\nabc\n")
+        with pytest.raises(ParseError, match=r"rul\.txt:2:"):
+            D.parse_rul_file(path)
 
 
 class TestSelectSensors:

@@ -55,14 +55,14 @@ class TestConv1d:
         conv = nn.Conv1d(rng, 1, 1, 1, "relu")
         conv.W.data[:] = 1.0
         conv.b.data[:] = 0.0
-        x = Tensor(np.abs(rng.normal(size=(6, 1))))
+        x = Tensor(np.abs(rng.normal(size=(1, 6, 1))))
         np.testing.assert_allclose(conv(x).data, x.data)
 
     def test_hand_convolution(self, rng):
         conv = nn.Conv1d(rng, 1, 1, 3, activation=None)
         conv.W.data[:] = 1.0
         conv.b.data[:] = 0.0
-        out = conv(Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])))
+        out = conv(Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]])))
         np.testing.assert_array_equal(out.data.ravel(), [3.0, 6.0, 9.0, 7.0])
 
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
@@ -70,57 +70,99 @@ class TestConv1d:
         conv = nn.Conv1d(rng, 3, 4, kernel, "relu")
         x = rng.normal(size=(7, 3))
         expected = naive_conv1d(x, conv.W.data, conv.b.data, kernel)
-        np.testing.assert_allclose(conv(Tensor(x)).data, expected, atol=1e-12)
+        np.testing.assert_allclose(conv(Tensor(x[None])).data[0], expected, atol=1e-12)
 
     def test_batched_equals_stacked(self, rng):
         conv = nn.Conv1d(rng, 2, 3, 3, "relu")
         xs = rng.normal(size=(4, 6, 2))
         batched = conv(Tensor(xs)).data
         for i in range(4):
-            np.testing.assert_allclose(batched[i], conv(Tensor(xs[i])).data, atol=1e-14)
+            np.testing.assert_allclose(batched[i], conv(Tensor(xs[i : i + 1])).data[0], atol=1e-14)
 
     def test_degenerate_window(self, rng):
         conv = nn.Conv1d(rng, 1, 1, 9, "relu")
         with pytest.raises(ContractError):
-            conv(Tensor(np.zeros((4, 1))))
+            conv(Tensor(np.zeros((1, 4, 1))))
 
     def test_channel_mismatch(self, rng):
         conv = nn.Conv1d(rng, 3, 2, 3)
         with pytest.raises(DimensionError):
-            conv(Tensor(np.zeros((5, 2))))
+            conv(Tensor(np.zeros((1, 5, 2))))
+
+    def test_unbatched_input_rejected(self, rng):
+        conv = nn.Conv1d(rng, 3, 2, 3)
+        with pytest.raises(DimensionError):
+            conv(Tensor(np.zeros((5, 3))))
 
     def test_gradients(self, rng):
         conv = nn.Conv1d(rng, 2, 2, 3, "tanh")
-        x = T.parameter(rng.normal(size=(5, 2)))
+        x = T.parameter(rng.normal(size=(1, 5, 2)))
         check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
 
 
+def numpy_lstm(x, W_x, W_h, b, h, c):
+    """Independent oracle: the LSTM equations over (B, T, F), each gate
+    written out with its own block of the stacked i, f, g, o weights."""
+    n = h.shape[1]
+    Wi, Wf, Wg, Wo = (W_x[:, k * n : (k + 1) * n] for k in range(4))
+    Ui, Uf, Ug, Uo = (W_h[:, k * n : (k + 1) * n] for k in range(4))
+    bi, bf, bg, bo = (b[k * n : (k + 1) * n] for k in range(4))
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hidden = []
+    for t in range(x.shape[1]):
+        xt = x[:, t, :]
+        i = sigmoid(xt @ Wi + h @ Ui + bi)
+        f = sigmoid(xt @ Wf + h @ Uf + bf)
+        g = np.tanh(xt @ Wg + h @ Ug + bg)
+        o = sigmoid(xt @ Wo + h @ Uo + bo)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hidden.append(h)
+    return np.stack(hidden, axis=1)
+
+
+def random_cell(rng, n_in, n_hidden):
+    cell = nn.LstmCell(rng, n_in, n_hidden)
+    for p in (cell.W_x, cell.W_h, cell.b):
+        p.data = rng.normal(size=p.shape)
+    return cell
+
+
 class TestLstm:
+    def test_stacked_shapes(self, rng):
+        cell = nn.LstmCell(rng, 3, 4)
+        assert [(name, t.shape) for name, t in cell.parameters()] == [
+            ("W_x", (3, 16)), ("W_h", (4, 16)), ("b", (16,))
+        ]
+
     def test_zero_weights_give_zero_hidden(self, rng):
         cell = nn.LstmCell(rng, 3, 4)
-        for g in cell.GATES:
-            cell.W_x[g].data[:] = 0.0
-            cell.W_h[g].data[:] = 0.0
-            cell.b[g].data[:] = 0.0
+        for p in (cell.W_x, cell.W_h, cell.b):
+            p.data[:] = 0.0
         h, c = cell.initial_state(1)
-        h1, _ = cell.step(Tensor(rng.normal(size=(1, 3))), h, c)
+        x = Tensor(rng.normal(size=(1, 3)))
+        h1, _ = cell.step(T.matmul(x, cell.W_x), h, c)
         np.testing.assert_array_equal(h1.data, np.zeros((1, 4)))
 
     def test_saturated_forget_gate_carries_cell(self, rng):
         cell = nn.LstmCell(rng, 2, 3)
-        for g in cell.GATES:
-            cell.W_x[g].data[:] = 0.0
-        cell.b["f"].data[:] = 10.0           # forget gate pinned open
+        cell.W_x.data[:] = 0.0
+        cell.b.data[3:6] = 10.0              # forget gate pinned open
         c_prev = Tensor(rng.normal(size=(1, 3)))
         h_prev = Tensor(np.zeros((1, 3)))
-        _, c1 = cell.step(Tensor(rng.normal(size=(1, 2))), h_prev, c_prev)
+        x = Tensor(rng.normal(size=(1, 2)))
+        _, c1 = cell.step(T.matmul(x, cell.W_x), h_prev, c_prev)
         np.testing.assert_allclose(c1.data, c_prev.data, atol=1e-3)
 
     def test_hidden_bounded(self, rng):
         cell = nn.LstmCell(rng, 2, 3)
         h, c = cell.initial_state(4)
         for _ in range(10):
-            h, c = cell.step(Tensor(rng.normal(size=(4, 2)) * 5.0), h, c)
+            x = Tensor(rng.normal(size=(4, 2)) * 5.0)
+            h, c = cell.step(T.matmul(x, cell.W_x), h, c)
         assert (np.abs(h.data) < 1.0).all()
 
     def test_gradients(self, rng):
@@ -130,7 +172,7 @@ class TestLstm:
         c0 = Tensor(np.zeros((1, 2)))
 
         def loss():
-            h, c = cell.step(x, h0, c0)
+            h, c = cell.step(T.matmul(x, cell.W_x), h0, c0)
             return (T.square(h) + T.square(c)).sum()
 
         tensors = [x] + [t for _, t in cell.parameters()]
@@ -138,82 +180,116 @@ class TestLstm:
 
     def test_forget_bias_initialized_to_one(self, rng):
         cell = nn.LstmCell(rng, 3, 4)
-        np.testing.assert_array_equal(cell.b["f"].data, np.ones(4))
-        np.testing.assert_array_equal(cell.b["i"].data, np.zeros(4))
+        expected = np.zeros(16)
+        expected[4:8] = 1.0                  # b[H:2H] is the forget gate
+        np.testing.assert_array_equal(cell.b.data, expected)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_unroll_matches_numpy_oracle(self, rng, reverse):
+        cell = random_cell(rng, 3, 4)
+        x = rng.normal(size=(2, 6, 3))
+        zeros = np.zeros((2, 4))
+        ordered = x[:, ::-1] if reverse else x
+        expected = numpy_lstm(ordered, cell.W_x.data, cell.W_h.data, cell.b.data, zeros, zeros)
+        if reverse:
+            expected = expected[:, ::-1]
+        out = nn.lstm_unroll(Tensor(x), cell, reverse=reverse).data
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+    def test_constant_input_scan_matches_numpy_oracle(self, rng):
+        # the decoders' use: one projection of a constant input, fed every step
+        cell = random_cell(rng, 3, 4)
+        context = rng.normal(size=(2, 3))
+        h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        xw = T.matmul(Tensor(context), cell.W_x)
+        out = cell.scan([xw] * 5, Tensor(h0), Tensor(c0))
+        x = np.repeat(context[:, None, :], 5, axis=1)
+        expected = numpy_lstm(x, cell.W_x.data, cell.W_h.data, cell.b.data, h0, c0)
+        np.testing.assert_allclose(np.stack([h.data for h in out], axis=1), expected, rtol=0, atol=1e-14)
 
 
 class TestBilstm:
     def test_single_step(self, rng):
         fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
-        x = Tensor(rng.normal(size=(1, 2)))
+        x = Tensor(rng.normal(size=(1, 1, 2)))
         out = nn.bilstm(x, fwd, bwd)
-        h0, c0 = fwd.initial_state(1)
-        hf, _ = fwd.step(x[0:1, :], h0, c0)
-        hb, _ = bwd.step(x[0:1, :], *bwd.initial_state(1))
-        np.testing.assert_allclose(out.data[0, :3], hf.data[0])
-        np.testing.assert_allclose(out.data[0, 3:], hb.data[0])
+        x0 = x[:, 0, :]
+        hf, _ = fwd.step(T.matmul(x0, fwd.W_x), *fwd.initial_state(1))
+        hb, _ = bwd.step(T.matmul(x0, bwd.W_x), *bwd.initial_state(1))
+        np.testing.assert_allclose(out.data[0, 0, :3], hf.data[0])
+        np.testing.assert_allclose(out.data[0, 0, 3:], hb.data[0])
 
     def test_reversal_symmetry(self, rng):
         a, b = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
         x = rng.normal(size=(5, 2))
-        fwd_view = nn.bilstm(Tensor(x), a, b).data
-        rev_view = nn.bilstm(Tensor(x[::-1].copy()), b, a).data
+        fwd_view = nn.bilstm(Tensor(x[None]), a, b).data[0]
+        rev_view = nn.bilstm(Tensor(x[None, ::-1].copy()), b, a).data[0]
         swapped = np.concatenate([rev_view[::-1, 3:], rev_view[::-1, :3]], axis=1)
         np.testing.assert_allclose(fwd_view, swapped, atol=1e-14)
 
     def test_compositional_oracle(self, rng):
         fwd, bwd = nn.LstmCell(rng, 3, 2), nn.LstmCell(rng, 3, 2)
-        x = rng.normal(size=(3, 3))
+        x = rng.normal(size=(1, 3, 3))
         out = nn.bilstm(Tensor(x), fwd, bwd).data
-        fpart = nn.lstm_unroll(Tensor(x[None]), fwd).data[0]
-        bpart = nn.lstm_unroll(Tensor(x[None]), bwd, reverse=True).data[0]
-        np.testing.assert_allclose(out, np.concatenate([fpart, bpart], axis=1), atol=1e-14)
+        fpart = nn.lstm_unroll(Tensor(x), fwd).data
+        bpart = nn.lstm_unroll(Tensor(x), bwd, reverse=True).data
+        np.testing.assert_allclose(out, np.concatenate([fpart, bpart], axis=2), atol=1e-14)
 
     def test_causality_split(self, rng):
         fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
         x = rng.normal(size=(6, 2))
-        base = nn.bilstm(Tensor(x), fwd, bwd).data
+        base = nn.bilstm(Tensor(x[None]), fwd, bwd).data[0]
         t = 2
         perturbed = x.copy()
         perturbed[t + 1] += 1.0
-        after = nn.bilstm(Tensor(perturbed), fwd, bwd).data
+        after = nn.bilstm(Tensor(perturbed[None]), fwd, bwd).data[0]
         # forward half at t ignores the future; backward half at t+2 ignores the past
         np.testing.assert_array_equal(base[: t + 1, :3], after[: t + 1, :3])
         np.testing.assert_array_equal(base[t + 2 :, 3:], after[t + 2 :, 3:])
         assert not np.allclose(base[t + 1 :, :3], after[t + 1 :, :3])
 
+    def test_unbatched_input_rejected(self, rng):
+        fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
+        with pytest.raises(DimensionError):
+            nn.bilstm(Tensor(np.zeros((4, 2))), fwd, bwd)
+
 
 class TestAttention:
     def test_identical_states_uniform(self, rng):
         attn = nn.Attention(rng, 4, 3)
-        h = np.tile(rng.normal(size=(1, 4)), (5, 1))
+        h = np.tile(rng.normal(size=(1, 1, 4)), (1, 5, 1))
         context, weights = attn(Tensor(h))
-        np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
-        np.testing.assert_allclose(context.data, h[0], atol=1e-12)
+        np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
+        np.testing.assert_allclose(context.data, h[:, 0], atol=1e-12)
 
     def test_single_step(self, rng):
         attn = nn.Attention(rng, 4, 3)
-        h = rng.normal(size=(1, 4))
+        h = rng.normal(size=(1, 1, 4))
         context, weights = attn(Tensor(h))
-        np.testing.assert_allclose(weights.data, [1.0])
-        np.testing.assert_allclose(context.data, h[0])
+        np.testing.assert_allclose(weights.data, [[1.0]])
+        np.testing.assert_allclose(context.data, h[:, 0])
 
     def test_direct_sum_oracle(self, rng):
         attn = nn.Attention(rng, 4, 3)
         h = rng.normal(size=(3, 4))
-        context, weights = attn(Tensor(h))
-        manual = sum(weights.data[t] * h[t] for t in range(3))
-        np.testing.assert_allclose(context.data, manual, atol=1e-14)
+        context, weights = attn(Tensor(h[None]))
+        manual = sum(weights.data[0, t] * h[t] for t in range(3))
+        np.testing.assert_allclose(context.data[0], manual, atol=1e-14)
 
     def test_weights_sum_to_one(self, rng):
         attn = nn.Attention(rng, 6, 4)
         for _ in range(10):
-            _, weights = attn(Tensor(rng.normal(size=(7, 6)) * 10.0))
+            _, weights = attn(Tensor(rng.normal(size=(1, 7, 6)) * 10.0))
             assert abs(weights.data.sum() - 1.0) <= 1e-12
+
+    def test_unbatched_input_rejected(self, rng):
+        attn = nn.Attention(rng, 4, 3)
+        with pytest.raises(DimensionError):
+            attn(Tensor(np.zeros((5, 4))))
 
     def test_gradients(self, rng):
         attn = nn.Attention(rng, 4, 3)
-        h = T.parameter(rng.normal(size=(3, 4)))
+        h = T.parameter(rng.normal(size=(1, 3, 4)))
 
         def loss():
             context, _ = attn(h)

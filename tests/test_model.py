@@ -194,7 +194,8 @@ class TestForecastTrajectory:
             cut = truncated.length
             states = np.asarray(eng["states"])
             trend = np.asarray(eng["trend"])
-            forecast, pred_states = forecast_trajectory(truncated, model, bundle)
+            forecast, pred_states, rul = forecast_trajectory(truncated, model, bundle)
+            assert rul == predict_rul(truncated, model, bundle)
             offsets = np.where(states[cut : cut + 4] == 0, -1.0, 1.0)
             expected = sensor_base(2) + trend[cut : cut + 4] + offsets
             assert np.abs(forecast[:, 0] - expected).max() < 0.5
@@ -269,6 +270,21 @@ class TestCheckpoint:
         assert not np.allclose(fresh.forward(x, s).forecast.data, base)
         fresh.load_state(model.state_arrays())
         np.testing.assert_array_equal(fresh.forward(x, s).forecast.data, base)
+
+    def test_old_format_version_rejected(self, tmp_path):
+        blob = bytearray(self._saved(tmp_path))
+        blob[8:12] = (1).to_bytes(4, "little")     # the version field after the magic
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="version 1"):
+            load_checkpoint(old)
+
+    def test_load_state_extra_parameter(self):
+        model, _ = tiny_model()
+        params = model.state_arrays()
+        params["encoder.fwd.W_xi"] = np.zeros((3, 3))
+        with pytest.raises(ContractError, match="encoder.fwd.W_xi"):
+            model.load_state(params)
 
     def test_load_state_shape_mismatch(self):
         model, _ = tiny_model()

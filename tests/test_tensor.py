@@ -197,6 +197,27 @@ class TestShapeOps:
         expected[1:, :2] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("idx", [
+        1, (slice(None), -1), (Ellipsis, slice(None, None, -2)), (None, slice(1, 3), 2),
+        (np.int64(0), slice(None)),
+    ])
+    def test_getitem_basic_index_gradient(self, rng, idx):
+        x = T.parameter(rng.normal(size=(3, 4)))
+        w = rng.normal(size=x.data[idx].shape)
+        (x[idx] * Tensor(w)).sum().backward()
+        expected = np.zeros((3, 4))
+        expected[idx] = w
+        np.testing.assert_array_equal(x.grad, expected)
+        check_gradients(lambda: T.square(x[idx]).sum(), [x])
+
+    @pytest.mark.parametrize("idx", [
+        np.array([0, 0]), [1, 2], (slice(None), np.array([1])), np.array([True, False, True]), True,
+    ])
+    def test_getitem_array_index_rejected(self, idx):
+        x = T.parameter(np.zeros((3, 4)))
+        with pytest.raises(ContractError, match="gather_rows"):
+            x[idx]
+
     def test_gather_rows_accumulates_repeats(self):
         table = T.parameter(np.eye(3))
         T.gather_rows(table, np.array([1, 1])).sum().backward()
