@@ -17,7 +17,7 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .config import TrainConfig
-from .data import NormalizationStats
+from .data import NormalizationStats, atomic_write
 from .errors import DataError
 
 MAGIC = b"MAFNCKPT"
@@ -59,7 +59,7 @@ def save_checkpoint(bundle: CheckpointBundle, path):
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in arrays],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

@@ -22,6 +22,7 @@ from . import __version__
 from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from .config import TrainConfig, apply_env_overrides, default_config_text, load_config
 from .data import (
+    atomic_write,
     normalize_record,
     normalize_values,
     numbered_lines,
@@ -57,6 +58,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _write_text(path, text: str):
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_manifest(out_dir: Path, command: str, config_dict, seed, data_files, artifacts):
     manifest = {
         "tool_version": __version__,
@@ -67,7 +73,7 @@ def _write_manifest(out_dir: Path, command: str, config_dict, seed, data_files, 
         "artifacts": sorted(str(a) for a in artifacts),
     }
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -95,7 +101,7 @@ def _prepare_out(path) -> Path:
 
 def _emit_text(text: str, out) -> int:
     if out:
-        Path(out).write_text(text)
+        _write_text(out, text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
@@ -118,9 +124,10 @@ def cmd_cluster(args) -> int:
         coords = ",".join(format(v, ".12g") for v in model.centroids[j])
         report_lines.append(f"{j},{counts[j]},{coords}")
     report_path = out / "clusters.csv"
-    report_path.write_text("\n".join(report_lines) + "\n")
+    _write_text(report_path, "\n".join(report_lines) + "\n")
     model_path = out / "cluster.json"
-    model_path.write_text(
+    _write_text(
+        model_path,
         json.dumps(
             {
                 "k": model.k,
@@ -169,7 +176,7 @@ def cmd_train(args) -> int:
         )
         created.append(ckpt_path)
         log_path = out / "training_log.csv"
-        log_path.write_text(format_log_csv(result.log_rows))
+        _write_text(log_path, format_log_csv(result.log_rows))
         created.append(log_path)
         _write_manifest(out, "train", cfg.to_dict(), cfg.seed, [args.data], [p.name for p in created])
         print(
@@ -212,7 +219,7 @@ def cmd_evaluate(args) -> int:
         for pct, r, e, s in report.rows:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
         path = out / "evaluation_cutoffs.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
         data_files = [args.data, args.checkpoint]
     else:
         if not args.rul:
@@ -220,7 +227,7 @@ def cmd_evaluate(args) -> int:
         rul_truth = parse_rul_file(args.rul)
         r, s = evaluate_testset(records, rul_truth, predict, cfg.rul_cap)
         path = out / "evaluation_testset.csv"
-        path.write_text("rmse,score\n" + f"{r:.6f},{s:.6f}\n")
+        _write_text(path, "rmse,score\n" + f"{r:.6f},{s:.6f}\n")
         data_files = [args.data, args.rul, args.checkpoint]
     _write_manifest(out, "evaluate", cfg.to_dict(), cfg.seed, data_files, [path.name])
     print(f"wrote {path}")
@@ -264,7 +271,7 @@ def cmd_forecast(args) -> int:
         truth_val = f"{truth[h]:.6f}" if h < truth_n else ""
         rows.append(f"{cut + h + 1},,{forecast_norm[h]:.6f},{truth_val}")
     csv_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    _write_text(csv_path, "\n".join(rows) + "\n")
 
     chart = LineChart(
         title=f"Unit {args.unit}, sensor {args.sensor}: cutoff at {args.cutoff:.0%}",
@@ -280,7 +287,7 @@ def cmd_forecast(args) -> int:
     chart.add_vline(cut + predicted_rul, "predicted TTF", "#d62728")
     chart.add_vline(record.length, "true TTF", "#1f77b4")
     svg_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.svg"
-    svg_path.write_text(chart.render())
+    _write_text(svg_path, chart.render())
     _write_manifest(
         out, "forecast", cfg.to_dict(), cfg.seed, [args.data, args.checkpoint],
         [csv_path.name, svg_path.name],

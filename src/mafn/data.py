@@ -8,7 +8,9 @@ forecasting, state, and RUL targets for every head.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -78,6 +80,24 @@ def numbered_lines(path):
                 raise ParseError(f"{path}:{lineno}: not UTF-8 text: {e.reason}") from None
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing; when the block ends
+    it replaces ``path`` in one ``os.replace``.  If the block raises, the
+    temporary file is removed and ``path`` keeps its previous bytes."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def parse_cmapss(path) -> list:
     """Parse a C-MAPSS text file into one EngineRecord per unit.
 
@@ -133,7 +153,7 @@ def parse_cmapss(path) -> list:
 
 def write_cmapss(records: Sequence[EngineRecord], path):
     """Serialize records back to the 26-column text format (round-trip exact)."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             if len(rec.sensor_ids) != N_RAW_SENSORS:
                 raise ContractError("write_cmapss needs all 21 sensor channels")
@@ -154,9 +174,12 @@ def parse_rul_file(path) -> np.ndarray:
         if len(parts) != 1:
             raise ParseError(f"{path}:{lineno}: expected 1 column, found {len(parts)}")
         try:
-            values.append(float(parts[0]))
+            value = float(parts[0])
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not np.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
+        values.append(value)
     if not values:
         raise DataError(f"{path}: empty RUL file")
     return np.asarray(values, dtype=np.float64)
@@ -172,7 +195,11 @@ def select_sensors(record: EngineRecord, keep: Sequence[int] = SELECTED_SENSORS)
 
 
 def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:
-    """Per-sensor min/max over every cycle of every training engine."""
+    """Per-sensor min/max over every cycle of every training engine.
+
+    A sensor whose span ``max - min`` is not a finite float64 (``-1e308``
+    and ``1e308``) raises DataError naming it: it would normalize to NaN.
+    """
     if not train:
         raise ContractError("fit_normalization needs at least one engine")
     stacked = np.concatenate([rec.sensors for rec in train], axis=0)
@@ -181,6 +208,14 @@ def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:
         mins=stacked.min(axis=0),
         maxs=stacked.max(axis=0),
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        unbounded = ~np.isfinite(stats.maxs - stats.mins)
+    if unbounded.any():
+        j = int(unbounded.argmax())
+        raise DataError(
+            f"sensor {stats.sensor_ids[j]}: training range [{stats.mins[j]:g}, {stats.maxs[j]:g}] "
+            "spans more than float64 holds"
+        )
     for sid, flag in zip(stats.sensor_ids, stats.degenerate):
         if flag:
             log.warning("sensor %d is constant over the training set; it will normalize to 0", sid)

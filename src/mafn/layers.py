@@ -107,8 +107,9 @@ class Conv1d:
 class LstmCell:
     """Standard LSTM gate equations, gates stacked in i, f, g, o column order:
     W_x (n_in, 4H), W_h (H, 4H), b (4H); the forget-gate bias b[H:2H] starts
-    at 1.  ``step`` takes the input projection ``x @ W_x``, so a constant
-    input (the decoders') is projected once."""
+    at 1.  The recurrence is :func:`mafn.tensor.lstm_scan`, fed the input
+    projection ``x @ W_x``, so a constant input (the decoders') is projected
+    once."""
 
     def __init__(self, rng, n_in: int, n_hidden: int):
         self.n_in = n_in
@@ -124,26 +125,6 @@ class LstmCell:
         bias = np.zeros(4 * n_hidden)
         bias[n_hidden : 2 * n_hidden] = 1.0
         self.b = T.parameter(bias)
-
-    def step(self, xw: Tensor, h_prev: Tensor, c_prev: Tensor):
-        """One step from the (B, 4H) input projection ``xw = x @ W_x``."""
-        n = self.n_hidden
-        z = (xw + T.matmul(h_prev, self.W_h)) + self.b
-        i = T.sigmoid(z[:, :n])
-        f = T.sigmoid(z[:, n : 2 * n])
-        g = T.tanh(z[:, 2 * n : 3 * n])
-        o = T.sigmoid(z[:, 3 * n :])
-        c = f * c_prev + i * g
-        h = o * T.tanh(c)
-        return h, c
-
-    def scan(self, projections, h: Tensor, c: Tensor) -> list:
-        """Hidden states of ``step`` run over an iterable of input projections."""
-        hidden = []
-        for xw in projections:
-            h, c = self.step(xw, h, c)
-            hidden.append(h)
-        return hidden
 
     def initial_state(self, batch: int):
         zeros = np.zeros((batch, self.n_hidden))
@@ -162,9 +143,8 @@ def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
     if x.ndim != 3:
         raise DimensionError(f"lstm_unroll input must be (B, T, F), got {x.shape}")
     B, t_len, _ = x.shape
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    hidden = cell.scan((T.matmul(x[:, t, :], cell.W_x) for t in steps), *cell.initial_state(B))
-    return T.stack(hidden[::-1] if reverse else hidden, axis=1)
+    h0, c0 = cell.initial_state(B)
+    return T.lstm_scan(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b, t_len, reverse)
 
 
 def bilstm(x: Tensor, fwd_cell: LstmCell, bwd_cell: LstmCell) -> Tensor:

@@ -130,9 +130,9 @@ class MafnModel:
     def _decode(self, cell: LstmCell, init: Dense, context: Tensor, horizon: int) -> Tensor:
         hidden = cell.n_hidden
         hc = init(context)
-        xw = T.matmul(context, cell.W_x)       # the constant input, projected once
-        steps = cell.scan([xw] * horizon, hc[:, :hidden], hc[:, hidden:])
-        return T.stack(steps, axis=1)          # (B, H, hidden)
+        # the constant input, projected once
+        xw = T.matmul(context, cell.W_x).reshape((context.shape[0], 1, 4 * hidden))
+        return T.lstm_scan(xw, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b, horizon)  # (B, H, hidden)
 
     def forward(self, windows, state_ids, future_states=None, horizon: Optional[int] = None) -> MafnOutput:
         """Run the network; 2-d input gives per-sample output shapes.

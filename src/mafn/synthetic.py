@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .data import DROPPED_SENSORS, EngineRecord, N_RAW_SENSORS, SELECTED_SENSORS
+from .data import DROPPED_SENSORS, EngineRecord, N_RAW_SENSORS, SELECTED_SENSORS, atomic_write
 from .errors import ContractError, DataError
 
 # per-state centers of the three setting columns; far apart vs. jitter 0.01
@@ -180,5 +180,5 @@ def default_synth_spec_text() -> str:
 
 
 def write_truth(truth: dict, path):
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(truth, fh, sort_keys=True, separators=(",", ":"))

@@ -3,8 +3,8 @@
 Every forward operation records a node on a dynamic tape (parent links plus
 a closure computing parent gradients from the output gradient).  Calling
 ``backward()`` on a scalar tensor topologically sorts the tape and pushes
-gradients back, accumulating additively into ``.grad`` so repeated backward
-passes without zeroing sum their contributions.
+gradients back, accumulating additively into the leaves' ``.grad`` so
+repeated backward passes without zeroing sum their contributions.
 
 All data is float64: the finite-difference checks this package leans on
 need double precision.  Broadcasting follows numpy rules; shapes that do
@@ -16,7 +16,7 @@ handed between threads freely.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +91,9 @@ class Tensor:
     def backward(self):
         """Backpropagate from this scalar through the recorded tape.
 
-        Gradients accumulate additively into ``.grad`` of every tensor on the
-        path, so a second call without zeroing doubles them exactly.
+        Gradients accumulate additively into ``.grad`` of every leaf on the
+        path (a tensor no operation produced), so a second call without
+        zeroing doubles them exactly.  Intermediate results keep no ``.grad``.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -104,10 +105,10 @@ class Tensor:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
             if node._grad_fn is None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._grad_fn(g)):
                 if not parent.requires_grad:
@@ -354,23 +355,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(out, tuple(ts), grad_fn, "concat")
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ContractError("stack of zero tensors")
-    for t in ts[1:]:
-        if t.shape != ts[0].shape:
-            raise DimensionError(f"stack shapes differ: {ts[0].shape} vs {t.shape}")
-    out = np.stack([t.data for t in ts], axis=axis)
-    ax = axis % out.ndim
-
-    def grad_fn(g):
-        moved = np.moveaxis(g, ax, 0)
-        return tuple(moved[i] for i in range(len(ts)))
-
-    return _make(out, tuple(ts), grad_fn, "stack")
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = x.data.reshape(shape)
@@ -460,6 +444,97 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, x.shape) / count,)
 
     return _make(out, (x,), grad_fn, "mean")
+
+
+# -- recurrence -----------------------------------------------------------------------
+
+
+def lstm_scan(xw: Tensor, h0: Tensor, c0: Tensor, W_h: Tensor, b: Tensor, steps: int,
+              reverse: bool = False) -> Tensor:
+    """A whole LSTM unroll as one tape node; returns hidden states (B, steps, H).
+
+    ``xw`` is the input projection ``x @ W_x``, (B, steps, 4H), or (B, 1, 4H)
+    for an input held constant over every step.  Gates are stacked in i, f,
+    g, o column order; each step computes ``z = (xw_t + h @ W_h) + b``,
+    ``c = f * c + i * g`` and ``h = o * tanh(c)``.  With ``reverse`` the scan
+    runs right-to-left and the output keeps the input's time order.  The
+    backward pass is backpropagation through time in numpy.
+    """
+    n = W_h.shape[0]
+    B = h0.shape[0]
+    if steps < 1 or xw.shape not in ((B, steps, 4 * n), (B, 1, 4 * n)):
+        raise DimensionError(
+            f"lstm_scan: input projection {xw.shape} does not fit {steps} steps of batch {B}, hidden {n}"
+        )
+    if W_h.shape != (n, 4 * n) or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n):
+        raise DimensionError(
+            f"lstm_scan: W_h {W_h.shape}, b {b.shape}, h0 {h0.shape} and c0 {c0.shape} disagree"
+        )
+    # step k of the scan is stored at index k (time steps - 1 - k in reverse),
+    # time-major, with the gates as (4, H) blocks of each row
+    xs = xw.data.transpose(1, 0, 2)
+    if reverse:
+        xs = xs[::-1]
+    const = xw.shape[1] == 1
+    gates = np.empty((steps, B, 4, n))       # i, f, g, o activations
+    cells = np.empty((steps, B, n))
+    tanh_c = np.empty((steps, B, n))
+    hidden = np.empty((steps, B, n))
+    h, c = h0.data, c0.data
+    for k in range(steps):
+        a = gates[k]
+        z = a.reshape(B, 4 * n)
+        np.matmul(h, W_h.data, out=z)
+        np.add(xs[0 if const else k], z, out=z)
+        z += b.data
+        g = np.tanh(a[:, 2])
+        # sigmoid 1 / (1 + exp(-z)) in place, then the candidate block takes tanh
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+        a[:, 2] = g
+        c = np.multiply(a[:, 1], c, out=cells[k])
+        c += a[:, 0] * g
+        np.tanh(c, out=tanh_c[k])
+        h = np.multiply(a[:, 3], tanh_c[k], out=hidden[k])
+
+    def grad_fn(grad):
+        gs = grad.transpose(1, 0, 2)
+        if reverse:
+            gs = gs[::-1]
+        i, f, g, o = (gates[:, :, j] for j in range(4))
+        c_prev = np.concatenate([c0.data[None], cells[:-1]])
+        # d(loss)/d(pre-activation) is dc times these for i, f, g and dh for o
+        scale = np.empty_like(gates)
+        scale[:, :, 0] = g * (i * (1.0 - i))
+        scale[:, :, 1] = c_prev * (f * (1.0 - f))
+        scale[:, :, 2] = i * (1.0 - g * g)
+        scale[:, :, 3] = tanh_c * (o * (1.0 - o))
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(gates)
+        dh = np.zeros((B, n))
+        dc = np.zeros((B, n))
+        W_hT = W_h.data.T
+        for k in range(steps - 1, -1, -1):
+            dh += gs[k]
+            dc += dh * dc_dh[k]
+            np.multiply(scale[k, :, :3], dc[:, None, :], out=dz[k, :, :3])
+            np.multiply(scale[k, :, 3], dh, out=dz[k, :, 3])
+            dc *= f[k]
+            dh = dz[k].reshape(B, 4 * n) @ W_hT
+        dz = dz.reshape(steps, B, 4 * n)
+        h_prev = np.concatenate([h0.data[None], hidden[:-1]])
+        dW_h = h_prev.reshape(-1, n).T @ dz.reshape(-1, 4 * n)
+        db = dz.sum(axis=(0, 1))
+        if const:
+            dxw = dz.sum(axis=0)[:, None, :]
+        else:
+            dxw = np.ascontiguousarray((dz[::-1] if reverse else dz).transpose(1, 0, 2))
+        return dxw, dh, dc, dW_h, db
+
+    out = (hidden[::-1] if reverse else hidden).transpose(1, 0, 2)
+    return _make(np.ascontiguousarray(out), (xw, h0, c0, W_h, b), grad_fn, "lstm_scan")
 
 
 def zeros(shape) -> Tensor:

@@ -95,14 +95,15 @@ def test_criterion_1_gradient_suite():
 
     for g in _instance_rngs():
         cell = nn.LstmCell(g, 2, 2)
-        x = T.parameter(g.normal(size=(1, 2)))
+        x = T.parameter(g.normal(size=(1, 1, 2)))
         h0, c0 = cell.initial_state(1)
 
-        def step_loss():
-            h, c = cell.step(T.matmul(x, cell.W_x), h0, c0)
-            return (T.square(h) + T.square(c)).sum()
+        def scan_loss():
+            # two steps of a constant input: the second step's h reads the first step's c
+            h = T.lstm_scan(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b, 2)
+            return T.square(h).sum()
 
-        check_gradients(step_loss, [x] + [t for _, t in cell.parameters()])
+        check_gradients(scan_loss, [x] + [t for _, t in cell.parameters()])
 
     for g in _instance_rngs():
         fwd, bwd = nn.LstmCell(g, 2, 2), nn.LstmCell(g, 2, 2)

@@ -180,8 +180,20 @@ class TestTrainCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_numeric_failure_exit_code(self, workspace, tmp_path, capsys):
-        # finite readings whose span overflows float64 poison normalization
-        # and surface as exit 3
+        # a step size this large sends the first Adam step to 1e300 and the
+        # next forward to NaN: a genuine divergence, exit 3
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(SMOKE_CONFIG + "learning_rate = 1e300\n")
+        code = main(
+            ["train", "--data", str(workspace / "data" / "synthetic_train.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 3
+        assert "numeric" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()   # partial outputs removed
+
+    def test_overflowing_sensor_span_clean_error(self, workspace, tmp_path, capsys):
+        # finite readings whose span overflows float64 would normalize to NaN
         source = (workspace / "data" / "synthetic_train.txt").read_text().splitlines()
         poisoned = []
         for i, line in enumerate(source):
@@ -195,9 +207,9 @@ class TestTrainCommand:
             ["train", "--data", str(bad), "--config", str(workspace / "smoke.cfg"),
              "--out", str(tmp_path / "out"), "--quiet"]
         )
-        assert code == 3
-        assert "numeric" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "model.ckpt").exists()   # partial outputs removed
+        assert code == 2
+        assert "[stage preprocess] sensor 2:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
 class TestEvaluateCommand:
@@ -246,6 +258,22 @@ class TestEvaluateCommand:
         lines = (out / "evaluation_testset.csv").read_text().strip().split("\n")
         assert lines[0] == "rmse,score"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    def test_testset_non_finite_rul_clean_error(self, workspace, tmp_path, capsys, token):
+        rul_path = tmp_path / "rul.txt"
+        rul_path.write_text(f"20\n20\n{token}\n20\n20\n")
+        out = tmp_path / "eval3"
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(workspace / "run1" / "model.ckpt"),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--mode", "testset", "--rul", str(rul_path), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "rul.txt:3: non-finite" in capsys.readouterr().err
+        assert not (out / "evaluation_testset.csv").exists()
 
 
 class TestForecastCommand:

@@ -125,6 +125,45 @@ class TestParse:
         with pytest.raises(ParseError, match=r"rul\.txt:2:"):
             D.parse_rul_file(path)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+    def test_rul_file_non_finite_names_line(self, tmp_path, token):
+        path = tmp_path / "rul.txt"
+        path.write_text(f"10\n{token}\n")
+        with pytest.raises(ParseError, match=r"rul\.txt:2: non-finite"):
+            D.parse_rul_file(path)
+
+
+class TestAtomicWrite:
+    def test_replaces_target(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with D.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "mode,old,part", [("w", "old\n", "half"), ("wb", b"\x00old", b"half")], ids=["text", "binary"]
+    )
+    def test_failed_writer_keeps_old_bytes(self, tmp_path, mode, old, part):
+        path = tmp_path / "out.bin"
+        path.write_bytes(old.encode() if isinstance(old, str) else old)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with D.atomic_write(path, mode) as fh:
+                fh.write(part)
+                fh.flush()
+                raise RuntimeError("writer failed halfway")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with D.atomic_write(tmp_path / "new.csv") as fh:
+                fh.write("half")
+                raise RuntimeError("writer failed halfway")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSelectSensors:
     def test_channel_count(self):
@@ -190,6 +229,14 @@ class TestNormalization:
     def test_empty_train_set(self):
         with pytest.raises(ContractError):
             D.fit_normalization([])
+
+    def test_overflowing_span_names_sensor(self):
+        def readings(col, t):                # sensor 7 reads 1e308, then -1e308
+            return np.where(t == 0, 1e308, -1e308) if col == 6 else np.zeros(len(t))
+
+        rec = D.select_sensors(make_record(length=2, sensor_fn=readings))
+        with pytest.raises(DataError, match="sensor 7:"):
+            D.fit_normalization([rec])
 
 
 class TestWindows:

@@ -100,28 +100,60 @@ class TestConv1d:
         check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
 
 
-def numpy_lstm(x, W_x, W_h, b, h, c):
-    """Independent oracle: the LSTM equations over (B, T, F), each gate
-    written out with its own block of the stacked i, f, g, o weights."""
+def numpy_lstm(xw, W_h, b, h, c, dhidden=None):
+    """Independent oracle: the LSTM equations over the input projection
+    ``xw = x @ W_x`` (B, T, 4H), each gate written out with its own block of
+    the stacked i, f, g, o weights.  With ``dhidden`` (the loss gradient of
+    the hidden states) it also runs backpropagation through time gate by
+    gate and returns ``(hidden, dxw, dh0, dc0, dW_h, db)``."""
     n = h.shape[1]
-    Wi, Wf, Wg, Wo = (W_x[:, k * n : (k + 1) * n] for k in range(4))
-    Ui, Uf, Ug, Uo = (W_h[:, k * n : (k + 1) * n] for k in range(4))
-    bi, bf, bg, bo = (b[k * n : (k + 1) * n] for k in range(4))
+    blocks = [slice(k * n, (k + 1) * n) for k in range(4)]
+    U = [W_h[:, s] for s in blocks]
+    bias = [b[s] for s in blocks]
 
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))
 
-    hidden = []
-    for t in range(x.shape[1]):
-        xt = x[:, t, :]
-        i = sigmoid(xt @ Wi + h @ Ui + bi)
-        f = sigmoid(xt @ Wf + h @ Uf + bf)
-        g = np.tanh(xt @ Wg + h @ Ug + bg)
-        o = sigmoid(xt @ Wo + h @ Uo + bo)
+    hidden, tape = [], []
+    for t in range(xw.shape[1]):
+        x = [xw[:, t, s] for s in blocks]
+        i = sigmoid(x[0] + h @ U[0] + bias[0])
+        f = sigmoid(x[1] + h @ U[1] + bias[1])
+        g = np.tanh(x[2] + h @ U[2] + bias[2])
+        o = sigmoid(x[3] + h @ U[3] + bias[3])
+        tape.append((h, c, i, f, g, o))
         c = f * c + i * g
         h = o * np.tanh(c)
+        tape[-1] += (c,)
         hidden.append(h)
-    return np.stack(hidden, axis=1)
+    hidden = np.stack(hidden, axis=1)
+    if dhidden is None:
+        return hidden
+
+    dxw = np.zeros_like(xw)
+    dU = [np.zeros_like(u) for u in U]
+    db = [np.zeros_like(v) for v in bias]
+    dh = np.zeros_like(h)
+    dc = np.zeros_like(c)
+    for t in range(xw.shape[1] - 1, -1, -1):
+        h_prev, c_prev, i, f, g, o, c_t = tape[t]
+        dh = dh + dhidden[:, t]
+        do = dh * np.tanh(c_t)
+        dc = dc + dh * o * (1.0 - np.tanh(c_t) ** 2)
+        dzs = [
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            dc * i * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ]
+        dc = dc * f
+        dh = np.zeros_like(dh)
+        for k, dz in enumerate(dzs):
+            dxw[:, t, blocks[k]] = dz
+            dU[k] += h_prev.T @ dz
+            db[k] += dz.sum(axis=0)
+            dh = dh + dz @ U[k].T
+    return hidden, dxw, dh, dc, np.concatenate(dU, axis=1), np.concatenate(db)
 
 
 def random_cell(rng, n_in, n_hidden):
@@ -131,6 +163,14 @@ def random_cell(rng, n_in, n_hidden):
     return cell
 
 
+def scan_cell(cell, x, h, c, steps=None):
+    """Hidden states of ``cell`` run from (h, c) over the (B, T, n_in) input
+    ``x``; a (B, 1, n_in) input held for ``steps`` steps is the decoders' use."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    steps = x.shape[1] if steps is None else steps
+    return T.lstm_scan(T.matmul(x, cell.W_x), h, c, cell.W_h, cell.b, steps)
+
+
 class TestLstm:
     def test_stacked_shapes(self, rng):
         cell = nn.LstmCell(rng, 3, 4)
@@ -138,42 +178,43 @@ class TestLstm:
             ("W_x", (3, 16)), ("W_h", (4, 16)), ("b", (16,))
         ]
 
+    def test_no_per_step_methods(self):
+        assert not hasattr(nn.LstmCell, "step") and not hasattr(nn.LstmCell, "scan")
+
     def test_zero_weights_give_zero_hidden(self, rng):
         cell = nn.LstmCell(rng, 3, 4)
         for p in (cell.W_x, cell.W_h, cell.b):
             p.data[:] = 0.0
-        h, c = cell.initial_state(1)
-        x = Tensor(rng.normal(size=(1, 3)))
-        h1, _ = cell.step(T.matmul(x, cell.W_x), h, c)
-        np.testing.assert_array_equal(h1.data, np.zeros((1, 4)))
+        h1 = scan_cell(cell, rng.normal(size=(1, 1, 3)), *cell.initial_state(1))
+        np.testing.assert_array_equal(h1.data, np.zeros((1, 1, 4)))
 
     def test_saturated_forget_gate_carries_cell(self, rng):
+        # i = o = 1/2 and g = 0 with zero weights, so h = tanh(c) / 2 shows c
         cell = nn.LstmCell(rng, 2, 3)
         cell.W_x.data[:] = 0.0
+        cell.W_h.data[:] = 0.0
         cell.b.data[3:6] = 10.0              # forget gate pinned open
-        c_prev = Tensor(rng.normal(size=(1, 3)))
+        c_prev = rng.normal(size=(1, 3))
         h_prev = Tensor(np.zeros((1, 3)))
-        x = Tensor(rng.normal(size=(1, 2)))
-        _, c1 = cell.step(T.matmul(x, cell.W_x), h_prev, c_prev)
-        np.testing.assert_allclose(c1.data, c_prev.data, atol=1e-3)
+        h = scan_cell(cell, rng.normal(size=(1, 4, 2)), h_prev, Tensor(c_prev))
+        c = np.arctanh(2.0 * h.data)
+        for t in range(4):
+            np.testing.assert_allclose(c[:, t], c_prev, atol=1e-3)
 
     def test_hidden_bounded(self, rng):
         cell = nn.LstmCell(rng, 2, 3)
-        h, c = cell.initial_state(4)
-        for _ in range(10):
-            x = Tensor(rng.normal(size=(4, 2)) * 5.0)
-            h, c = cell.step(T.matmul(x, cell.W_x), h, c)
+        h = scan_cell(cell, rng.normal(size=(4, 10, 2)) * 5.0, *cell.initial_state(4))
         assert (np.abs(h.data) < 1.0).all()
 
     def test_gradients(self, rng):
         cell = nn.LstmCell(rng, 2, 2)
-        x = T.parameter(rng.normal(size=(1, 2)))
+        x = T.parameter(rng.normal(size=(1, 1, 2)))
         h0 = Tensor(np.zeros((1, 2)))
         c0 = Tensor(np.zeros((1, 2)))
 
         def loss():
-            h, c = cell.step(T.matmul(x, cell.W_x), h0, c0)
-            return (T.square(h) + T.square(c)).sum()
+            # the second step's h reads the first step's c
+            return T.square(scan_cell(cell, x, h0, c0, steps=2)).sum()
 
         tensors = [x] + [t for _, t in cell.parameters()]
         check_gradients(loss, tensors)
@@ -190,7 +231,7 @@ class TestLstm:
         x = rng.normal(size=(2, 6, 3))
         zeros = np.zeros((2, 4))
         ordered = x[:, ::-1] if reverse else x
-        expected = numpy_lstm(ordered, cell.W_x.data, cell.W_h.data, cell.b.data, zeros, zeros)
+        expected = numpy_lstm(ordered @ cell.W_x.data, cell.W_h.data, cell.b.data, zeros, zeros)
         if reverse:
             expected = expected[:, ::-1]
         out = nn.lstm_unroll(Tensor(x), cell, reverse=reverse).data
@@ -199,13 +240,92 @@ class TestLstm:
     def test_constant_input_scan_matches_numpy_oracle(self, rng):
         # the decoders' use: one projection of a constant input, fed every step
         cell = random_cell(rng, 3, 4)
-        context = rng.normal(size=(2, 3))
+        context = rng.normal(size=(2, 1, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        xw = T.matmul(Tensor(context), cell.W_x)
-        out = cell.scan([xw] * 5, Tensor(h0), Tensor(c0))
-        x = np.repeat(context[:, None, :], 5, axis=1)
-        expected = numpy_lstm(x, cell.W_x.data, cell.W_h.data, cell.b.data, h0, c0)
-        np.testing.assert_allclose(np.stack([h.data for h in out], axis=1), expected, rtol=0, atol=1e-14)
+        out = scan_cell(cell, context, Tensor(h0), Tensor(c0), steps=5)
+        x = np.repeat(context, 5, axis=1)
+        expected = numpy_lstm(x @ cell.W_x.data, cell.W_h.data, cell.b.data, h0, c0)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
+
+
+SCAN_CASES = [
+    # (batch, steps, reverse, constant input)
+    (2, 5, False, False),
+    (2, 5, True, False),
+    (2, 5, False, True),
+    (2, 5, True, True),
+    (1, 1, False, False),
+    (1, 1, True, True),
+    (1, 4, True, False),
+    (3, 1, False, True),
+]
+
+
+def scan_problem(rng, batch, steps, constant, n=3):
+    """Random leaves of one lstm_scan call and a fixed loss weighting."""
+    xw = T.parameter(rng.normal(size=(batch, 1 if constant else steps, 4 * n)))
+    h0, c0 = T.parameter(rng.normal(size=(batch, n))), T.parameter(rng.normal(size=(batch, n)))
+    W_h, b = T.parameter(rng.normal(size=(n, 4 * n))), T.parameter(rng.normal(size=4 * n))
+    weight = rng.normal(size=(batch, steps, n))
+    return [xw, h0, c0, W_h, b], weight
+
+
+class TestLstmScan:
+    @pytest.mark.parametrize("batch,steps,reverse,constant", SCAN_CASES)
+    def test_gradients(self, rng, batch, steps, reverse, constant):
+        leaves, weight = scan_problem(rng, batch, steps, constant)
+
+        def loss():
+            return (T.lstm_scan(*leaves, steps, reverse) * Tensor(weight)).sum()
+
+        check_gradients(loss, leaves)
+
+    @pytest.mark.parametrize("batch,steps,reverse,constant", SCAN_CASES)
+    def test_matches_numpy_oracle(self, rng, batch, steps, reverse, constant):
+        leaves, weight = scan_problem(rng, batch, steps, constant)
+        xw, h0, c0, W_h, b = leaves
+        out = T.lstm_scan(*leaves, steps, reverse)
+        (out * Tensor(weight)).sum().backward()
+
+        # the oracle scans left to right over a full-length input
+        full = np.broadcast_to(xw.data, (batch, steps, xw.shape[2]))
+        flip = (lambda a: a[:, ::-1]) if reverse else (lambda a: a)
+        hidden, dxw, dh0, dc0, dW_h, db = numpy_lstm(
+            flip(full), W_h.data, b.data, h0.data, c0.data, dhidden=flip(weight)
+        )
+        dxw = flip(dxw)
+        if constant:
+            dxw = dxw.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(out.data, flip(hidden), rtol=0, atol=1e-14)
+        for leaf, expected in zip(leaves, (dxw, dh0, dc0, dW_h, db)):
+            np.testing.assert_allclose(leaf.grad, expected, rtol=0, atol=1e-14)
+
+    def test_one_tape_node(self, rng):
+        cell = random_cell(rng, 3, 4)
+        out = nn.lstm_unroll(T.parameter(rng.normal(size=(2, 7, 3))), cell)
+        assert out._op == "lstm_scan"
+        assert [p._op for p in out._parents] == ["matmul", "", "", "", ""]
+
+    def test_grad_only_on_leaves(self, rng):
+        cell = random_cell(rng, 3, 4)
+        x = T.parameter(rng.normal(size=(2, 5, 3)))
+        xw = T.matmul(x, cell.W_x)
+        h0, c0 = cell.initial_state(2)
+        hidden = T.lstm_scan(xw, h0, c0, cell.W_h, cell.b, 5)
+        loss = T.square(hidden).sum()
+        loss.backward()
+        assert xw.grad is None and hidden.grad is None and loss.grad is None
+        leaves = [x, cell.W_x, cell.W_h, cell.b]
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+
+    @pytest.mark.parametrize("xw_shape,steps", [((2, 3, 12), 4), ((2, 5, 8), 5), ((3, 5, 12), 5), ((2, 5), 5)])
+    def test_shape_mismatch_rejected(self, rng, xw_shape, steps):
+        h0 = c0 = Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            T.lstm_scan(Tensor(np.zeros(xw_shape)), h0, c0, Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)), steps)
 
 
 class TestBilstm:
@@ -213,11 +333,10 @@ class TestBilstm:
         fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
         x = Tensor(rng.normal(size=(1, 1, 2)))
         out = nn.bilstm(x, fwd, bwd)
-        x0 = x[:, 0, :]
-        hf, _ = fwd.step(T.matmul(x0, fwd.W_x), *fwd.initial_state(1))
-        hb, _ = bwd.step(T.matmul(x0, bwd.W_x), *bwd.initial_state(1))
-        np.testing.assert_allclose(out.data[0, 0, :3], hf.data[0])
-        np.testing.assert_allclose(out.data[0, 0, 3:], hb.data[0])
+        hf = scan_cell(fwd, x, *fwd.initial_state(1))
+        hb = scan_cell(bwd, x, *bwd.initial_state(1))
+        np.testing.assert_allclose(out.data[0, 0, :3], hf.data[0, 0])
+        np.testing.assert_allclose(out.data[0, 0, 3:], hb.data[0, 0])
 
     def test_reversal_symmetry(self, rng):
         a, b = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)

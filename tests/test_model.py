@@ -251,6 +251,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="header"):
             load_checkpoint(bad)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        before = self._saved(tmp_path)
+        model, cfg = tiny_model(seed=6)
+        params = model.state_arrays()
+        params["zz.bad"] = np.array(["not a number"])    # fails after the other arrays are written
+        cluster = ClusterModel(k=2, centroids=np.zeros((2, 3)), inertia=0.0, feature_spec="settings")
+        stats = NormalizationStats(sensor_ids=(2, 3), mins=np.zeros(2), maxs=np.ones(2))
+        with pytest.raises(ValueError):
+            save_checkpoint(CheckpointBundle(config=cfg, params=params, cluster=cluster, stats=stats),
+                            tmp_path / "model.ckpt")
+        assert (tmp_path / "model.ckpt").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_serialization_deterministic(self, tmp_path, rng):
         model, cfg = tiny_model(seed=5)
         cluster = ClusterModel(k=2, centroids=np.zeros((2, 3)), inertia=0.0, feature_spec="settings")

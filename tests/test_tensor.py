@@ -227,14 +227,6 @@ class TestShapeOps:
         with pytest.raises(ContractError):
             T.gather_rows(Tensor(np.eye(2)), np.array([2]))
 
-    def test_stack_roundtrip_grad(self):
-        xs = [T.parameter(np.full(3, float(i))) for i in range(4)]
-        out = T.stack(xs, axis=1)
-        assert out.shape == (3, 4)
-        (out * out).sum().backward()
-        for i, x in enumerate(xs):
-            np.testing.assert_array_equal(x.grad, np.full(3, 2.0 * i))
-
     def test_reshape_grad(self):
         x = T.parameter(np.arange(6.0))
         x.reshape((2, 3)).sum().backward()
