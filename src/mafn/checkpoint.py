@@ -18,7 +18,7 @@ import numpy as np
 from .cluster import ClusterModel
 from .config import TrainConfig
 from .data import NormalizationStats, atomic_write
-from .errors import DataError
+from .errors import ContractError, DataError
 
 MAGIC = b"MAFNCKPT"
 FORMAT_VERSION = 2
@@ -76,7 +76,8 @@ def _read(fh, n: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    """Read a checkpoint; a truncated or corrupt file raises DataError."""
+    """Read a checkpoint; a truncated or corrupt file, or one whose config
+    fails ``TrainConfig.validate``, raises DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
@@ -94,7 +95,7 @@ def load_checkpoint(path) -> CheckpointBundle:
             cfg_dict = dict(header["config"])
             cfg_dict["fusion_widths"] = tuple(cfg_dict["fusion_widths"])
             cfg_dict["rul_widths"] = tuple(cfg_dict["rul_widths"])
-            config = TrainConfig(**cfg_dict)
+            config = TrainConfig(**cfg_dict).validate()
             cluster = ClusterModel(
                 k=header["cluster"]["k"],
                 centroids=arrays.pop("cluster.centroids"),
@@ -106,7 +107,7 @@ def load_checkpoint(path) -> CheckpointBundle:
                 mins=arrays.pop("stats.mins"),
                 maxs=arrays.pop("stats.maxs"),
             )
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, ContractError) as e:
             raise DataError(f"{path}: corrupt checkpoint header: {e!r}") from None
     params = OrderedDict(
         (name[len("param.") :], arr) for name, arr in arrays.items() if name.startswith("param.")

@@ -157,14 +157,12 @@ def cmd_train(args) -> int:
         stage = "split"
         train_recs, val_recs = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
         stage = "window"
-        train_samples = windows_for_records(train_recs, cluster_model, cfg)
-        val_samples = windows_for_records(val_recs, cluster_model, cfg)
-        if not train_samples or not val_samples:
+        train_ds = pack_windows(windows_for_records(train_recs, cluster_model, cfg))
+        val_ds = pack_windows(windows_for_records(val_recs, cluster_model, cfg))
+        if not len(train_ds) or not len(val_ds):
             raise DataError(
                 f"no usable windows (window={cfg.window}); engines may be too short"
             )
-        train_ds = pack_windows(train_samples)
-        val_ds = pack_windows(val_samples)
         stage = "train"
         n_sensors = len(stats.sensor_ids)
         result = train(train_ds, val_ds, cfg, n_sensors, progress=_print_epoch(args))

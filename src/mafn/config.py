@@ -7,6 +7,7 @@ Configs serialize to a flat ``key = value`` text file (one key per line,
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Tuple
@@ -62,9 +63,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        require_finite(self)
         positive = [
             "window", "horizon", "stride", "rul_cap", "k_states", "embedding_dim",
-            "kernel_size", "n_filters", "lstm_hidden", "trend_dim", "learning_rate",
+            "kernel_size", "n_filters", "lstm_hidden", "trend_dim", "learning_rate", "adam_eps",
             "batch_size", "max_epochs", "cluster_restarts", "cluster_max_iter",
         ]
         for name in positive:
@@ -72,6 +74,9 @@ class TrainConfig:
                 raise ContractError(f"config field {name} must be positive, got {getattr(self, name)}")
         if self.patience < 0:
             raise ContractError("patience must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"config field {name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ContractError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         LossWeights.from_config(self)      # the one check of the loss weights
@@ -88,6 +93,16 @@ class TrainConfig:
         out["fusion_widths"] = list(self.fusion_widths)
         out["rul_widths"] = list(self.rul_widths)
         return out
+
+
+def require_finite(spec) -> None:
+    """ContractError naming the first float field of a dataclass, or float
+    inside a tuple field, that is NaN or infinite."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ContractError(f"field {f.name} must be finite, got {value}")
 
 
 _FIELD_COMMENTS = {

@@ -11,10 +11,11 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cluster import ClusterModel, assign_states
 from .errors import ContractError, DataError, ParseError
@@ -57,17 +58,22 @@ class NormalizationStats:
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """One fixed-length training sample with all four head targets."""
+class WindowDataset:
+    """Fixed-length windows with all four head targets, one array per field.
 
-    unit_id: int
-    cutoff_cycle: int
-    inputs: np.ndarray             # (T_w, S) normalized sensors
-    states: np.ndarray             # (T_w,) int state ids
-    future_states: np.ndarray      # (H,) int state ids (garbage where mask 0)
-    future_sensors: np.ndarray     # (H, S) normalized (garbage where mask 0)
-    mask: np.ndarray               # (H,) 1.0 valid / 0.0 padded
-    rul: float                     # capped cycles to failure
+    ``make_windows`` returns strided views of one record; ``pack_windows``
+    copies many of them into contiguous arrays for batching.
+    """
+
+    inputs: np.ndarray             # (N, T_w, S) normalized sensors
+    states: np.ndarray             # (N, T_w) int64 state ids
+    future_states: np.ndarray      # (N, H) int64 state ids, 0 where mask 0
+    future_sensors: np.ndarray     # (N, H, S) normalized, 0 where mask 0
+    mask: np.ndarray               # (N, H) 1.0 valid / 0.0 padded
+    rul: np.ndarray                # (N,) capped cycles to failure
+
+    def __len__(self):
+        return len(self.rul)
 
 
 def numbered_lines(path):
@@ -264,45 +270,50 @@ def make_windows(
     horizon: int,
     stride: int = 1,
     rul_cap: float = 125.0,
-) -> list:
+) -> WindowDataset:
     """Cut sliding windows with all four head targets.
 
     A window ending at cycle ``c`` (the cutoff) carries: the normalized
     sensors and state ids for cycles ``c-window+1 .. c``; the states and
-    sensors of cycles ``c+1 .. c+horizon`` as targets, masked where the
-    record ends earlier; and the capped RUL ``min(L - c, rul_cap)``.
-    Records shorter than ``window`` yield an empty list.
+    sensors of cycles ``c+1 .. c+horizon`` as targets, masked and zero where
+    the record ends earlier; and the capped RUL ``min(L - c, rul_cap)``.
+    Cutoffs run ``window, window + stride, ... <= L``; a record shorter than
+    ``window`` yields an empty dataset.  The arrays are strided views of one
+    zero-padded copy of the record; ``pack_windows`` copies them out.
     """
     if window < 1 or horizon < 1 or stride < 1:
         raise ContractError("window, horizon and stride must be positive")
-    L = record.length
-    if L < window:
-        return []
-    states = record_states(record, cluster_model)
-    samples = []
-    for start in range(0, L - window + 1, stride):
-        cut = start + window                       # cutoff cycle, 1-based
-        n_valid = min(horizon, L - cut)
-        mask = np.zeros(horizon)
-        mask[:n_valid] = 1.0
-        future_states = np.zeros(horizon, dtype=np.int64)
-        future_sensors = np.zeros((horizon, record.sensors.shape[1]))
-        if n_valid:
-            future_states[:n_valid] = states[cut : cut + n_valid]
-            future_sensors[:n_valid] = record.sensors[cut : cut + n_valid]
-        samples.append(
-            WindowSample(
-                unit_id=record.unit_id,
-                cutoff_cycle=cut,
-                inputs=record.sensors[start:cut].copy(),
-                states=states[start:cut].copy(),
-                future_states=future_states,
-                future_sensors=future_sensors,
-                mask=mask,
-                rul=float(min(L - cut, rul_cap)),
-            )
-        )
-    return samples
+    L, S = record.sensors.shape
+    cuts = np.arange(window, L + 1, stride)          # cutoff cycles, 1-based
+    # a window and its targets are window + horizon consecutive rows of this
+    # zero-padded copy: the zero tail fills the masked targets, and padding
+    # to at least window rows keeps the view valid for a too-short record
+    rows = max(L, window) + horizon
+    sensors = np.zeros((rows, S))
+    sensors[:L] = record.sensors
+    states = np.zeros(rows, dtype=np.int64)
+    states[:L] = record_states(record, cluster_model)
+    span = window + horizon
+    picks = slice(0, len(cuts) * stride, stride)     # window starts 0, stride, ...
+    seq = sliding_window_view(sensors, span, axis=0)[picks].swapaxes(1, 2)
+    seq_states = sliding_window_view(states, span)[picks]
+    return WindowDataset(
+        inputs=seq[:, :window],
+        states=seq_states[:, :window],
+        future_states=seq_states[:, window:],
+        future_sensors=seq[:, window:],
+        mask=(cuts[:, None] + np.arange(horizon) < L).astype(np.float64),
+        rul=np.minimum(L - cuts, rul_cap).astype(np.float64),
+    )
+
+
+def pack_windows(datasets: Sequence[WindowDataset]) -> WindowDataset:
+    """Concatenate per-record window datasets into one contiguous dataset."""
+    if not datasets:
+        raise ContractError("cannot pack an empty window list")
+    return WindowDataset(
+        **{f.name: np.concatenate([getattr(d, f.name) for d in datasets]) for f in fields(WindowDataset)}
+    )
 
 
 def truncate_at_fraction(record: EngineRecord, pct: float):
@@ -339,39 +350,3 @@ def split_by_engine(records: Sequence[EngineRecord], val_fraction: float, seed: 
     train = [rec for i, rec in enumerate(records) if i not in val_idx]
     val = [rec for i, rec in enumerate(records) if i in val_idx]
     return train, val
-
-
-# -- packed window arrays ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WindowDataset:
-    """Window samples packed into contiguous arrays for batching."""
-
-    inputs: np.ndarray             # (N, T_w, S)
-    states: np.ndarray             # (N, T_w) int64
-    future_states: np.ndarray      # (N, H) int64
-    future_sensors: np.ndarray     # (N, H, S)
-    mask: np.ndarray               # (N, H)
-    rul: np.ndarray                # (N,)
-    provenance: np.ndarray         # (N, 2) int64: unit_id, cutoff_cycle
-
-    def __len__(self):
-        return len(self.rul)
-
-
-def pack_windows(samples: Sequence[WindowSample]) -> WindowDataset:
-    if not samples:
-        raise ContractError("cannot pack an empty window list")
-    return WindowDataset(
-        inputs=np.stack([s.inputs for s in samples]),
-        states=np.stack([s.states for s in samples]).astype(np.int64),
-        future_states=np.stack([s.future_states for s in samples]).astype(np.int64),
-        future_sensors=np.stack([s.future_sensors for s in samples]),
-        mask=np.stack([s.mask for s in samples]),
-        rul=np.asarray([s.rul for s in samples], dtype=np.float64),
-        provenance=np.asarray(
-            [(s.unit_id, s.cutoff_cycle) for s in samples], dtype=np.int64
-        ),
-    )
-

@@ -40,12 +40,11 @@ def fit_pipeline(records, cfg: TrainConfig):
 
 
 def windows_for_records(records, cluster_model, cfg: TrainConfig):
-    samples = []
-    for rec in records:
-        samples.extend(
-            make_windows(rec, cluster_model, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
-        )
-    return samples
+    """One window dataset per record, as ``make_windows`` cuts it under ``cfg``."""
+    return [
+        make_windows(rec, cluster_model, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
+        for rec in records
+    ]
 
 
 def load_predictor(bundle: CheckpointBundle):

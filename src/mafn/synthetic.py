@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .config import require_finite
 from .data import DROPPED_SENSORS, EngineRecord, N_RAW_SENSORS, SELECTED_SENSORS, atomic_write
 from .errors import ContractError, DataError
 
@@ -54,8 +55,10 @@ class SynthSpec:
             )
         if self.trend not in ("linear", "quadratic"):
             raise ContractError(f"unknown trend shape {self.trend!r}")
-        if self.noise_sigma < 0:
-            raise ContractError("noise_sigma must be >= 0")
+        require_finite(self)
+        for name in ("noise_sigma", "setting_jitter"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0")
         if not 1 <= self.life_min <= self.life_max:
             raise ContractError("need 1 <= life_min <= life_max")
         if not 1 <= self.dwell_min <= self.dwell_max:

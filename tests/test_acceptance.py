@@ -5,6 +5,7 @@ need the FD002 dataset skip cleanly when it is absent; point
 ``MAFN_CMAPSS_DIR`` at a directory holding train_FD002.txt / test_FD002.txt /
 RUL_FD002.txt to enable them.
 """
+import dataclasses
 import functools
 import os
 import time
@@ -22,6 +23,7 @@ from mafn.cluster import fit_single_restart, kmeans_fit
 from mafn.config import TrainConfig
 from mafn.data import (
     SELECTED_SENSORS,
+    WindowDataset,
     make_windows,
     pack_windows,
     parse_cmapss,
@@ -308,7 +310,7 @@ def test_criterion_5_fd002_preprocessing():
         assert rec.sensors.min() >= 0.0 and rec.sensors.max() <= 1.0
 
     windows = make_windows(normalized[0], cluster_model, cfg.window, cfg.horizon, 1, 125.0)
-    assert all(0.0 <= w.rul <= 125.0 for w in windows)
+    assert len(windows) > 0 and ((windows.rul >= 0.0) & (windows.rul <= 125.0)).all()
 
     points = np.concatenate([r.op_settings for r in train_records], axis=0)
     from mafn.cluster import assign_states
@@ -332,9 +334,9 @@ def test_criterion_6_overfit():
         batch_size=10, max_epochs=500, patience=10_000, learning_rate=3e-3, seed=5,
     ).validate()
     cluster_model, stats, normalized = fit_pipeline(records, cfg)
-    samples = windows_for_records(normalized, cluster_model, cfg)
-    picks = np.linspace(0, len(samples) - 1, 10).astype(int)
-    ds = pack_windows([samples[i] for i in picks])
+    windows = pack_windows(windows_for_records(normalized, cluster_model, cfg))
+    picks = np.linspace(0, len(windows) - 1, 10).astype(int)
+    ds = WindowDataset(**{f.name: getattr(windows, f.name)[picks] for f in dataclasses.fields(windows)})
     assert len(ds) == 10
 
     result = train(ds, ds, cfg, 11)

@@ -11,7 +11,7 @@ import pytest
 import mafn
 from mafn.cli import main
 from mafn.config import TrainConfig, load_config, parse_config_text, default_config_text
-from mafn.errors import DataError
+from mafn.errors import ContractError, DataError
 from mafn.svgplot import LineChart
 
 
@@ -44,6 +44,13 @@ dwell_min = 15
 dwell_max = 25
 seed = 11
 """
+
+# each was accepted once: inf trained and scored inf, nan disabled clipping
+# or failed mid-training, beta1 = 1.5 and adam_eps = -1 trained
+BAD_CONFIG_LINES = [
+    "rul_cap = inf", "grad_clip = nan", "learning_rate = nan", "lambda_smooth = nan",
+    "adam_eps = -inf", "adam_eps = 0", "adam_eps = -1", "beta1 = 1.5", "beta1 = -0.1", "beta2 = 1.0",
+]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,13 @@ class TestConfig:
         with pytest.raises(Exception, match="lambda_late"):
             parse_config_text("lambda_late = 1.0\nlambda_early = 2.0").validate()
 
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_non_finite_or_out_of_range_value_rejected(self, tmp_path, line):
+        path = tmp_path / "mafn.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ContractError, match=line.split()[0]):
+            load_config(path)
+
 
 class TestSynthesizeCommand:
     def test_outputs_exist(self, workspace):
@@ -114,6 +128,15 @@ class TestSynthesizeCommand:
         spec.write_bytes(b"\xff\xfee\x00\n")
         assert main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert "synth.spec:1: not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["setting_jitter = -1", "setting_jitter = nan", "noise_sigma = inf",
+                                      "trend_amplitude = nan", "offsets = -1,inf"])
+    def test_bad_spec_value_clean_error(self, tmp_path, capsys, line):
+        spec = tmp_path / "synth.spec"
+        spec.write_text(SYNTH_SPEC + line + "\n")
+        assert main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "o" / "synthetic_train.txt").exists()
 
 
 class TestTrainCommand:
@@ -178,7 +201,6 @@ class TestTrainCommand:
         assert code == 2
         assert "bad.txt:1: not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_numeric_failure_exit_code(self, workspace, tmp_path, capsys):
         # a step size this large sends the first Adam step to 1e300 and the
         # next forward to NaN: a genuine divergence, exit 3
@@ -191,6 +213,29 @@ class TestTrainCommand:
         assert code == 3
         assert "numeric" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()   # partial outputs removed
+
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_bad_config_value_clean_error(self, workspace, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CONFIG + line + "\n")
+        code = main(
+            ["train", "--data", str(workspace / "data" / "synthetic_train.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_no_usable_windows_clean_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(SMOKE_CONFIG + "window = 200\n")      # every engine is shorter
+        code = main(
+            ["train", "--data", str(workspace / "data" / "synthetic_train.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 2
+        assert "[stage window] no usable windows (window=200)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
 
     def test_overflowing_sensor_span_clean_error(self, workspace, tmp_path, capsys):
         # finite readings whose span overflows float64 would normalize to NaN
@@ -225,6 +270,23 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_invalid_checkpoint_config_clean_error(self, workspace, tmp_path, capsys):
+        blob = (workspace / "run1" / "model.ckpt").read_bytes()
+        assert blob.count(b'"rul_cap":125.0') == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(b'"rul_cap":125.0', b'"rul_cap":1e999'))   # same length, parses as inf
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(bad),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--mode", "cutoffs", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "rul_cap must be finite" in capsys.readouterr().err
+        assert not (out / "evaluation_cutoffs.csv").exists()
 
     def test_cutoffs_schema(self, workspace, tmp_path):
         out = tmp_path / "eval"

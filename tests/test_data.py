@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -239,36 +240,68 @@ class TestNormalization:
             D.fit_normalization([rec])
 
 
+def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):
+    """The per-window loop that ``make_windows`` replaces with strided views:
+    one window at a time, written into preallocated packed arrays."""
+    L, S = record.sensors.shape
+    states = D.record_states(record, cluster_model)
+    starts = range(0, L - window + 1, stride)
+    n = len(starts)
+    out = {
+        "inputs": np.zeros((n, window, S)),
+        "states": np.zeros((n, window), dtype=np.int64),
+        "future_states": np.zeros((n, horizon), dtype=np.int64),
+        "future_sensors": np.zeros((n, horizon, S)),
+        "mask": np.zeros((n, horizon)),
+        "rul": np.zeros(n),
+    }
+    for i, start in enumerate(starts):
+        cut = start + window                       # cutoff cycle, 1-based
+        n_valid = min(horizon, L - cut)
+        out["inputs"][i] = record.sensors[start:cut]
+        out["states"][i] = states[start:cut]
+        out["future_states"][i, :n_valid] = states[cut : cut + n_valid]
+        out["future_sensors"][i, :n_valid] = record.sensors[cut : cut + n_valid]
+        out["mask"][i, :n_valid] = 1.0
+        out["rul"][i] = min(L - cut, rul_cap)
+    return out
+
+
 class TestWindows:
     def test_count_formula(self):
         rec = D.select_sensors(make_record(length=200))
-        samples = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, stride=1)
-        assert len(samples) == 171
+        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, stride=1)
+        assert len(ds) == 171
 
     def test_rul_capping(self):
         rec = D.select_sensors(make_record(length=220))
-        samples = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, rul_cap=125)
-        by_cut = {s.cutoff_cycle: s for s in samples}
-        assert by_cut[100].rul == 120.0
-        assert by_cut[50].rul == 125.0
+        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, rul_cap=125)
+        # stride 1: window i ends at cycle 30 + i
+        assert ds.rul[100 - 30] == 120.0
+        assert ds.rul[50 - 30] == 125.0
 
     def test_mask_prefix_structure(self):
         rec = D.select_sensors(make_record(length=40))
-        for s in D.make_windows(rec, single_state_cluster(), window=30, horizon=8):
-            m = s.mask
+        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=8)
+        assert len(ds) == 11
+        for m in ds.mask:
             first_zero = int(np.argmin(m)) if (m == 0).any() else len(m)
             assert (m[:first_zero] == 1).all() and (m[first_zero:] == 0).all()
 
     def test_short_record_empty(self):
         rec = D.select_sensors(make_record(length=5))
-        assert D.make_windows(rec, single_state_cluster(), window=30, horizon=5) == []
+        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5)
+        assert len(ds) == 0
+        assert ds.inputs.shape == (0, 30, 11) and ds.future_sensors.shape == (0, 5, 11)
+        assert ds.states.shape == (0, 30) and ds.future_states.shape == (0, 5)
+        assert ds.mask.shape == (0, 5)
 
     def test_targets_are_true_future_values(self):
         rec = D.select_sensors(make_record(length=50, sensor_fn=lambda c, t: t.astype(float)))
-        samples = D.make_windows(rec, single_state_cluster(), window=10, horizon=3)
-        s = samples[0]   # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
-        np.testing.assert_array_equal(s.future_sensors[:, 0], [10.0, 11.0, 12.0])
-        np.testing.assert_array_equal(s.mask, [1.0, 1.0, 1.0])
+        ds = D.make_windows(rec, single_state_cluster(), window=10, horizon=3)
+        # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
+        np.testing.assert_array_equal(ds.future_sensors[0, :, 0], [10.0, 11.0, 12.0])
+        np.testing.assert_array_equal(ds.mask[0], [1.0, 1.0, 1.0])
 
     @given(
         length=st.integers(1, 300),
@@ -277,14 +310,59 @@ class TestWindows:
     )
     def test_count_property(self, length, window, stride):
         rec = D.select_sensors(make_record(length=length))
-        samples = D.make_windows(rec, single_state_cluster(), window=window, horizon=4, stride=stride)
+        ds = D.make_windows(rec, single_state_cluster(), window=window, horizon=4, stride=stride)
         expected = 0 if length < window else (length - window) // stride + 1
-        assert len(samples) == expected
+        assert len(ds) == expected
 
     def test_rul_bounds_invariant(self):
         rec = D.select_sensors(make_record(length=150))
-        for s in D.make_windows(rec, single_state_cluster(), window=20, horizon=5, rul_cap=125):
-            assert 0.0 <= s.rul <= 125.0
+        ds = D.make_windows(rec, single_state_cluster(), window=20, horizon=5, rul_cap=125)
+        assert ((ds.rul >= 0.0) & (ds.rul <= 125.0)).all()
+
+    @given(
+        length=st.integers(1, 300),
+        window=st.integers(1, 50),
+        horizon=st.integers(1, 8),
+        stride=st.integers(1, 7),
+        rul_cap=st.sampled_from([3.0, 40.0, 125.0]),
+    )
+    def test_matches_per_window_reference(self, length, window, horizon, stride, rul_cap):
+        t = np.arange(length)
+        settings = np.zeros((length, 3))
+        settings[:, 0] = 2.0 * ((t * 7) % 3)       # centroid j sits at 2j: states 0, 1, 2, 0, ...
+        rec = D.select_sensors(
+            make_record(length=length, sensor_fn=lambda c, t: np.sin(0.37 * t + c) - 0.5, settings=settings)
+        )
+        cluster = ClusterModel(k=3, centroids=np.array([[0.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]),
+                               inertia=0.0, feature_spec="settings")
+        ds = D.pack_windows([D.make_windows(rec, cluster, window, horizon, stride, rul_cap)])
+        expected = reference_windows(rec, cluster, window, horizon, stride, rul_cap)
+        for name, want in expected.items():
+            got = getattr(ds, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_pack_concatenates_records_into_fresh_arrays(self):
+        recs = [D.select_sensors(make_record(unit=u, length=20 + u)) for u in (1, 2)]
+        parts = [D.make_windows(r, single_state_cluster(), window=10, horizon=3) for r in recs]
+        ds = D.pack_windows(parts)
+        assert len(ds) == len(parts[0]) + len(parts[1]) == 12 + 13
+        for f in fields(D.WindowDataset):
+            got = getattr(ds, f.name)
+            np.testing.assert_array_equal(got, np.concatenate([getattr(p, f.name) for p in parts]))
+            assert got.flags.c_contiguous and got.flags.owndata
+        ds.inputs[:] = -1.0                        # the packed arrays share no memory with the records
+        assert (recs[0].sensors >= 0).all() and (parts[1].inputs >= 0).all()
+
+    def test_pack_empty_list_rejected(self):
+        with pytest.raises(ContractError, match="empty window list"):
+            D.pack_windows([])
+
+    def test_windows_have_one_form(self):
+        assert not hasattr(D, "WindowSample")
+        assert [f.name for f in fields(D.WindowDataset)] == [
+            "inputs", "states", "future_states", "future_sensors", "mask", "rul",
+        ]
 
 
 class TestTruncate:

@@ -69,6 +69,18 @@ class TestGenerate:
         with pytest.raises(ContractError):
             generate(SynthSpec(k_states=3, offsets=(0.0, 1.0)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("trend_amplitude", float("inf")),
+        ("setting_jitter", float("-inf")), ("offsets", (-1.0, float("nan"))),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be finite"):
+            generate(SynthSpec(**{field: value}))
+
+    def test_negative_setting_jitter_rejected(self):
+        with pytest.raises(ContractError, match="setting_jitter must be >= 0"):
+            generate(SynthSpec(setting_jitter=-1.0))
+
 
 class TestTrend:
     def test_linear_endpoints(self):
