@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"mafn: numeric failure: {e}", file=sys.stderr)
         return 3
-    except (MafnError, FileNotFoundError) as e:
+    except (MafnError, OSError) as e:           # OSError: a path missing or of the wrong kind
         print(f"mafn: error: {e}", file=sys.stderr)
         return 2
 

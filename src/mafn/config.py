@@ -74,6 +74,8 @@ class TrainConfig:
                 raise ContractError(f"config field {name} must be positive, got {getattr(self, name)}")
         if self.patience < 0:
             raise ContractError("patience must be >= 0")
+        if self.window < self.kernel_size:
+            raise ContractError(f"window {self.window} is shorter than kernel_size {self.kernel_size}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"config field {name} must lie in [0, 1), got {getattr(self, name)}")

@@ -126,10 +126,6 @@ class LstmCell:
         bias[n_hidden : 2 * n_hidden] = 1.0
         self.b = T.parameter(bias)
 
-    def initial_state(self, batch: int):
-        zeros = np.zeros((batch, self.n_hidden))
-        return Tensor(zeros), Tensor(zeros.copy())
-
     def parameters(self):
         return [("W_x", self.W_x), ("W_h", self.W_h), ("b", self.b)]
 
@@ -143,7 +139,7 @@ def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
     if x.ndim != 3:
         raise DimensionError(f"lstm_unroll input must be (B, T, F), got {x.shape}")
     B, t_len, _ = x.shape
-    h0, c0 = cell.initial_state(B)
+    h0, c0 = Tensor(np.zeros((B, cell.n_hidden))), Tensor(np.zeros((B, cell.n_hidden)))
     return T.lstm_scan(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b, t_len, reverse)
 
 

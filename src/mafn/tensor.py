@@ -85,9 +85,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self):
         """Backpropagate from this scalar through the recorded tape.
 
@@ -272,25 +269,10 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    return _make(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
-
-
 def relu(x: Tensor) -> Tensor:
     # subgradient at exactly 0 is 0
     out = np.maximum(x.data, 0.0)
     return _make(out, (x,), lambda g: (g * (x.data > 0.0),), "relu")
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return _make(out, (x,), lambda g: (g * out,), "exp")
-
-
-def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-    return _make(out, (x,), lambda g: (g / x.data,), "log")
 
 
 def square(x: Tensor) -> Tensor:
@@ -535,7 +517,3 @@ def lstm_scan(xw: Tensor, h0: Tensor, c0: Tensor, W_h: Tensor, b: Tensor, steps:
 
     out = (hidden[::-1] if reverse else hidden).transpose(1, 0, 2)
     return _make(np.ascontiguousarray(out), (xw, h0, c0, W_h, b), grad_fn, "lstm_scan")
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))

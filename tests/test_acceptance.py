@@ -98,7 +98,7 @@ def test_criterion_1_gradient_suite():
     for g in _instance_rngs():
         cell = nn.LstmCell(g, 2, 2)
         x = T.parameter(g.normal(size=(1, 1, 2)))
-        h0, c0 = cell.initial_state(1)
+        h0, c0 = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
 
         def scan_loss():
             # two steps of a constant input: the second step's h reads the first step's c
@@ -247,7 +247,7 @@ def test_criterion_3_kmeans_oracle():
         best = exhaustive_inertia(pts, k)
         assert model.inertia - best <= 1e-9, f"instance {i}: {model.inertia} vs optimal {best}"
         for r in range(10):
-            _, _, _, history = fit_single_restart(pts, k, 1000 + i + r, 100, 1e-8)
+            _, _, _, history = fit_single_restart(pts.T, k, 1000 + i + r, 100, 1e-8)
             assert (np.diff(history) <= 1e-9).all(), f"objective increased, instance {i} restart {r}"
     assert time.time() - start < 60.0
 

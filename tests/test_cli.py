@@ -112,6 +112,44 @@ class TestConfig:
             load_config(path)
 
 
+    def test_window_shorter_than_kernel_rejected(self, tmp_path):
+        path = tmp_path / "mafn.cfg"
+        path.write_text("window = 2\nkernel_size = 3\n")
+        with pytest.raises(ContractError, match="window 2 is shorter than kernel_size 3"):
+            load_config(path)
+        path.write_text("window = 3\nkernel_size = 3\n")
+        assert load_config(path).window == 3
+
+
+class TestFileBoundary:
+    """A path argument naming the wrong kind of file fails as one ``mafn:``
+    line with exit 2, never as a traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "train --out file", "train --out under-file", "train --data dir", "train --config dir",
+        "evaluate --out file", "evaluate --checkpoint dir", "evaluate --data dir",
+        "synthesize --out file", "synthesize --spec dir",
+    ])
+    def test_clean_error(self, workspace, tmp_path, capsys, case):
+        command, flag, kind = case.split()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x\n")
+        (tmp_path / "a_dir").mkdir()
+        bad = {"file": a_file, "under-file": a_file / "sub", "dir": tmp_path / "a_dir"}[kind]
+        data, out = str(workspace / "data" / "synthetic_train.txt"), str(tmp_path / "out")
+        args = {
+            "train": {"--data": data, "--config": str(workspace / "smoke.cfg"), "--out": out},
+            "evaluate": {"--checkpoint": str(workspace / "run1" / "model.ckpt"), "--data": data,
+                         "--mode": "cutoffs", "--out": out},
+            "synthesize": {"--spec": str(workspace / "synth.spec"), "--out": out},
+        }[command]
+        args[flag] = str(bad)
+        assert main([command, *(token for pair in args.items() for token in pair)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("mafn: error: ") and err.count("\n") == 1
+
+
 class TestSynthesizeCommand:
     def test_outputs_exist(self, workspace):
         out = workspace / "data"
@@ -236,6 +274,18 @@ class TestTrainCommand:
         assert code == 2
         assert "[stage window] no usable windows (window=200)" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_window_shorter_than_kernel_fails_before_data_work(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SMOKE_CONFIG + "window = 1\n")
+        code = main(
+            ["train", "--data", str(workspace / "data" / "synthetic_train.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "window 1 is shorter than kernel_size 3" in err and "[stage" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_sensor_span_clean_error(self, workspace, tmp_path, capsys):
         # finite readings whose span overflows float64 would normalize to NaN

@@ -2,15 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafn.cluster import (
     ClusterModel,
+    _single_point_moves,
+    _sq_dists,
     assign_states,
     kmeans_fit,
     lloyd_iterations,
     relabel_canonical,
 )
 from mafn.errors import ContractError, DimensionError
+from mafn.synthetic import SynthSpec, generate
 
 
 def brute_force_inertia(points, k):
@@ -31,6 +36,109 @@ def brute_force_inertia(points, k):
 def blobs(rng, centers, per_blob=20, sigma=0.02):
     pts = [c + sigma * rng.normal(size=(per_blob, len(c))) for c in centers]
     return np.concatenate(pts), np.repeat(np.arange(len(centers)), per_blob)
+
+
+def reference_sq_dists(points, centroids):
+    """(n, k) squared distances the row-major way: one einsum over (n, k, d)."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_fit(points, k, seed, restarts=10, max_iter=100, tol=1e-8):
+    """The row-major K-Means fit that the column-major kernels replace: greedy
+    k-means++, Lloyd, then single-point polish and Lloyd again, best of
+    ``restarts``.  Returns (centroids, inertia, polish moves over all restarts)."""
+    n, d = points.shape
+    at = np.arange(n)
+
+    def lloyd(centroids):
+        labels = None
+        for _ in range(max_iter):
+            d2 = reference_sq_dists(points, centroids)
+            new_labels = d2.argmin(axis=1)
+            reseed_pool = d2[at, new_labels]
+            updated = centroids.copy()
+            for j in range(k):
+                members = points[new_labels == j]
+                if len(members):
+                    updated[j] = members.mean(axis=0)
+                else:
+                    far = int(reseed_pool.argmax())
+                    updated[j] = points[far]
+                    reseed_pool[far] = -1.0
+            shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1).max())
+            converged = labels is not None and np.array_equal(labels, new_labels)
+            centroids, labels = updated, new_labels
+            if converged or shift < tol:
+                break
+        d2 = reference_sq_dists(points, centroids)
+        labels = d2.argmin(axis=1)
+        return centroids, labels, float(d2[at, labels].sum())
+
+    def means(sums, counts):
+        centroids = np.zeros((k, d))
+        centroids[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        return centroids
+
+    def polish(labels):
+        counts = np.bincount(labels, minlength=k).astype(np.float64)
+        sums = np.zeros((k, d))
+        np.add.at(sums, labels, points)
+        for moves in range(200):
+            d2 = reference_sq_dists(points, means(sums, counts))
+            own_count = counts[labels]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                removal_gain = (own_count / (own_count - 1.0)) * d2[at, labels]
+            addition_cost = (counts[None, :] / (counts[None, :] + 1.0)) * d2
+            addition_cost[:, counts == 0] = 0.0
+            delta = addition_cost - removal_gain[:, None]
+            delta[own_count == 1, :] = np.inf
+            delta[at, labels] = np.inf
+            i, j = np.unravel_index(np.argmin(delta), delta.shape)
+            if not delta[i, j] < -1e-12:
+                return means(sums, counts), moves
+            a = labels[i]
+            labels[i] = j
+            counts[a] -= 1.0
+            counts[j] += 1.0
+            sums[a] -= points[i]
+            sums[j] += points[i]
+        return means(sums, counts), 200
+
+    best, total_moves = None, 0
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        n_candidates = min(n, 2 + int(np.log(k))) if k > 1 else 1
+        init = np.empty((k, d))
+        init[0] = points[rng.integers(n)]
+        closest = ((points - init[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = closest.sum()
+            if total <= 0.0:
+                init[j] = points[rng.integers(n)]
+                continue
+            draws = rng.random(n_candidates) * total
+            candidates = np.minimum(np.searchsorted(np.cumsum(closest), draws), n - 1)
+            potentials = [
+                np.minimum(closest, ((points - points[idx]) ** 2).sum(axis=1)).sum()
+                for idx in candidates
+            ]
+            init[j] = points[candidates[int(np.argmin(potentials))]]
+            closest = np.minimum(closest, ((points - init[j]) ** 2).sum(axis=1))
+        centroids, labels, inertia = lloyd(init)
+        for _ in range(50):
+            moved, n_moves = polish(labels.copy())
+            total_moves += n_moves
+            if not n_moves:
+                break
+            centroids, labels, inertia = lloyd(moved)
+        if best is None or inertia < best[1]:
+            best = (centroids, inertia)
+    return best[0], best[1], total_moves
+
+
+# FD002: six operating conditions, lives of 128 to 378 cycles
+FD002_SHAPE = dict(k_states=6, offsets=(-1.5, -1.0, -0.5, 0.5, 1.0, 1.5), life_min=128, life_max=378)
 
 
 class TestFit:
@@ -71,7 +179,7 @@ class TestFit:
     def test_objective_monotone(self, rng):
         pts = rng.normal(size=(40, 3))
         init = pts[rng.choice(40, size=4, replace=False)]
-        _, _, _, history = lloyd_iterations(pts, init.copy(), max_iter=50, tol=0.0)
+        _, _, _, history = lloyd_iterations(pts.T, init.copy(), max_iter=50, tol=0.0)
         diffs = np.diff(history)
         assert (diffs <= 1e-9).all()
 
@@ -79,10 +187,61 @@ class TestFit:
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         # both initial centroids sit in the left blob: the right blob starves one
         init = np.array([[0.0], [0.1]])
-        centroids, labels, inertia, history = lloyd_iterations(pts, init.copy(), 50, 0.0)
+        centroids, labels, inertia, history = lloyd_iterations(pts.T, init.copy(), 50, 0.0)
         assert len(set(labels.tolist())) == 2
         assert inertia == pytest.approx(0.01, abs=1e-12)
         assert (np.diff(history) <= 1e-9).all()
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_fd002_shaped_fit_matches_row_major_reference(self, seed):
+        records, _ = generate(SynthSpec(seed=seed, engines=20, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        centroids, inertia, _ = reference_fit(points, 6, seed)
+        model = kmeans_fit(points, 6, seed=seed)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia == inertia
+
+    def test_polish_moves_match_row_major_reference(self):
+        """Overlapping random points make the polish move points, so its move
+        order is compared too.  One-feature fits are compared to 2 ulp: numpy
+        averaged a single column by pairwise summation, while the cluster
+        sums are now accumulated in point order."""
+        rng = np.random.default_rng(2026)
+        total_moves = 0
+        for case in range(36):
+            d, grid, k = case % 12 + 1, (None, 4.0, 10.0)[case // 12], int(rng.integers(2, 9))
+            points = rng.normal(size=(int(rng.integers(4 * k, 100)), d))
+            if grid:
+                points = np.round(points * grid) / grid
+            centroids, inertia, moves = reference_fit(points, k, seed=case, restarts=3)
+            model = kmeans_fit(points, k, seed=case, restarts=3)
+            total_moves += moves
+            if d == 1:
+                np.testing.assert_array_max_ulp(model.centroids, centroids, maxulp=2)
+                np.testing.assert_array_max_ulp(model.inertia, inertia, maxulp=2)
+            else:
+                assert model.centroids.tobytes() == centroids.tobytes(), case
+                assert model.inertia == inertia, case
+        assert total_moves > 0
+
+    def test_polish_tie_takes_lowest_point(self):
+        """Mirror-image clusters: moving point 0 (1.0) into cluster 1 and point
+        5 (-1.0) into cluster 0 improve the objective by the same amount; the
+        point-major scan takes the move of point 0."""
+        pts = np.array([[1.0], [-3.0], [-2.0], [3.0], [2.0], [-1.0]])
+        centroids, moves = _single_point_moves(pts.T, np.array([0, 0, 0, 1, 1, 1]), 2, max_moves=1)
+        assert moves == 1
+        np.testing.assert_array_equal(centroids, [[-2.5], [1.25]])
+
+    def test_distinct_count_in_message(self):
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [4.0, 5.0], [2.0, 3.0]])
+        with pytest.raises(ContractError, match="need at least 4 distinct points, got 3"):
+            kmeans_fit(pts, 4, seed=0)
+        assert kmeans_fit(pts, 3, seed=0).inertia == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_points_without_columns(self):
+        with pytest.raises(DimensionError):
+            kmeans_fit(np.zeros((5, 0)), 1)
 
     def test_scaling_property(self, rng):
         pts = rng.normal(size=(30, 2))
@@ -112,6 +271,27 @@ class TestAssign:
         for p, label in zip(points, labels):
             dists = [np.sum((p - c) ** 2) for c in centroids]
             assert label == int(np.argmin(dists))
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 12),
+        k=st.integers(1, 8),
+        grid=st.sampled_from([None, 4.0, 10.0]),
+    )
+    def test_matches_einsum_reference(self, seed, n, d, k, grid):
+        """Distances keep the einsum's bits and labels its argmin.  On a 1/4
+        grid distances tie exactly; on a 1/10 grid they tie up to rounding,
+        where another summation order would flip the argmin."""
+        rng = np.random.default_rng(seed)
+        points, centroids = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        if grid:
+            points, centroids = np.round(points * grid) / grid, np.round(centroids * grid) / grid
+        expected = reference_sq_dists(points, centroids)
+        assert _sq_dists(points.T, centroids).T.tobytes() == expected.tobytes()
+        model = ClusterModel(k=k, centroids=centroids, inertia=0.0, feature_spec="settings")
+        np.testing.assert_array_equal(assign_states(points, model), expected.argmin(axis=1))
 
     def test_dimension_mismatch(self):
         model = ClusterModel(
