@@ -114,11 +114,11 @@ def cmd_config(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _load_cfg(args)
+    out = _prepare_out(args.out)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
     labels = np.concatenate([record_states(r, model) for r in normalized])
     counts = np.bincount(labels, minlength=model.k)
-    out = _prepare_out(args.out)
     report_lines = ["cluster,count," + ",".join(f"c{i}" for i in range(model.centroids.shape[1]))]
     for j in range(model.k):
         coords = ",".join(format(v, ".12g") for v in model.centroids[j])
@@ -201,10 +201,10 @@ def _print_epoch(args):
 
 
 def cmd_evaluate(args) -> int:
+    out = _prepare_out(args.out)
     bundle = load_checkpoint(args.checkpoint)
     model, prep = load_predictor(bundle)
     records = parse_cmapss(args.data)
-    out = _prepare_out(args.out)
     cfg = bundle.config
 
     def predict(rec):
@@ -233,6 +233,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    out = _prepare_out(args.out)
     bundle = load_checkpoint(args.checkpoint)
     model, prep = load_predictor(bundle)
     cfg = bundle.config
@@ -261,7 +262,6 @@ def cmd_forecast(args) -> int:
     truth_n = min(horizon, record.length - cut)
     truth = normalized_full.sensors[cut : cut + truth_n, col]
 
-    out = _prepare_out(args.out)
     rows = ["cycle,history,forecast,truth"]
     for t in range(cut):
         rows.append(f"{t + 1},{history[t]:.6f},,")

@@ -12,11 +12,14 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-from .data import numbered_lines
+from .data import N_RAW_SENSORS, numbered_lines
 from .errors import ContractError, DataError
 from .losses import LossWeights
 
 ENV_PREFIX = "MAFN_"
+# the most values (2**25 float64, 256 MiB) the network's parameters, or one
+# activation of a training batch, may hold; a config above it fails to load
+MAX_ARRAY_VALUES = 1 << 25
 
 
 @dataclass
@@ -88,6 +91,17 @@ class TrainConfig:
             raise ContractError("fusion_widths must be a nonempty list of positive ints")
         if len(self.rul_widths) != 2 or not all(w > 0 for w in self.rul_widths):
             raise ContractError("rul_widths must be two positive ints")
+        params, activation = model_sizes(self)
+        if params > MAX_ARRAY_VALUES:
+            raise ContractError(
+                f"the layer sizes give {params:,} parameters, more than the bound of {MAX_ARRAY_VALUES:,}"
+            )
+        if activation > MAX_ARRAY_VALUES:
+            raise ContractError(
+                f"a batch of {self.batch_size} windows needs an activation of {activation:,} values, "
+                f"more than the bound of {MAX_ARRAY_VALUES:,}; reduce batch_size, window, horizon "
+                "or the layer sizes"
+            )
         return self
 
     def to_dict(self) -> dict:
@@ -95,6 +109,39 @@ class TrainConfig:
         out["fusion_widths"] = list(self.fusion_widths)
         out["rul_widths"] = list(self.rul_widths)
         return out
+
+
+def model_sizes(cfg: TrainConfig, n_sensors: int = N_RAW_SENSORS):
+    """(parameter count, values in the largest activation of one training
+    batch) of the network ``cfg`` describes, from the config alone.
+
+    ``n_sensors`` defaults to all raw channels, more than the pipeline feeds.
+    """
+    S, K, m = n_sensors, cfg.k_states, cfg.embedding_dim
+    F, h, d = cfg.n_filters, cfg.lstm_hidden, cfg.trend_dim
+    r1, r2 = cfg.rul_widths
+    fusion = (d + m, *cfg.fusion_widths, S)
+
+    def dense(n_in, n_out):
+        return (n_in + 1) * n_out
+
+    def lstm(n_in, n_hidden):
+        return (n_in + n_hidden + 1) * 4 * n_hidden
+
+    params = (
+        K * m + dense(cfg.kernel_size * (S + m), F) + 2 * lstm(F, h)
+        + 2 * h * h + h * h + 2 * h                                     # attention
+        + dense(2 * h, r1) + dense(r1, r2) + dense(r2, 1)               # RUL head
+        + dense(2 * h, 2 * d) + lstm(2 * h, d) + dense(d, 1)            # trend decoder
+        + dense(2 * h, 2 * h) + lstm(2 * h, h) + dense(h, K)            # state decoder
+        + sum(dense(a, b) for a, b in zip(fusion, fusion[1:]))
+    )
+    per_window = max(
+        cfg.window * max(cfg.kernel_size * (S + m), F, 4 * h),         # conv columns, encoder gates
+        cfg.horizon * max(4 * h, 4 * d, K, *fusion),                   # decoder gates, heads
+        r1, r2,
+    )
+    return params, cfg.batch_size * per_window
 
 
 def require_finite(spec) -> None:

@@ -5,17 +5,22 @@ index, 3 operational settings, 21 sensor readings).  Preprocessing keeps the
 11 informative sensors, min-max normalizes each against training-set
 statistics, caps RUL targets, and cuts fixed-length windows that carry the
 forecasting, state, and RUL targets for every head.
+
+Each cycle is stored once.  The parser collects a unit's rows in one flat
+float64 buffer; a window dataset keeps every record's rows end to end and
+describes a window by the row it starts at, so a batch of windows is
+gathered only when it is used.
 """
 from __future__ import annotations
 
 import contextlib
 import logging
 import os
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cluster import ClusterModel, assign_states
 from .errors import ContractError, DataError, ParseError
@@ -59,21 +64,57 @@ class NormalizationStats:
 
 @dataclass(frozen=True)
 class WindowDataset:
-    """Fixed-length windows with all four head targets, one array per field.
+    """Fixed-length windows with all four head targets, stored by row offset.
 
-    ``make_windows`` returns strided views of one record; ``pack_windows``
-    copies many of them into contiguous arrays for batching.
+    ``sensors`` and ``state_ids`` hold each record's cycles once, followed by
+    ``horizon`` zero rows, with the records laid end to end.  Window ``i``
+    is the ``window + horizon`` rows from ``starts[i]``: its inputs, then its
+    future targets.  ``batch`` gathers the windows it is given as fresh
+    arrays; the ``inputs`` and ``states`` properties gather every window's.
     """
 
-    inputs: np.ndarray             # (N, T_w, S) normalized sensors
-    states: np.ndarray             # (N, T_w) int64 state ids
-    future_states: np.ndarray      # (N, H) int64 state ids, 0 where mask 0
-    future_sensors: np.ndarray     # (N, H, S) normalized, 0 where mask 0
+    sensors: np.ndarray            # (R, S) normalized sensors, zero-padded per record
+    state_ids: np.ndarray          # (R,) int64 state ids, 0 on the padding rows
+    starts: np.ndarray             # (N,) int64 first row of each window
     mask: np.ndarray               # (N, H) 1.0 valid / 0.0 padded
     rul: np.ndarray                # (N,) capped cycles to failure
+    window: int                    # input length T_w
 
     def __len__(self):
-        return len(self.rul)
+        return len(self.starts)
+
+    @property
+    def horizon(self) -> int:
+        return self.mask.shape[1]
+
+    def batch(self, idx) -> dict:
+        """The windows at the indices ``idx`` as fresh arrays:
+        ``inputs`` (B, T_w, S), ``states`` (B, T_w), ``future_states``
+        (B, H) and ``future_sensors`` (B, H, S), zero where ``mask`` is 0,
+        ``mask`` (B, H) and ``rul`` (B,)."""
+        starts, w, h = self.starts[idx], self.window, self.horizon
+        return {
+            "inputs": _rows_from(self.sensors, starts, w),
+            "states": _rows_from(self.state_ids, starts, w),
+            "future_states": _rows_from(self.state_ids, starts + w, h),
+            "future_sensors": _rows_from(self.sensors, starts + w, h),
+            "mask": self.mask[idx],
+            "rul": self.rul[idx],
+        }
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return _rows_from(self.sensors, self.starts, self.window)
+
+    @property
+    def states(self) -> np.ndarray:
+        return _rows_from(self.state_ids, self.starts, self.window)
+
+
+def _rows_from(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """``values[s : s + length]`` for each ``s`` in ``starts``, stacked into
+    one fresh array."""
+    return np.take(values, starts[:, None] + np.arange(length), axis=0)
 
 
 def numbered_lines(path):
@@ -109,7 +150,8 @@ def parse_cmapss(path) -> list:
 
     A malformed row, a non-integer unit id, a non-finite value, or a cycle
     index that does not count 1, 2, ... within its unit raises ParseError
-    naming the line.
+    naming the line.  Each unit's rows go into one flat float64 buffer, which
+    its record's arrays view.
     """
     units: dict = {}
     for lineno, line in numbered_lines(path):
@@ -121,7 +163,7 @@ def parse_cmapss(path) -> list:
                 f"{path}:{lineno}: expected {RAW_COLUMNS} columns, found {len(parts)}"
             )
         try:
-            values = [float(p) for p in parts]
+            values = array("d", map(float, parts))
             unit = int(values[0])
         except (ValueError, OverflowError) as e:
             raise ParseError(f"{path}:{lineno}: {e}") from None
@@ -129,12 +171,12 @@ def parse_cmapss(path) -> list:
             raise ParseError(f"{path}:{lineno}: unit id {parts[0]!r} is not an integer")
         values[0] = lineno                     # column 0 now maps rows back to lines
         if unit not in units:
-            units[unit] = []
-        units[unit].append(values)
+            units[unit] = array("d")
+        units[unit].extend(values)
 
     records = []
-    for unit, rows in units.items():
-        rows = np.asarray(rows, dtype=np.float64)
+    for unit, buf in units.items():
+        rows = np.frombuffer(buf, dtype=np.float64).reshape(-1, RAW_COLUMNS)
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             raise ParseError(f"{path}:{int(rows[bad.argmax(), 0])}: non-finite value")
@@ -278,41 +320,46 @@ def make_windows(
     sensors of cycles ``c+1 .. c+horizon`` as targets, masked and zero where
     the record ends earlier; and the capped RUL ``min(L - c, rul_cap)``.
     Cutoffs run ``window, window + stride, ... <= L``; a record shorter than
-    ``window`` yields an empty dataset.  The arrays are strided views of one
-    zero-padded copy of the record; ``pack_windows`` copies them out.
+    ``window`` yields an empty dataset.  The dataset holds one copy of the
+    record's rows with ``horizon`` zero rows after them, and each window's
+    starting row.
     """
     if window < 1 or horizon < 1 or stride < 1:
         raise ContractError("window, horizon and stride must be positive")
     L, S = record.sensors.shape
     cuts = np.arange(window, L + 1, stride)          # cutoff cycles, 1-based
-    # a window and its targets are window + horizon consecutive rows of this
-    # zero-padded copy: the zero tail fills the masked targets, and padding
-    # to at least window rows keeps the view valid for a too-short record
-    rows = max(L, window) + horizon
-    sensors = np.zeros((rows, S))
+    # the zero tail fills the targets of windows that end near the record's end
+    sensors = np.zeros((L + horizon, S))
     sensors[:L] = record.sensors
-    states = np.zeros(rows, dtype=np.int64)
+    states = np.zeros(L + horizon, dtype=np.int64)
     states[:L] = record_states(record, cluster_model)
-    span = window + horizon
-    picks = slice(0, len(cuts) * stride, stride)     # window starts 0, stride, ...
-    seq = sliding_window_view(sensors, span, axis=0)[picks].swapaxes(1, 2)
-    seq_states = sliding_window_view(states, span)[picks]
     return WindowDataset(
-        inputs=seq[:, :window],
-        states=seq_states[:, :window],
-        future_states=seq_states[:, window:],
-        future_sensors=seq[:, window:],
+        sensors=sensors,
+        state_ids=states,
+        starts=cuts - window,
         mask=(cuts[:, None] + np.arange(horizon) < L).astype(np.float64),
         rul=np.minimum(L - cuts, rul_cap).astype(np.float64),
+        window=window,
     )
 
 
 def pack_windows(datasets: Sequence[WindowDataset]) -> WindowDataset:
-    """Concatenate per-record window datasets into one contiguous dataset."""
+    """Concatenate per-record window datasets into one dataset: rows end to
+    end, each record's window starts shifted by the rows before it.  No
+    window is copied, and the result shares no memory with its parts."""
     if not datasets:
         raise ContractError("cannot pack an empty window list")
+    window, horizon = datasets[0].window, datasets[0].horizon
+    if any((d.window, d.horizon) != (window, horizon) for d in datasets):
+        raise ContractError("cannot pack windows of different window or horizon lengths")
+    offsets = np.cumsum([0] + [len(d.state_ids) for d in datasets[:-1]])
     return WindowDataset(
-        **{f.name: np.concatenate([getattr(d, f.name) for d in datasets]) for f in fields(WindowDataset)}
+        sensors=np.concatenate([d.sensors for d in datasets]),
+        state_ids=np.concatenate([d.state_ids for d in datasets]),
+        starts=np.concatenate([d.starts + off for d, off in zip(datasets, offsets)]),
+        mask=np.concatenate([d.mask for d in datasets]),
+        rul=np.concatenate([d.rul for d in datasets]),
+        window=window,
     )
 
 

@@ -87,16 +87,13 @@ class TrainResult:
 def _batch_losses(
     model: MafnModel, ds: WindowDataset, idx: np.ndarray, cfg: TrainConfig, weights: L.LossWeights
 ) -> dict:
-    out: MafnOutput = model.forward(
-        ds.inputs[idx], ds.states[idx], future_states=ds.future_states[idx]
-    )
-    mask = ds.mask[idx]
-    rul_target = ds.rul[idx] / cfg.rul_cap
+    b = ds.batch(idx)
+    out: MafnOutput = model.forward(b["inputs"], b["states"], future_states=b["future_states"])
     components = {
-        "state": L.state_loss(out.state_logits, ds.future_states[idx], mask),
-        "forecast": L.forecast_loss(out.forecast, ds.future_sensors[idx], mask),
+        "state": L.state_loss(out.state_logits, b["future_states"], b["mask"]),
+        "forecast": L.forecast_loss(out.forecast, b["future_sensors"], b["mask"]),
         "degradation": L.degradation_loss(out.degradation, weights.lambda_smooth),
-        "rul": L.rul_loss(out.rul, rul_target, weights.lambda_late, weights.lambda_early),
+        "rul": L.rul_loss(out.rul, b["rul"] / cfg.rul_cap, weights.lambda_late, weights.lambda_early),
     }
     components["total"] = L.total_loss(components, weights)
     return components

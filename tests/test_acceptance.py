@@ -23,7 +23,6 @@ from mafn.cluster import fit_single_restart, kmeans_fit
 from mafn.config import TrainConfig
 from mafn.data import (
     SELECTED_SENSORS,
-    WindowDataset,
     make_windows,
     pack_windows,
     parse_cmapss,
@@ -336,7 +335,8 @@ def test_criterion_6_overfit():
     cluster_model, stats, normalized = fit_pipeline(records, cfg)
     windows = pack_windows(windows_for_records(normalized, cluster_model, cfg))
     picks = np.linspace(0, len(windows) - 1, 10).astype(int)
-    ds = WindowDataset(**{f.name: getattr(windows, f.name)[picks] for f in dataclasses.fields(windows)})
+    ds = dataclasses.replace(windows, starts=windows.starts[picks], mask=windows.mask[picks],
+                             rul=windows.rul[picks])
     assert len(ds) == 10
 
     result = train(ds, ds, cfg, 11)
@@ -386,18 +386,19 @@ def test_criterion_7_decomposition_recovery():
     with T.no_grad():
         out = model.forward(val_ds.inputs, val_ds.states)   # free-running heads
 
-    mask = val_ds.mask
+    val = val_ds.batch(np.arange(len(val_ds)))
+    mask = val["mask"]
     pred_states = out.state_logits.data.argmax(axis=-1)
-    accuracy = float((pred_states == val_ds.future_states)[mask == 1].mean())
+    accuracy = float((pred_states == val["future_states"])[mask == 1].mean())
     assert accuracy > 0.90, f"future-state accuracy {accuracy:.3f}"
 
     diffs = np.diff(out.degradation.data, axis=1)
     monotone_fraction = float((diffs.min(axis=1) >= -1e-3).mean())
     assert monotone_fraction >= 0.99, f"monotone windows {monotone_fraction:.3f}"
 
-    target = val_ds.future_sensors
+    target = val["future_sensors"]
     model_mse = float((((out.forecast.data - target) ** 2).sum(axis=2) * mask).sum() / mask.sum())
-    persistence = np.repeat(val_ds.inputs[:, -1:, :], cfg.horizon, axis=1)
+    persistence = np.repeat(val["inputs"][:, -1:, :], cfg.horizon, axis=1)
     persistence_mse = float((((persistence - target) ** 2).sum(axis=2) * mask).sum() / mask.sum())
     assert model_mse <= 0.7 * persistence_mse, (
         f"model MSE {model_mse:.6f} vs persistence {persistence_mse:.6f}"

@@ -9,9 +9,18 @@ import numpy as np
 import pytest
 
 import mafn
+from mafn import cli
 from mafn.cli import main
-from mafn.config import TrainConfig, load_config, parse_config_text, default_config_text
+from mafn.config import (
+    MAX_ARRAY_VALUES,
+    TrainConfig,
+    default_config_text,
+    load_config,
+    model_sizes,
+    parse_config_text,
+)
 from mafn.errors import ContractError, DataError
+from mafn.model import MafnModel
 from mafn.svgplot import LineChart
 
 
@@ -120,6 +129,45 @@ class TestConfig:
         path.write_text("window = 3\nkernel_size = 3\n")
         assert load_config(path).window == 3
 
+    # each would allocate gigabytes; validate() rejects them from the config alone
+    @pytest.mark.parametrize("fields,what", [
+        ({"embedding_dim": 100_000_000}, "parameters"),
+        ({"lstm_hidden": 10_000}, "parameters"),
+        ({"fusion_widths": (8, 100_000, 100_000)}, "parameters"),
+        ({"k_states": 10_000_000}, "parameters"),
+        ({"batch_size": 10_000_000}, "activation"),
+        ({"window": 100_000_000}, "activation"),
+        ({"horizon": 100_000_000}, "activation"),
+    ])
+    def test_oversized_layers_rejected(self, fields, what):
+        with pytest.raises(ContractError, match=f"{what}.*more than the bound of 33,554,432"):
+            TrainConfig(**fields).validate()
+
+    def test_default_config_far_below_size_bound(self):
+        params, activation = model_sizes(TrainConfig())
+        assert max(params, activation) * 100 < MAX_ARRAY_VALUES
+
+    @pytest.mark.parametrize("n_sensors", [2, 11, 21])
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"window": 7, "horizon": 9, "k_states": 3, "embedding_dim": 5, "kernel_size": 5, "n_filters": 6,
+         "lstm_hidden": 7, "trend_dim": 2, "fusion_widths": (4, 9, 3), "rul_widths": (5, 4)},
+    ])
+    def test_model_sizes_counts_the_parameters(self, fields, n_sensors):
+        cfg = TrainConfig(**fields)
+        model = MafnModel(cfg, n_sensors, np.random.default_rng(0))
+        assert model_sizes(cfg, n_sensors)[0] == sum(p.size for p in model.parameters().values())
+
+    def test_oversized_config_exits_2_before_data_work(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("embedding_dim = 100000000\n")
+        code = main(["train", "--data", str(tmp_path / "missing.txt"), "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mafn: error: ") and err.count("\n") == 1 and "bound" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFileBoundary:
     """A path argument naming the wrong kind of file fails as one ``mafn:``
@@ -128,10 +176,16 @@ class TestFileBoundary:
     @pytest.mark.parametrize("case", [
         "train --out file", "train --out under-file", "train --data dir", "train --config dir",
         "evaluate --out file", "evaluate --checkpoint dir", "evaluate --data dir",
-        "synthesize --out file", "synthesize --spec dir",
+        "synthesize --out file", "synthesize --spec dir", "cluster --out file", "forecast --out file",
     ])
-    def test_clean_error(self, workspace, tmp_path, capsys, case):
+    def test_clean_error(self, workspace, tmp_path, capsys, monkeypatch, case):
         command, flag, kind = case.split()
+        if flag == "--out":                        # --out is checked before any input is read
+
+            def no_parse(path):
+                raise AssertionError(f"parsed {path} before checking --out")
+
+            monkeypatch.setattr(cli, "parse_cmapss", no_parse)
         a_file = tmp_path / "a_file"
         a_file.write_text("x\n")
         (tmp_path / "a_dir").mkdir()
@@ -141,6 +195,9 @@ class TestFileBoundary:
             "train": {"--data": data, "--config": str(workspace / "smoke.cfg"), "--out": out},
             "evaluate": {"--checkpoint": str(workspace / "run1" / "model.ckpt"), "--data": data,
                          "--mode": "cutoffs", "--out": out},
+            "forecast": {"--checkpoint": str(workspace / "run1" / "model.ckpt"), "--data": data,
+                         "--unit": "1", "--cutoff": "0.5", "--sensor": "7", "--out": out},
+            "cluster": {"--data": data, "--config": str(workspace / "smoke.cfg"), "--out": out},
             "synthesize": {"--spec": str(workspace / "synth.spec"), "--out": out},
         }[command]
         args[flag] = str(bad)

@@ -1,5 +1,6 @@
+import dataclasses
 import tempfile
-from dataclasses import fields
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from mafn import data as D
 from mafn.cluster import ClusterModel
+from mafn.config import TrainConfig
 from mafn.errors import ContractError, DataError, ParseError
+from mafn.pipeline import fit_pipeline, windows_for_records
 from mafn.synthetic import SynthSpec, generate
 
 
@@ -84,6 +87,31 @@ class TestParse:
             np.testing.assert_array_equal(a.cycle_index, b.cycle_index)
             np.testing.assert_array_equal(a.op_settings, b.op_settings)
             np.testing.assert_array_equal(a.sensors, b.sensors)
+
+    def test_records_hold_flat_float64_rows(self, tmp_path):
+        """Records hold numpy arrays, no Python lists, and parsing allocates
+        little beyond the rows as float64: a Python float object per value,
+        as a list of rows holds them, would take 4x more."""
+        records, _ = generate(SynthSpec(seed=0))
+        path = tmp_path / "synthetic_train.txt"
+        D.write_cmapss(records, path)
+        tracemalloc.start()
+        try:
+            parsed = D.parse_cmapss(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = sum(r.length for r in parsed) * D.RAW_COLUMNS * 8
+        assert peak < 2 * row_bytes + (256 << 10)
+        for rec in parsed:
+            for f in dataclasses.fields(rec):
+                value = getattr(rec, f.name)
+                assert not isinstance(value, list), f.name
+                if isinstance(value, np.ndarray):
+                    assert value.dtype.kind in "fi", f.name
+            assert isinstance(rec.sensor_ids, tuple) and all(type(i) is int for i in rec.sensor_ids)
+            # settings and sensors view one (L, 26) float64 block of the unit's rows
+            assert np.may_share_memory(rec.op_settings, rec.sensors)
 
     @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
     @pytest.mark.parametrize("column", [0, 1, 4, 25])    # unit, cycle, a setting, a sensor
@@ -241,8 +269,9 @@ class TestNormalization:
 
 
 def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):
-    """The per-window loop that ``make_windows`` replaces with strided views:
-    one window at a time, written into preallocated packed arrays."""
+    """The per-window loop that ``make_windows`` and ``WindowDataset.batch``
+    replace with row offsets: one window at a time, written into
+    preallocated packed arrays."""
     L, S = record.sensors.shape
     states = D.record_states(record, cluster_model)
     starts = range(0, L - window + 1, stride)
@@ -265,6 +294,20 @@ def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):
         out["mask"][i, :n_valid] = 1.0
         out["rul"][i] = min(L - cut, rul_cap)
     return out
+
+
+def reference_case(length, phase=0):
+    """A selected-sensor record whose sensors vary per cycle and channel, and
+    a three-state cluster model under which its states cycle 0, 1, 2."""
+    t = np.arange(length)
+    settings = np.zeros((length, 3))
+    settings[:, 0] = 2.0 * ((t * 7 + phase) % 3)   # centroid j sits at 2j: states 0, 1, 2, 0, ...
+    rec = D.select_sensors(make_record(
+        length=length, sensor_fn=lambda c, t: np.sin(0.37 * t + c + phase) - 0.5, settings=settings,
+    ))
+    cluster = ClusterModel(k=3, centroids=np.array([[0.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]),
+                           inertia=0.0, feature_spec="settings")
+    return rec, cluster
 
 
 class TestWindows:
@@ -292,15 +335,16 @@ class TestWindows:
         rec = D.select_sensors(make_record(length=5))
         ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5)
         assert len(ds) == 0
-        assert ds.inputs.shape == (0, 30, 11) and ds.future_sensors.shape == (0, 5, 11)
-        assert ds.states.shape == (0, 30) and ds.future_states.shape == (0, 5)
-        assert ds.mask.shape == (0, 5)
+        batch = ds.batch(np.arange(len(ds)))
+        assert batch["inputs"].shape == (0, 30, 11) and batch["future_sensors"].shape == (0, 5, 11)
+        assert batch["states"].shape == (0, 30) and batch["future_states"].shape == (0, 5)
+        assert batch["mask"].shape == (0, 5) and ds.inputs.shape == (0, 30, 11)
 
     def test_targets_are_true_future_values(self):
         rec = D.select_sensors(make_record(length=50, sensor_fn=lambda c, t: t.astype(float)))
         ds = D.make_windows(rec, single_state_cluster(), window=10, horizon=3)
         # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
-        np.testing.assert_array_equal(ds.future_sensors[0, :, 0], [10.0, 11.0, 12.0])
+        np.testing.assert_array_equal(ds.batch([0])["future_sensors"][0, :, 0], [10.0, 11.0, 12.0])
         np.testing.assert_array_equal(ds.mask[0], [1.0, 1.0, 1.0])
 
     @given(
@@ -327,18 +371,35 @@ class TestWindows:
         rul_cap=st.sampled_from([3.0, 40.0, 125.0]),
     )
     def test_matches_per_window_reference(self, length, window, horizon, stride, rul_cap):
-        t = np.arange(length)
-        settings = np.zeros((length, 3))
-        settings[:, 0] = 2.0 * ((t * 7) % 3)       # centroid j sits at 2j: states 0, 1, 2, 0, ...
-        rec = D.select_sensors(
-            make_record(length=length, sensor_fn=lambda c, t: np.sin(0.37 * t + c) - 0.5, settings=settings)
-        )
-        cluster = ClusterModel(k=3, centroids=np.array([[0.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]),
-                               inertia=0.0, feature_spec="settings")
+        rec, cluster = reference_case(length)
         ds = D.pack_windows([D.make_windows(rec, cluster, window, horizon, stride, rul_cap)])
+        batch = ds.batch(np.arange(len(ds)))
         expected = reference_windows(rec, cluster, window, horizon, stride, rul_cap)
         for name, want in expected.items():
-            got = getattr(ds, name)
+            got = batch[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+    @given(
+        lengths=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+        window=st.integers(1, 30),
+        horizon=st.integers(1, 8),
+        stride=st.integers(1, 7),
+        data=st.data(),
+    )
+    def test_packed_batch_matches_reference_across_records(self, lengths, window, horizon, stride, data):
+        cases = [reference_case(n, phase=i) for i, n in enumerate(lengths)]
+        ds = D.pack_windows([D.make_windows(rec, cluster, window, horizon, stride, 40.0)
+                             for rec, cluster in cases])
+        refs = [reference_windows(rec, cluster, window, horizon, stride, 40.0) for rec, cluster in cases]
+        expected = {name: np.concatenate([r[name] for r in refs]) for name in refs[0]}
+        assert len(ds) == len(expected["rul"])
+        idx = np.asarray(data.draw(st.lists(st.integers(0, max(len(ds) - 1, 0)),
+                                            max_size=6 if len(ds) else 0)), dtype=np.int64)
+        batch = ds.batch(idx)
+        assert set(batch) == set(expected)
+        for name, want in expected.items():
+            got, want = batch[name], want[idx]
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             assert got.tobytes() == want.tobytes(), name
 
@@ -347,22 +408,60 @@ class TestWindows:
         parts = [D.make_windows(r, single_state_cluster(), window=10, horizon=3) for r in recs]
         ds = D.pack_windows(parts)
         assert len(ds) == len(parts[0]) + len(parts[1]) == 12 + 13
-        for f in fields(D.WindowDataset):
-            got = getattr(ds, f.name)
-            np.testing.assert_array_equal(got, np.concatenate([getattr(p, f.name) for p in parts]))
-            assert got.flags.c_contiguous and got.flags.owndata
-        ds.inputs[:] = -1.0                        # the packed arrays share no memory with the records
-        assert (recs[0].sensors >= 0).all() and (parts[1].inputs >= 0).all()
+        # one copy of each record's rows plus its 3 zero target rows, not one per window
+        assert ds.sensors.shape == (21 + 3 + 22 + 3, 11) and ds.state_ids.shape == (49,)
+        np.testing.assert_array_equal(ds.sensors[:21], recs[0].sensors)
+        np.testing.assert_array_equal(ds.sensors[24:46], recs[1].sensors)
+        assert not ds.sensors[21:24].any() and not ds.sensors[46:].any()
+        np.testing.assert_array_equal(ds.starts, np.r_[np.arange(12), 24 + np.arange(13)])
+        for name in ("sensors", "state_ids", "starts", "mask", "rul"):
+            got = getattr(ds, name)
+            assert got.flags.c_contiguous and got.flags.owndata, name
+            for part in parts:
+                assert not np.shares_memory(got, getattr(part, name)), name
+        ds.sensors[:] = -1.0                       # the packed rows share no memory with the records
+        assert (recs[0].sensors >= 0).all() and (parts[1].sensors >= 0).all()
+
+    def test_batches_are_fresh_arrays(self):
+        rec = D.select_sensors(make_record(length=25))
+        ds = D.pack_windows([D.make_windows(rec, single_state_cluster(), window=10, horizon=3)])
+        batch = ds.batch(np.array([3, 0, 3]))
+        for name, got in batch.items():
+            assert got.flags.c_contiguous and got.flags.owndata, name
+            assert not np.shares_memory(got, ds.sensors) and not np.shares_memory(got, ds.state_ids), name
+        batch["inputs"][:] = -1.0
+        assert (ds.sensors >= 0).all() and (ds.inputs >= 0).all()
+        np.testing.assert_array_equal(ds.inputs[[3, 0, 3]], ds.batch(np.array([3, 0, 3]))["inputs"])
 
     def test_pack_empty_list_rejected(self):
         with pytest.raises(ContractError, match="empty window list"):
             D.pack_windows([])
 
+    def test_pack_rejects_mixed_window_lengths(self):
+        rec = D.select_sensors(make_record(length=20))
+        parts = [D.make_windows(rec, single_state_cluster(), window=w, horizon=3) for w in (5, 6)]
+        with pytest.raises(ContractError, match="different window"):
+            D.pack_windows(parts)
+
     def test_windows_have_one_form(self):
         assert not hasattr(D, "WindowSample")
-        assert [f.name for f in fields(D.WindowDataset)] == [
-            "inputs", "states", "future_states", "future_sensors", "mask", "rul",
+        assert [f.name for f in dataclasses.fields(D.WindowDataset)] == [
+            "sensors", "state_ids", "starts", "mask", "rul", "window",
         ]
+
+    def test_packed_bytes_grow_with_rows_not_windows(self):
+        """On the walkthrough data the packed windows hold each cycle once:
+        their bytes stay under one row-and-padding copy plus the per-window
+        targets, far below one copy per window."""
+        records, _ = generate(SynthSpec(seed=0))
+        cfg = TrainConfig()
+        cluster, _, normalized = fit_pipeline(records, cfg)
+        ds = D.pack_windows(windows_for_records(normalized, cluster, cfg))
+        rows, n, S = sum(r.length for r in records), len(ds), ds.sensors.shape[1]
+        total = sum(getattr(ds, f.name).nbytes for f in dataclasses.fields(ds) if f.name != "window")
+        span = cfg.window + cfg.horizon
+        assert total <= (rows + len(records) * span) * (S + 1) * 8 + n * (cfg.horizon + 2) * 8
+        assert total < n * cfg.window * S * 8 / 10       # one copy per window would be 30x the rows
 
 
 class TestTruncate:

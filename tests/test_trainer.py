@@ -149,7 +149,10 @@ class TestTrainLoop:
     def test_nan_loss_aborts_naming_component_and_batch(self):
         cfg = small_config(max_epochs=3)
         train_ds, val_ds = small_datasets(cfg)
-        train_ds.future_sensors[0, 0, 0] = np.nan   # poisons the forecast loss
+        # poison a zero target row past a record's end: it feeds no input,
+        # only masked forecast targets, which a NaN still reaches
+        i = int(np.flatnonzero(train_ds.mask[:, -1] == 0)[0])
+        train_ds.sensors[train_ds.starts[i] + cfg.window + cfg.horizon - 1, 0] = np.nan
         with pytest.raises(NumericError, match=r"forecast.*epoch 1, batch \d"):
             train(train_ds, val_ds, cfg, 11)
 
