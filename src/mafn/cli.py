@@ -5,13 +5,15 @@ Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 numeric
 failure.  Every command that writes an output directory drops exactly one
 ``manifest.json`` recording the config snapshot, input file hashes, seed,
 and artifact list; re-running with an identical manifest reproduces the
-artifacts byte for byte.
+artifacts byte for byte.  A command that fails removes the output directory
+it made, and the parents it made, while they are empty.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,13 +27,13 @@ from .data import (
     atomic_write,
     normalize_record,
     normalize_values,
-    numbered_lines,
     pack_windows,
     parse_cmapss,
     parse_rul_file,
     record_states,
     select_sensors,
     split_by_engine,
+    text_blocks,
     truncate_at_fraction,
     write_cmapss,
 )
@@ -296,7 +298,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_synthesize(args) -> int:
     if args.spec:
-        text = "".join(line for _, line in numbered_lines(args.spec))
+        text = "".join(block for _, block in text_blocks(args.spec))
         spec = parse_synth_spec_text(text, path=args.spec)
     else:
         spec = parse_synth_spec_text("")
@@ -379,19 +381,41 @@ def cmd_synth_spec(args) -> int:
     return _emit_text(default_synth_spec_text(), args.out)
 
 
+# the commands whose --out names a directory
+OUT_DIR_COMMANDS = ("cluster", "train", "evaluate", "forecast", "synthesize")
+
+
+def _missing_dirs(path) -> list:
+    """``path`` and those of its parents that do not exist yet, deepest first."""
+    path = Path(path)
+    return list(itertools.takewhile(lambda p: not p.exists(), (path, *path.parents)))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    made = []                                   # output directories this run creates
+    code = 1                                    # until a command returns; an escaping error fails
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command in OUT_DIR_COMMANDS:
+            made = _missing_dirs(args.out)
+        code = args.func(args)
     except SystemExit as e:
-        return int(e.code or 0)
+        code = int(e.code or 0)
     except NumericError as e:
         print(f"mafn: numeric failure: {e}", file=sys.stderr)
-        return 3
+        code = 3
     except (MafnError, OSError) as e:           # OSError: a path missing or of the wrong kind
         print(f"mafn: error: {e}", file=sys.stderr)
-        return 2
+        code = 2
+    finally:
+        if code:                                # a failed run leaves no empty directory of its own
+            for path in made:
+                try:
+                    path.rmdir()
+                except OSError:                 # not empty, or never made
+                    break
+    return code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-from .data import N_RAW_SENSORS, numbered_lines
+from .data import N_RAW_SENSORS, text_blocks
 from .errors import ContractError, DataError
 from .losses import LossWeights
 
@@ -232,7 +232,7 @@ def parse_config_text(text: str, path: str = "<string>") -> TrainConfig:
 
 
 def load_config(path, apply_env: bool = True) -> TrainConfig:
-    text = "".join(line for _, line in numbered_lines(path))
+    text = "".join(block for _, block in text_blocks(path))
     cfg = parse_config_text(text, path=str(path))
     if apply_env:
         cfg = apply_env_overrides(cfg)

@@ -6,6 +6,12 @@ index, 3 operational settings, 21 sensor readings).  Preprocessing keeps the
 statistics, caps RUL targets, and cuts fixed-length windows that carry the
 forecasting, state, and RUL targets for every head.
 
+Every text file (data, RUL, config, synthesis spec) is read by one reader,
+``text_blocks``, in blocks of whole lines, and numeric rows have one
+validation path, ``text_rows``: a block's lines convert to float64 in one
+``np.loadtxt`` call, and only a block that fails is converted again line by
+line to name the line at fault as ``path:line``.
+
 Each cycle is stored once.  The parser collects a unit's rows in one flat
 float64 buffer; a window dataset keeps every record's rows end to end and
 describes a window by the row it starts at, so a batch of windows is
@@ -34,6 +40,9 @@ RAW_COLUMNS = 2 + N_SETTINGS + N_RAW_SENSORS
 # informative sensor ids (1-based); the complement is near-constant in FD002
 SELECTED_SENSORS = (2, 3, 4, 7, 8, 11, 12, 15, 17, 20, 21)
 DROPPED_SENSORS = (1, 5, 6, 9, 10, 13, 14, 16, 18, 19)
+
+# bytes a text reader takes from a file at a time; a block holds whole lines
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,14 +126,73 @@ def _rows_from(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarra
     return np.take(values, starts[:, None] + np.arange(length), axis=0)
 
 
-def numbered_lines(path):
-    """(line number, text) of each line of a UTF-8 file; ParseError names a line that is not UTF-8."""
+def text_blocks(path):
+    """(first line number, text) of each block of whole lines of a UTF-8
+    file, read ``BLOCK_BYTES`` at a time.  A line longer than a block is read
+    on to its end.  ParseError names the first line that is not UTF-8."""
+    lineno = 1
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield lineno, raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: not UTF-8 text: {e.reason}") from None
+        pending = []                            # the start of a line not yet ended
+        for chunk in iter(lambda: fh.read(BLOCK_BYTES), b""):
+            cut = chunk.rfind(b"\n") + 1
+            if not cut:
+                pending.append(chunk)
+                continue
+            block = b"".join([*pending, chunk[:cut]])
+            pending = [chunk[cut:]]
+            yield lineno, _decode(path, lineno, block)
+            lineno += block.count(b"\n")
+        block = b"".join(pending)
+        if block:
+            yield lineno, _decode(path, lineno, block)
+
+
+def _decode(path, lineno: int, block: bytes) -> str:
+    try:
+        return block.decode("utf-8")
+    except UnicodeDecodeError as e:
+        bad = lineno + block.count(b"\n", 0, e.start)
+        raise ParseError(f"{path}:{bad}: not UTF-8 text: {e.reason}") from None
+
+
+def _convert(lines) -> np.ndarray:
+    """The one conversion of text rows to numbers: whitespace-separated
+    tokens to an (n, columns) float64 array, or ValueError."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def text_rows(path, columns: int):
+    """(line numbers, rows) for each block of a whitespace-separated numeric
+    file: the block's non-blank lines as an (n, ``columns``) float64 array.
+
+    A block converts in one call.  If that fails, each of its lines converts
+    alone, and ParseError names the first line that is not ``columns``
+    numbers.
+    """
+    for first, text in text_blocks(path):
+        lines = text.split("\n")
+        numbers = [i for i, line in enumerate(lines) if line and not line.isspace()]
+        if not numbers:                         # loadtxt warns on no data
+            continue
+        lines = [lines[i] for i in numbers]
+        try:
+            rows = _convert(lines)
+        except ValueError:
+            rows = None
+        if rows is None or rows.shape[1] != columns:
+            # a block fails only where one of its lines fails alone
+            for i, line in zip(numbers, lines):
+                try:
+                    found = _convert([line]).shape[1]
+                except ValueError as e:
+                    message = str(e).replace("at row 0, ", "at ")
+                    raise ParseError(f"{path}:{first + i}: {message}") from None
+                if found != columns:
+                    raise ParseError(
+                        f"{path}:{first + i}: expected {columns} column{'s' * (columns != 1)}, "
+                        f"found {found}"
+                    )
+        yield np.add(numbers, first), rows
 
 
 @contextlib.contextmanager
@@ -148,31 +216,31 @@ def atomic_write(path, mode: str = "w"):
 def parse_cmapss(path) -> list:
     """Parse a C-MAPSS text file into one EngineRecord per unit.
 
+    The file is read in blocks of whole lines (``text_rows``): each block's
+    non-blank lines convert to float64 in one ``np.loadtxt`` call, and a
+    block that fails converts line by line to find the line at fault.
+    Tokens are what ``loadtxt`` reads as a float64; unlike ``float()``, it
+    rejects underscored digits (``1_0``), non-ASCII digits and a bare
+    ``\\r`` inside a line.
+
     A malformed row, a non-integer unit id, a non-finite value, or a cycle
     index that does not count 1, 2, ... within its unit raises ParseError
     naming the line.  Each unit's rows go into one flat float64 buffer, which
     its record's arrays view.
     """
     units: dict = {}
-    for lineno, line in numbered_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != RAW_COLUMNS:
-            raise ParseError(
-                f"{path}:{lineno}: expected {RAW_COLUMNS} columns, found {len(parts)}"
-            )
-        try:
-            values = array("d", map(float, parts))
-            unit = int(values[0])
-        except (ValueError, OverflowError) as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
-        if unit != values[0]:
-            raise ParseError(f"{path}:{lineno}: unit id {parts[0]!r} is not an integer")
-        values[0] = lineno                     # column 0 now maps rows back to lines
-        if unit not in units:
-            units[unit] = array("d")
-        units[unit].extend(values)
+    for numbers, rows in text_rows(path, RAW_COLUMNS):
+        ids = rows[:, 0].copy()
+        wrong = ~np.isfinite(ids) | (ids != np.trunc(ids))
+        if wrong.any():
+            i = wrong.argmax()
+            raise ParseError(f"{path}:{numbers[i]}: unit id {float(ids[i])!r} is not an integer")
+        rows[:, 0] = numbers                    # column 0 now maps rows back to lines
+        # append each run of one unit's rows in one call
+        cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(rows)]
+        for start, stop in zip(cuts, cuts[1:]):
+            buf = units.setdefault(int(ids[start]), array("d"))
+            buf.frombytes(memoryview(rows[start:stop]).cast("B"))
 
     records = []
     for unit, buf in units.items():
@@ -215,22 +283,15 @@ def write_cmapss(records: Sequence[EngineRecord], path):
 def parse_rul_file(path) -> np.ndarray:
     """RUL ground-truth file: one value per test engine, ordered by unit."""
     values = []
-    for lineno, line in numbered_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 1:
-            raise ParseError(f"{path}:{lineno}: expected 1 column, found {len(parts)}")
-        try:
-            value = float(parts[0])
-        except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
-        if not np.isfinite(value):
-            raise ParseError(f"{path}:{lineno}: non-finite value {parts[0]!r}")
-        values.append(value)
+    for numbers, rows in text_rows(path, 1):
+        bad = ~np.isfinite(rows[:, 0])
+        if bad.any():
+            i = bad.argmax()
+            raise ParseError(f"{path}:{numbers[i]}: non-finite value {float(rows[i, 0])!r}")
+        values.append(rows[:, 0])
     if not values:
         raise DataError(f"{path}: empty RUL file")
-    return np.asarray(values, dtype=np.float64)
+    return np.concatenate(values)
 
 
 def select_sensors(record: EngineRecord, keep: Sequence[int] = SELECTED_SENSORS) -> EngineRecord:

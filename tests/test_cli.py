@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mafn
 from mafn import cli
@@ -205,6 +210,102 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("mafn: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("existed", [False, True])
+    @pytest.mark.parametrize("command", ["train", "cluster", "evaluate", "forecast"])
+    def test_failed_run_removes_only_the_out_dir_it_made(self, workspace, tmp_path, capsys,
+                                                          command, existed):
+        """Each command fails after making --out: a bad token in the data, or
+        an unknown unit.  It removes the empty directories it made, parents
+        included, and never a directory that was there before."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(_with_bad_token(workspace / "data" / "synthetic_train.txt"))
+        out = tmp_path / "new" / "out"
+        if existed:
+            out.mkdir(parents=True)
+        ckpt, good = str(workspace / "run1" / "model.ckpt"), str(workspace / "data" / "synthetic_train.txt")
+        argv = {
+            "train": ["--data", str(bad), "--config", str(workspace / "smoke.cfg"), "--quiet"],
+            "cluster": ["--data", str(bad), "--config", str(workspace / "smoke.cfg")],
+            "evaluate": ["--checkpoint", ckpt, "--data", str(bad), "--mode", "cutoffs"],
+            "forecast": ["--checkpoint", ckpt, "--data", good, "--unit", "999", "--cutoff", "0.5",
+                         "--sensor", "7"],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mafn: error: ") and err.count("\n") == 1
+        assert out.is_dir() == existed and (tmp_path / "new").exists() == existed
+        if existed:
+            assert not any(out.iterdir())
+
+
+def _with_bad_token(data_path) -> str:
+    """The data file's text with one token on its third line made unreadable."""
+    lines = Path(data_path).read_text().splitlines()
+    lines[2] = lines[2].replace(" ", " x", 1)
+    return "\n".join(lines) + "\n"
+
+
+# each path argument of each command, and the values a property test gives it
+PATH_ARGS = {
+    "train": ("--data", "--config", "--out"),
+    "cluster": ("--data", "--config", "--out"),
+    "evaluate": ("--checkpoint", "--data", "--rul", "--out"),
+    "forecast": ("--checkpoint", "--data", "--out"),
+    "synthesize": ("--spec", "--out"),
+}
+PATH_KINDS = ("missing", "dir", "file", "bad-data", "good")
+OTHER_ARGS = {
+    "train": ["--quiet"],
+    "evaluate": ["--mode", "testset"],
+    "forecast": ["--unit", "1", "--cutoff", "0.5", "--sensor", "7"],
+}
+
+
+class TestFileBoundaryProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(PATH_ARGS)).flatmap(
+        lambda command: st.tuples(
+            st.just(command),
+            st.fixed_dictionaries({flag: st.sampled_from(PATH_KINDS) for flag in PATH_ARGS[command]}),
+        )
+    ))
+    def test_any_path_fails_cleanly(self, workspace, case):
+        """Every path argument of every command, given a missing path, a
+        directory, an existing file, a data file with a bad token or a good
+        path: a failure exits 1, 2 or 3 with one ``mafn:`` line on stderr,
+        and leaves no directory it made."""
+        command, kinds = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "a_dir").mkdir()
+            (tmp / "a_file").write_text("x\n")
+            (tmp / "bad.txt").write_text(_with_bad_token(workspace / "data" / "synthetic_train.txt"))
+            (tmp / "rul.txt").write_text("20\n" * 5)
+            good = {
+                "--data": workspace / "data" / "synthetic_train.txt",
+                "--config": workspace / "smoke.cfg",
+                "--checkpoint": workspace / "run1" / "model.ckpt",
+                "--spec": workspace / "synth.spec",
+                "--rul": tmp / "rul.txt",
+                "--out": tmp / "out",
+            }
+            argv = [command, *OTHER_ARGS.get(command, [])]
+            for flag, kind in kinds.items():
+                path = {"missing": tmp / "missing" / "path", "dir": tmp / "a_dir",
+                        "file": tmp / "a_file", "bad-data": tmp / "bad.txt", "good": good[flag]}[kind]
+                argv += [flag, str(path)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            assert "Traceback" not in err
+            if code:
+                assert code in (1, 2, 3)
+                assert err.startswith("mafn: ") and err.count("\n") == 1, err
+                assert not (tmp / "missing").exists() and not (tmp / "out").exists()
+            else:
+                assert err == ""
 
 
 class TestSynthesizeCommand:
