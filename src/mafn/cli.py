@@ -249,10 +249,10 @@ def cmd_forecast(args) -> int:
         raise DataError(f"sensor {args.sensor} not in selected set {prep.stats.sensor_ids}")
     record = by_unit[args.unit]
     truncated, residual = truncate_at_fraction(record, args.cutoff)
-    if truncated.length < cfg.window:
-        raise DataError(
-            f"cutoff {args.cutoff:g} leaves {truncated.length} cycles, fewer than the window ({cfg.window})"
-        )
+    min_len = 1 if cfg.pad_short else cfg.window
+    if truncated.length < min_len:
+        raise DataError(f"cutoff {args.cutoff:g} leaves {truncated.length} cycles, fewer than "
+                        + ("1" if cfg.pad_short else f"the window ({cfg.window})"))
     col = prep.stats.sensor_ids.index(args.sensor)
     sel = select_sensors(record)
     normalized_full = normalize_record(sel, prep.stats)

@@ -13,6 +13,11 @@ maps the pair through dense layers to the per-step sensor forecast.
 The RUL head consumes the attention context alone and works on a normalized
 scale (cycles / rul_cap), so its loss is commensurate with the other heads;
 prediction helpers convert back to cycles and clamp to [0, rul_cap].
+
+``forward`` takes (B, T, D) windows only and runs every head.  On one
+history's trailing window, ``predict_rul`` runs ``encode`` (embedding,
+Conv1D, BiLSTM, attention) and ``rul_head`` alone; ``forecast_trajectory``
+runs the full ``forward``.
 """
 from __future__ import annotations
 
@@ -41,12 +46,12 @@ from .tensor import Tensor
 
 @dataclass
 class MafnOutput:
-    state_logits: Tensor       # (B, H, K) or (H, K)
-    degradation: Tensor        # (B, H) or (H,): scalar trend per step
-    trend_vectors: Tensor      # (B, H, d_d) or (H, d_d)
-    forecast: Tensor           # (B, H, d_s) or (H, d_s)
-    rul: Tensor                # (B,) or (): normalized (cycles / rul_cap)
-    attention_weights: Tensor  # (B, T_w) or (T_w,)
+    state_logits: Tensor       # (B, H, K)
+    degradation: Tensor        # (B, H): scalar trend per step
+    trend_vectors: Tensor      # (B, H, d_d)
+    forecast: Tensor           # (B, H, d_s)
+    rul: Tensor                # (B,): normalized (cycles / rul_cap)
+    attention_weights: Tensor  # (B, T_w)
 
 
 class MafnModel:
@@ -134,50 +139,50 @@ class MafnModel:
         xw = T.matmul(context, cell.W_x).reshape((context.shape[0], 1, 4 * hidden))
         return T.lstm_scan(xw, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b, horizon)  # (B, H, hidden)
 
-    def forward(self, windows, state_ids, future_states=None, horizon: Optional[int] = None) -> MafnOutput:
-        """Run the network; 2-d input gives per-sample output shapes.
-
-        ``future_states`` (when given) teacher-forces the fusion head with
-        the true future state ids; otherwise the state head's argmax feeds
-        the fusion embedding lookup.
-        """
+    def encode(self, windows, state_ids):
+        """Shared encoder: the attention context (B, 2H) and weights (B, T)."""
         x = windows if isinstance(windows, Tensor) else Tensor(windows)
         ids = np.asarray(state_ids, dtype=np.int64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape((1,) + x.shape)
-            ids = ids[None, :]
-            if future_states is not None:
-                future_states = np.asarray(future_states, dtype=np.int64)[None, :]
         if x.ndim != 3:
-            raise DimensionError(f"input window must be (T, D) or (B, T, D), got {x.shape}")
+            raise DimensionError(f"input window must be (B, T, D), got {x.shape}")
         if ids.shape != x.shape[:2]:
             raise DimensionError(f"state ids {ids.shape} do not match window {x.shape}")
         if x.shape[2] != self.n_sensors:
             raise DimensionError(
                 f"encoder stage: expected {self.n_sensors} sensor channels, got {x.shape[2]}"
             )
-        h_steps = self.config.horizon if horizon is None else int(horizon)
-        if h_steps < 1:
-            raise ContractError(f"horizon must be >= 1, got {h_steps}")
-
         emb = self.embedding(ids)                          # (B, T, m)
         augmented = T.concat([x, emb], axis=2)             # (B, T, D+m)
         features = self.conv(augmented)                    # (B, T, N_f)
         hidden = bilstm(features, self.enc_fwd, self.enc_bwd)
-        context, weights = self.attention(hidden)          # (B, 2H), (B, T)
+        return self.attention(hidden)
 
-        rul = self.rul_out(self.rul_l2(self.rul_l1(context))).reshape((x.shape[0],))
+    def rul_head(self, context: Tensor) -> Tensor:
+        """Normalized RUL (B,) from the attention context."""
+        return self.rul_out(self.rul_l2(self.rul_l1(context))).reshape((context.shape[0],))
+
+    def forward(self, windows, state_ids, future_states=None, horizon: Optional[int] = None) -> MafnOutput:
+        """Run every head on a (B, T, D) batch of windows.
+
+        ``future_states`` (when given) teacher-forces the fusion head with
+        the true future state ids; otherwise the state head's argmax feeds
+        the fusion embedding lookup.
+        """
+        h_steps = self.config.horizon if horizon is None else int(horizon)
+        if h_steps < 1:
+            raise ContractError(f"horizon must be >= 1, got {h_steps}")
+        context, weights = self.encode(windows, state_ids)  # (B, 2H), (B, T)
+        batch, rul = context.shape[0], self.rul_head(context)
 
         trend_vecs = self._decode(self.trend_cell, self.trend_init, context, h_steps)
-        trend = self.trend_proj(trend_vecs).reshape((x.shape[0], h_steps))
+        trend = self.trend_proj(trend_vecs).reshape((batch, h_steps))
 
         state_hidden = self._decode(self.state_cell, self.state_init, context, h_steps)
         logits = self.state_proj(state_hidden)             # (B, H, K)
 
         if future_states is not None:
             fusion_ids = np.asarray(future_states, dtype=np.int64)
-            if fusion_ids.shape != (x.shape[0], h_steps):
+            if fusion_ids.shape != (batch, h_steps):
                 raise DimensionError(
                     f"fusion stage: future states {fusion_ids.shape} do not match horizon {h_steps}"
                 )
@@ -187,11 +192,7 @@ class MafnModel:
         for layer in self.fusion_layers:
             fused = layer(fused)
         forecast = self.fusion_out(fused)                  # (B, H, d_s)
-
-        fields = (logits, trend, trend_vecs, forecast, rul, weights)
-        if squeeze:
-            fields = tuple(f.reshape(f.shape[1:]) for f in fields)
-        return MafnOutput(*fields)
+        return MafnOutput(logits, trend, trend_vecs, forecast, rul, weights)
 
 
 # -- inference over raw engine histories -----------------------------------------
@@ -211,8 +212,20 @@ def clamp_rul(raw_cycles: float, cap: float) -> float:
 
 
 def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
-    """Normalize a raw history and cut its trailing window + state ids."""
+    """The normalized trailing window of a raw history and its state ids.
+
+    The window is cut before the per-cycle selection, normalization and state
+    assignment; ``pad_short`` left-pads a short history with its first cycle.
+    """
     cfg = bundle.config
+    if record.length < (1 if cfg.pad_short else cfg.window):
+        raise ContractError(
+            f"history of {record.length} cycles is shorter than the window ({cfg.window})"
+            + ("" if cfg.pad_short else "; enable pad_short to left-pad by repeating the first cycle")
+        )
+    rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
+    record = replace(record, cycle_index=np.arange(1, cfg.window + 1),
+                     op_settings=record.op_settings[rows], sensors=record.sensors[rows])
     if len(record.sensor_ids) == N_RAW_SENSORS:
         record = select_sensors(record, keep=bundle.stats.sensor_ids)
     if record.sensor_ids != bundle.stats.sensor_ids:
@@ -220,28 +233,17 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
             f"record sensors {record.sensor_ids} do not match checkpoint {bundle.stats.sensor_ids}"
         )
     record = normalize_record(record, bundle.stats)
-    if record.length < cfg.window:
-        if not cfg.pad_short:
-            raise ContractError(
-                f"history of {record.length} cycles is shorter than the window "
-                f"({cfg.window}); enable pad_short to left-pad by repeating the first cycle"
-            )
-        pad = cfg.window - record.length
-        sensors = np.concatenate([np.repeat(record.sensors[:1], pad, axis=0), record.sensors])
-        settings = np.concatenate([np.repeat(record.op_settings[:1], pad, axis=0), record.op_settings])
-        record = replace(
-            record,
-            cycle_index=np.arange(1, cfg.window + 1),
-            sensors=sensors,
-            op_settings=settings,
-        )
-    states = record_states(record, bundle.cluster)
-    return record.sensors[-cfg.window :], states[-cfg.window :]
+    return record.sensors, record_states(record, bundle.cluster)
 
 
 def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle) -> float:
-    """RUL estimate in cycles from the last window, clamped to [0, rul_cap]."""
-    return forecast_trajectory(record, model, bundle)[2]
+    """RUL estimate in cycles from the last window, clamped to [0, rul_cap];
+    runs the encoder and the RUL head only, not the forecasting heads."""
+    inputs, states = prepare_window(record, bundle)
+    with T.no_grad():
+        context, _ = model.encode(inputs[None], states[None])
+        rul = model.rul_head(context).item()
+    return clamp_rul(rul * bundle.config.rul_cap, bundle.config.rul_cap)
 
 
 def forecast_trajectory(
@@ -254,8 +256,8 @@ def forecast_trajectory(
     H state ids and the RUL in cycles as :func:`predict_rul` gives it."""
     inputs, states = prepare_window(record, bundle)
     with T.no_grad():
-        out = model.forward(inputs, states, horizon=horizon)
-    predicted_states = out.state_logits.data.argmax(axis=-1)
-    sensors = denormalize_values(out.forecast.data, bundle.stats)
+        out = model.forward(inputs[None], states[None], horizon=horizon)
+    predicted_states = out.state_logits.data[0].argmax(axis=-1)
+    sensors = denormalize_values(out.forecast.data[0], bundle.stats)
     rul = clamp_rul(out.rul.item() * bundle.config.rul_cap, bundle.config.rul_cap)
     return sensors, predicted_states, rul

@@ -209,9 +209,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str):
+def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """``ufunc`` on both operands' data; a shape clash raises DimensionError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -220,20 +221,17 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    out = _broadcast(np.add, a, b, "add")
     return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    out = _broadcast(np.subtract, a, b, "sub")
     return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    out = _broadcast(np.multiply, a, b, "mul")
     return _make(
         out,
         (a, b),
@@ -248,10 +246,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = a.data @ b.data
     except ValueError:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}") from None
-    out = a.data @ b.data
 
     def grad_fn(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)

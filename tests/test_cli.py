@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import mafn
 from mafn import cli
+from mafn.checkpoint import load_checkpoint, save_checkpoint
 from mafn.cli import main
 from mafn.config import (
     MAX_ARRAY_VALUES,
@@ -592,6 +594,46 @@ class TestForecastCommand:
             ]
         )
         assert code == 2
+
+    @staticmethod
+    def _pad_short_checkpoint(workspace, tmp_path):
+        bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
+        path = tmp_path / "pad.ckpt"
+        save_checkpoint(replace(bundle, config=replace(bundle.config, pad_short=True)), path)
+        return path
+
+    def test_short_cutoff_padded_with_pad_short(self, workspace, tmp_path):
+        out = tmp_path / "fc"
+        code = main(
+            [
+                "forecast", "--checkpoint", str(self._pad_short_checkpoint(workspace, tmp_path)),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--unit", "2", "--cutoff", "0.05", "--sensor", "7", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        truth = json.loads((workspace / "data" / "truth.json").read_text())
+        life = next(e["length"] for e in truth["engines"] if e["unit_id"] == 2)
+        cut = int(0.05 * life)
+        assert 1 <= cut < 12                      # shorter than the smoke window
+        rows = (out / "forecast_unit2_sensor7.csv").read_text().strip().split("\n")[1:]
+        history = [r for r in rows if r.split(",")[1]]
+        forecast = [r for r in rows if r.split(",")[2]]
+        assert len(history) == cut and len(forecast) == 3 and len(rows) == cut + 3
+        ET.parse(out / "forecast_unit2_sensor7.svg")
+
+    def test_empty_cutoff_rejected_with_pad_short(self, workspace, tmp_path, capsys):
+        out = tmp_path / "fc"
+        code = main(
+            [
+                "forecast", "--checkpoint", str(self._pad_short_checkpoint(workspace, tmp_path)),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--unit", "2", "--cutoff", "0.01", "--sensor", "7", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "leaves 0 cycles" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClusterCommand:

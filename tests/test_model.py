@@ -34,12 +34,12 @@ def tiny_model(seed=0, n_sensors=2, **overrides):
 class TestForward:
     def test_output_shape_contract(self, rng):
         model, cfg = tiny_model()
-        out = model.forward(rng.random((cfg.window, 2)), rng.integers(0, 2, cfg.window))
-        assert out.state_logits.shape == (cfg.horizon, cfg.k_states)
-        assert out.degradation.shape == (cfg.horizon,)
-        assert out.forecast.shape == (cfg.horizon, 2)
-        assert out.rul.shape == ()
-        assert out.attention_weights.shape == (cfg.window,)
+        out = model.forward(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)))
+        assert out.state_logits.shape == (1, cfg.horizon, cfg.k_states)
+        assert out.degradation.shape == (1, cfg.horizon)
+        assert out.forecast.shape == (1, cfg.horizon, 2)
+        assert out.rul.shape == (1,)
+        assert out.attention_weights.shape == (1, cfg.window)
         for field in (out.state_logits, out.degradation, out.forecast, out.rul):
             assert np.isfinite(field.data).all()
 
@@ -52,12 +52,12 @@ class TestForward:
 
     def test_attention_weights_sum_to_one(self, rng):
         model, cfg = tiny_model()
-        out = model.forward(rng.random((cfg.window, 2)), rng.integers(0, 2, cfg.window))
+        out = model.forward(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)))
         assert out.attention_weights.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_forward_deterministic(self, rng):
-        x = rng.random((4, 2))
-        s = rng.integers(0, 2, 4)
+        x = rng.random((1, 4, 2))
+        s = rng.integers(0, 2, (1, 4))
         model, _ = tiny_model(seed=3)
         a = model.forward(x, s)
         b = model.forward(x, s)
@@ -71,8 +71,8 @@ class TestForward:
 
     def test_teacher_forcing_changes_fusion_path(self, rng):
         model, cfg = tiny_model(seed=1)
-        x = rng.random((cfg.window, 2))
-        s = rng.integers(0, 2, cfg.window)
+        x = rng.random((1, cfg.window, 2))
+        s = rng.integers(0, 2, (1, cfg.window))
         free = model.forward(x, s)
         predicted = free.state_logits.data.argmax(axis=-1)
         forced_other = model.forward(x, s, future_states=1 - predicted)
@@ -81,12 +81,17 @@ class TestForward:
     def test_bad_channel_count_names_stage(self, rng):
         model, cfg = tiny_model()
         with pytest.raises(DimensionError, match="encoder"):
-            model.forward(rng.random((cfg.window, 5)), rng.integers(0, 2, cfg.window))
+            model.forward(rng.random((1, cfg.window, 5)), rng.integers(0, 2, (1, cfg.window)))
+
+    def test_unbatched_window_rejected(self, rng):
+        model, cfg = tiny_model()
+        with pytest.raises(DimensionError, match=r"\(B, T, D\)"):
+            model.forward(rng.random((cfg.window, 2)), rng.integers(0, 2, cfg.window))
 
     def test_horizon_override(self, rng):
         model, cfg = tiny_model()
-        out = model.forward(rng.random((cfg.window, 2)), rng.integers(0, 2, cfg.window), horizon=1)
-        assert out.forecast.shape == (1, 2)
+        out = model.forward(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)), horizon=1)
+        assert out.forecast.shape == (1, 1, 2)
 
     def test_full_model_gradient_check(self, rng):
         model, cfg = tiny_model(seed=11)
@@ -276,8 +281,8 @@ class TestCheckpoint:
 
     def test_load_state_reproduces_outputs(self, tmp_path, rng):
         model, cfg = tiny_model(seed=5)
-        x = rng.random((cfg.window, 2))
-        s = rng.integers(0, 2, cfg.window)
+        x = rng.random((1, cfg.window, 2))
+        s = rng.integers(0, 2, (1, cfg.window))
         base = model.forward(x, s).forecast.data
         fresh, _ = tiny_model(seed=99)
         assert not np.allclose(fresh.forward(x, s).forecast.data, base)

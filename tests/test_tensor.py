@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafn import tensor as T
@@ -36,6 +38,10 @@ class TestMatmul:
         b = rng.normal(size=(2, 5))
         out = T.matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.data, a @ b)
+
+    def test_batch_mismatch_names_both(self):
+        with pytest.raises(DimensionError, match=r"batch dimensions disagree: \(2, 3, 4\) @ \(3, 4, 5\)"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
 
 
 class TestElementwise:
@@ -76,6 +82,29 @@ class TestElementwise:
         assert out.shape == (2, 3, 4)
         out.sum().backward()
         np.testing.assert_array_equal(a.grad, np.full((2, 3, 1), 8.0))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(1, 3), max_size=3), st.lists(st.integers(1, 3), max_size=3),
+           st.integers(0, 2**16))
+    def test_broadcast_matches_numpy_or_names_both_shapes(self, shape_a, shape_b, seed):
+        g = np.random.default_rng(seed)
+        a = np.asarray(g.normal(size=tuple(shape_a)))
+        b = np.asarray(g.normal(size=tuple(shape_b)))
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+            fits = True
+        except ValueError:
+            fits = False
+        for op, name, ufunc in ((T.add, "add", np.add), (T.sub, "sub", np.subtract), (T.mul, "mul", np.multiply)):
+            if fits:
+                out = op(Tensor(a), Tensor(b)).data
+                expected = np.asarray(ufunc(a, b))
+                assert out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
+            else:
+                message = re.escape(f"{name}: shapes {a.shape} and {b.shape} do not broadcast")
+                with pytest.raises(DimensionError, match=message):
+                    op(Tensor(a), Tensor(b))
 
 
 class TestSoftmax:
