@@ -76,8 +76,8 @@ def _read(fh, n: int, path, what: str) -> bytes:
 
 
 def load_checkpoint(path) -> CheckpointBundle:
-    """Read a checkpoint; a truncated or corrupt file, or one whose config
-    fails ``TrainConfig.validate``, raises DataError."""
+    """Read a checkpoint; a truncated or corrupt file, an array holding NaN
+    or inf, or a config that fails ``TrainConfig.validate`` raises DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
@@ -92,6 +92,8 @@ def load_checkpoint(path) -> CheckpointBundle:
                 shape = tuple(meta["shape"])
                 buf = _read(fh, int(np.prod(shape)) * 8, path, f"array {meta['name']}")
                 arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+                if not np.isfinite(arrays[meta["name"]]).all():
+                    raise DataError(f"{path}: checkpoint array {meta['name']} holds NaN or inf")
             cfg_dict = dict(header["config"])
             cfg_dict["fusion_widths"] = tuple(cfg_dict["fusion_widths"])
             cfg_dict["rul_widths"] = tuple(cfg_dict["rul_widths"])

@@ -107,9 +107,10 @@ class Conv1d:
 class LstmCell:
     """Standard LSTM gate equations, gates stacked in i, f, g, o column order:
     W_x (n_in, 4H), W_h (H, 4H), b (4H); the forget-gate bias b[H:2H] starts
-    at 1.  The recurrence is :func:`mafn.tensor.lstm_scan`, fed the input
-    projection ``x @ W_x``, so a constant input (the decoders') is projected
-    once."""
+    at 1.  A cell holds parameters only: :func:`mafn.tensor.lstm_scan` runs
+    the recurrence on the input projection ``x @ W_x``, so a constant input
+    (the decoders') is projected once, and :func:`bilstm` runs two cells in
+    one scan."""
 
     def __init__(self, rng, n_in: int, n_hidden: int):
         self.n_in = n_in
@@ -130,23 +131,15 @@ class LstmCell:
         return [("W_x", self.W_x), ("W_h", self.W_h), ("b", self.b)]
 
 
-def lstm_unroll(x: Tensor, cell: LstmCell, reverse: bool = False) -> Tensor:
-    """Run a cell over (B, T, F); returns hidden states (B, T, H).
-
-    With ``reverse`` the scan runs right-to-left but the output keeps the
-    input's time order.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"lstm_unroll input must be (B, T, F), got {x.shape}")
-    B, t_len, _ = x.shape
-    h0, c0 = Tensor(np.zeros((B, cell.n_hidden))), Tensor(np.zeros((B, cell.n_hidden)))
-    return T.lstm_scan(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b, t_len, reverse)
-
-
 def bilstm(x: Tensor, fwd_cell: LstmCell, bwd_cell: LstmCell) -> Tensor:
-    """Concatenated forward and backward hidden states, (B, T, 2H)."""
-    return T.concat(
-        [lstm_unroll(x, fwd_cell), lstm_unroll(x, bwd_cell, reverse=True)], axis=2
+    """Forward and backward hidden states side by side, (B, T, 2H): both
+    directions run as one two-direction :func:`mafn.tensor.lstm_scan`."""
+    if x.ndim != 3:
+        raise DimensionError(f"bilstm input must be (B, T, F), got {x.shape}")
+    B, t_len, _ = x.shape
+    zeros = Tensor(np.zeros((B, fwd_cell.n_hidden)))
+    return T.lstm_scan(
+        [(T.matmul(x, cell.W_x), zeros, zeros, cell.W_h, cell.b) for cell in (fwd_cell, bwd_cell)], t_len
     )
 
 

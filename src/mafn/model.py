@@ -39,7 +39,7 @@ from .data import (
     record_states,
     select_sensors,
 )
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericError
 from .layers import Attention, Conv1d, Dense, EmbeddingTable, LstmCell, bilstm
 from .tensor import Tensor
 
@@ -137,7 +137,7 @@ class MafnModel:
         hc = init(context)
         # the constant input, projected once
         xw = T.matmul(context, cell.W_x).reshape((context.shape[0], 1, 4 * hidden))
-        return T.lstm_scan(xw, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b, horizon)  # (B, H, hidden)
+        return T.lstm_scan([(xw, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b)], horizon)  # (B, H, hidden)
 
     def encode(self, windows, state_ids):
         """Shared encoder: the attention context (B, 2H) and weights (B, T)."""
@@ -208,6 +208,8 @@ class PreprocessBundle:
 
 
 def clamp_rul(raw_cycles: float, cap: float) -> float:
+    if not np.isfinite(raw_cycles):
+        raise NumericError(f"RUL head produced {raw_cycles}")
     return float(min(max(raw_cycles, 0.0), cap))
 
 

@@ -428,89 +428,104 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- recurrence -----------------------------------------------------------------------
 
 
-def lstm_scan(xw: Tensor, h0: Tensor, c0: Tensor, W_h: Tensor, b: Tensor, steps: int,
-              reverse: bool = False) -> Tensor:
-    """A whole LSTM unroll as one tape node; returns hidden states (B, steps, H).
+def _scan_order(a: np.ndarray, direction: int) -> np.ndarray:
+    """Time-major ``a`` in the order direction ``direction`` scans it: the
+    second direction runs right to left.  Its own inverse."""
+    return a[::-1] if direction else a
 
-    ``xw`` is the input projection ``x @ W_x``, (B, steps, 4H), or (B, 1, 4H)
-    for an input held constant over every step.  Gates are stacked in i, f,
-    g, o column order; each step computes ``z = (xw_t + h @ W_h) + b``,
-    ``c = f * c + i * g`` and ``h = o * tanh(c)``.  With ``reverse`` the scan
-    runs right-to-left and the output keeps the input's time order.  The
-    backward pass is backpropagation through time in numpy.
+
+def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
+    """One or two LSTM unrolls as one tape node; returns hidden states
+    (B, steps, dirs * H), the directions' blocks side by side.
+
+    Each direction is a tuple ``(xw, h0, c0, W_h, b)``: ``xw`` is the input
+    projection ``x @ W_x``, (B, steps, 4H), or (B, 1, 4H) for an input held
+    constant over every step, and every direction has the same shapes.  The
+    first direction scans left to right, a second right to left; both keep
+    the input's time order in the output.  Gates are stacked in i, f, g, o
+    column order; each step computes ``z = (xw_t + h @ W_h) + b``,
+    ``c = f * c + i * g`` and ``h = o * tanh(c)``.  The directions share one
+    time loop, so each step is one set of numpy calls.  The backward pass is
+    backpropagation through time in numpy.
     """
-    n = W_h.shape[0]
-    B = h0.shape[0]
-    if steps < 1 or xw.shape not in ((B, steps, 4 * n), (B, 1, 4 * n)):
-        raise DimensionError(
-            f"lstm_scan: input projection {xw.shape} does not fit {steps} steps of batch {B}, hidden {n}"
-        )
-    if W_h.shape != (n, 4 * n) or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n):
-        raise DimensionError(
-            f"lstm_scan: W_h {W_h.shape}, b {b.shape}, h0 {h0.shape} and c0 {c0.shape} disagree"
-        )
-    # step k of the scan is stored at index k (time steps - 1 - k in reverse),
-    # time-major, with the gates as (4, H) blocks of each row
-    xs = xw.data.transpose(1, 0, 2)
-    if reverse:
-        xs = xs[::-1]
-    const = xw.shape[1] == 1
-    gates = np.empty((steps, B, 4, n))       # i, f, g, o activations
-    cells = np.empty((steps, B, n))
-    tanh_c = np.empty((steps, B, n))
-    hidden = np.empty((steps, B, n))
-    h, c = h0.data, c0.data
+    dirs = len(directions)
+    if dirs not in (1, 2):
+        raise ContractError(f"lstm_scan runs one or two directions, got {dirs}")
+    n, B = directions[0][3].shape[0], directions[0][1].shape[0]
+    const = directions[0][0].shape[1:2] == (1,)
+    for xw, h0, c0, W_h, b in directions:
+        if (steps < 1 or xw.shape != (B, 1 if const else steps, 4 * n) or W_h.shape != (n, 4 * n)
+                or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n)):
+            raise DimensionError(
+                f"lstm_scan: xw {xw.shape}, h0 {h0.shape}, c0 {c0.shape}, W_h {W_h.shape} and "
+                f"b {b.shape} do not fit {steps} steps of batch {B}, hidden {n}"
+            )
+    # time-step-major buffers: scan step k of every direction sits at index k,
+    # so each step's (dirs, B, ...) block is contiguous, with the gates as
+    # (4, H) blocks of each row
+    xs = np.stack([_scan_order(dr[0].data.transpose(1, 0, 2), d) for d, dr in enumerate(directions)], axis=1)
+    h0, c0, W_h, b = (np.stack([d[j].data for d in directions]) for j in range(1, 5))
+    b = b[:, None]
+    gates = np.empty((steps, dirs, B, 4, n))  # i, f, g, o activations
+    cells = np.empty((steps, dirs, B, n))
+    tanh_c = np.empty((steps, dirs, B, n))
+    hidden = np.empty((steps, dirs, B, n))
+    h, c = h0, c0
+    i, f, g, o = (gates[..., j, :] for j in range(4))
+    zs = gates.reshape(steps, dirs, B, 4 * n)
     for k in range(steps):
-        a = gates[k]
-        z = a.reshape(B, 4 * n)
-        np.matmul(h, W_h.data, out=z)
+        z = zs[k]
+        np.matmul(h, W_h, out=z)
         np.add(xs[0 if const else k], z, out=z)
-        z += b.data
-        g = np.tanh(a[:, 2])
+        z += b
+        cand = np.tanh(g[k])
         # sigmoid 1 / (1 + exp(-z)) in place, then the candidate block takes tanh
         np.negative(z, out=z)
         np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=z)
-        a[:, 2] = g
-        c = np.multiply(a[:, 1], c, out=cells[k])
-        c += a[:, 0] * g
+        g[k] = cand
+        c = np.multiply(f[k], c, out=cells[k])
+        c += i[k] * cand
         np.tanh(c, out=tanh_c[k])
-        h = np.multiply(a[:, 3], tanh_c[k], out=hidden[k])
+        h = np.multiply(o[k], tanh_c[k], out=hidden[k])
 
     def grad_fn(grad):
-        gs = grad.transpose(1, 0, 2)
-        if reverse:
-            gs = gs[::-1]
-        i, f, g, o = (gates[:, :, j] for j in range(4))
-        c_prev = np.concatenate([c0.data[None], cells[:-1]])
-        # d(loss)/d(pre-activation) is dc times these for i, f, g and dh for o
-        scale = np.empty_like(gates)
-        scale[:, :, 0] = g * (i * (1.0 - i))
-        scale[:, :, 1] = c_prev * (f * (1.0 - f))
-        scale[:, :, 2] = i * (1.0 - g * g)
-        scale[:, :, 3] = tanh_c * (o * (1.0 - o))
+        by_dir = grad.reshape(B, steps, dirs, n).transpose(2, 1, 0, 3)
+        gs = np.stack([_scan_order(by_dir[d], d) for d in range(dirs)], axis=1)
+        c_prev = np.concatenate([c0[None], cells[:-1]])
+        # d(loss)/d(pre-activation) is dc times these for i, f, g and dh for
+        # o; the loop scales them in place.  Direction-major, so each
+        # direction's tail below reads one contiguous block.
+        dz = np.empty((dirs, steps, B, 4, n))
+        scale = dz.transpose(1, 0, 2, 3, 4)
+        scale[..., 0, :] = g * (i * (1.0 - i))
+        scale[..., 1, :] = c_prev * (f * (1.0 - f))
+        scale[..., 2, :] = i * (1.0 - g * g)
+        scale[..., 3, :] = tanh_c * (o * (1.0 - o))
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(gates)
-        dh = np.zeros((B, n))
-        dc = np.zeros((B, n))
-        W_hT = W_h.data.T
+        dh = np.zeros((dirs, B, n))
+        dc = np.zeros((dirs, B, n))
+        W_hT = W_h.transpose(0, 2, 1)
         for k in range(steps - 1, -1, -1):
             dh += gs[k]
             dc += dh * dc_dh[k]
-            np.multiply(scale[k, :, :3], dc[:, None, :], out=dz[k, :, :3])
-            np.multiply(scale[k, :, 3], dh, out=dz[k, :, 3])
+            dz[:, k, ..., :3, :] *= dc[..., None, :]
+            dz[:, k, ..., 3, :] *= dh
             dc *= f[k]
-            dh = dz[k].reshape(B, 4 * n) @ W_hT
-        dz = dz.reshape(steps, B, 4 * n)
-        h_prev = np.concatenate([h0.data[None], hidden[:-1]])
-        dW_h = h_prev.reshape(-1, n).T @ dz.reshape(-1, 4 * n)
-        db = dz.sum(axis=(0, 1))
-        if const:
-            dxw = dz.sum(axis=0)[:, None, :]
-        else:
-            dxw = np.ascontiguousarray((dz[::-1] if reverse else dz).transpose(1, 0, 2))
-        return dxw, dh, dc, dW_h, db
+            dh = dz[:, k].reshape(dirs, B, 4 * n) @ W_hT
+        del gs, c_prev, dc_dh                # free before the tail allocates dxw
+        grads = []
+        for d in range(dirs):
+            dz_d = dz[d].reshape(steps, B, 4 * n)
+            h_prev = np.concatenate([h0[d][None], hidden[:-1, d]])
+            if const:
+                dxw = dz_d.sum(axis=0)[:, None, :]
+            else:
+                dxw = np.ascontiguousarray(_scan_order(dz_d, d).transpose(1, 0, 2))
+            dW_h = h_prev.reshape(-1, n).T @ dz_d.reshape(-1, 4 * n)
+            grads += [dxw, dh[d], dc[d], dW_h, dz_d.sum(axis=(0, 1))]
+        return grads
 
-    out = (hidden[::-1] if reverse else hidden).transpose(1, 0, 2)
-    return _make(np.ascontiguousarray(out), (xw, h0, c0, W_h, b), grad_fn, "lstm_scan")
+    out = np.concatenate([_scan_order(hidden[:, d], d).transpose(1, 0, 2) for d in range(dirs)], axis=2)
+    return _make(out, tuple(t for direction in directions for t in direction), grad_fn, "lstm_scan")

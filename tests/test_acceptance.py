@@ -101,7 +101,7 @@ def test_criterion_1_gradient_suite():
 
         def scan_loss():
             # two steps of a constant input: the second step's h reads the first step's c
-            h = T.lstm_scan(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b, 2)
+            h = T.lstm_scan([(T.matmul(x, cell.W_x), h0, c0, cell.W_h, cell.b)], 2)
             return T.square(h).sum()
 
         check_gradients(scan_loss, [x] + [t for _, t in cell.parameters()])

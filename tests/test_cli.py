@@ -548,6 +548,48 @@ class TestEvaluateCommand:
         assert not (out / "evaluation_testset.csv").exists()
 
 
+NON_FINITE_CHECKPOINTS = {
+    # each loaded once: nan scored nan rows, inf clamped every prediction,
+    # a nan normalization bound failed deep in the forward with exit 3
+    "nan rul bias": ("param.rul.out.b", np.nan),
+    "inf rul bias": ("param.rul.out.b", np.inf),
+    "nan stats max": ("stats.maxs", np.nan),
+}
+
+
+class TestNonFiniteCheckpoint:
+    @staticmethod
+    def _poisoned(workspace, tmp_path, array, value):
+        bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
+        if array == "stats.maxs":
+            maxs = bundle.stats.maxs.copy()
+            maxs[0] = value
+            bundle = replace(bundle, stats=replace(bundle.stats, maxs=maxs))
+        else:
+            params = dict(bundle.params)
+            params[array[len("param."):]] = np.full_like(params[array[len("param."):]], value)
+            bundle = replace(bundle, params=params)
+        path = tmp_path / "poisoned.ckpt"
+        save_checkpoint(bundle, path)
+        return path
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CHECKPOINTS))
+    def test_rejected_at_load(self, workspace, tmp_path, capsys, command, case):
+        array, value = NON_FINITE_CHECKPOINTS[case]
+        ckpt = self._poisoned(workspace, tmp_path, array, value)
+        out = tmp_path / "out"
+        extra = (["--mode", "cutoffs"] if command == "evaluate"
+                 else ["--unit", "2", "--cutoff", "0.7", "--sensor", "7"])
+        code = main([command, "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data" / "synthetic_train.txt"),
+                     *extra, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("mafn: error:") and array in err[0]
+        assert not out.exists()
+
+
 class TestForecastCommand:
     def test_svg_and_csv(self, workspace, tmp_path):
         out = tmp_path / "fc"

@@ -163,8 +163,47 @@ def random_cell(rng, n_in, n_hidden):
     return cell
 
 
+def scan_step_oracle(xw, W_h, b, h, c, dhidden):
+    """Reference for one direction of ``lstm_scan``, left to right: the
+    same stacked-gate arithmetic in the same order, written step by step
+    without buffers or in-place updates, so its results are bit-equal to the
+    op's.  Returns ``(hidden, dxw, dh0, dc0, dW_h, db)`` for the loss
+    gradient ``dhidden`` of the (B, T, H) hidden states; ``xw`` is (B, T, 4H)."""
+    n = h.shape[1]
+    steps = xw.shape[1]
+    h_prev, c_prev, acts, tanh_cs, hidden = [], [], [], [], []
+    for t in range(steps):
+        z = (xw[:, t] + h @ W_h) + b
+        sig = 1.0 / (1.0 + np.exp(-z))
+        i, f, g, o = sig[:, :n], sig[:, n : 2 * n], np.tanh(z[:, 2 * n : 3 * n]), sig[:, 3 * n :]
+        h_prev.append(h)
+        c_prev.append(c)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        acts.append((i, f, g, o))
+        tanh_cs.append(np.tanh(c))
+        hidden.append(h)
+    dz = np.empty((steps,) + xw[:, 0].shape)
+    dh = np.zeros_like(h)
+    dc = np.zeros_like(c)
+    for t in range(steps - 1, -1, -1):
+        (i, f, g, o), tc = acts[t], tanh_cs[t]
+        dh = dh + dhidden[:, t]
+        dc = dc + dh * (o * (1.0 - tc * tc))
+        dz[t] = np.concatenate([
+            (g * (i * (1.0 - i))) * dc,
+            (c_prev[t] * (f * (1.0 - f))) * dc,
+            (i * (1.0 - g * g)) * dc,
+            (tc * (o * (1.0 - o))) * dh,
+        ], axis=1)
+        dc = dc * f
+        dh = dz[t] @ W_h.T
+    dW_h = np.stack(h_prev).reshape(-1, n).T @ dz.reshape(-1, 4 * n)
+    return np.stack(hidden, axis=1), dz.transpose(1, 0, 2), dh, dc, dW_h, dz.sum(axis=(0, 1))
+
+
 def zero_state(cell, batch):
-    """The zero (h0, c0) that ``lstm_unroll`` starts ``cell`` from."""
+    """A zero (h0, c0) for ``cell``, as ``bilstm`` starts each direction."""
     return Tensor(np.zeros((batch, cell.n_hidden))), Tensor(np.zeros((batch, cell.n_hidden)))
 
 
@@ -173,7 +212,7 @@ def scan_cell(cell, x, h, c, steps=None):
     ``x``; a (B, 1, n_in) input held for ``steps`` steps is the decoders' use."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     steps = x.shape[1] if steps is None else steps
-    return T.lstm_scan(T.matmul(x, cell.W_x), h, c, cell.W_h, cell.b, steps)
+    return T.lstm_scan([(T.matmul(x, cell.W_x), h, c, cell.W_h, cell.b)], steps)
 
 
 class TestLstm:
@@ -232,15 +271,17 @@ class TestLstm:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_unroll_matches_numpy_oracle(self, rng, reverse):
-        cell = random_cell(rng, 3, 4)
+        # the cell runs as the first (left-to-right) or second (right-to-left)
+        # direction of a bilstm; its half of the output is its unroll
+        cell, other = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
         x = rng.normal(size=(2, 6, 3))
         zeros = np.zeros((2, 4))
         ordered = x[:, ::-1] if reverse else x
         expected = numpy_lstm(ordered @ cell.W_x.data, cell.W_h.data, cell.b.data, zeros, zeros)
         if reverse:
             expected = expected[:, ::-1]
-        out = nn.lstm_unroll(Tensor(x), cell, reverse=reverse).data
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+        out = nn.bilstm(Tensor(x), *((other, cell) if reverse else (cell, other))).data
+        np.testing.assert_allclose(out[..., 4:] if reverse else out[..., :4], expected, rtol=0, atol=1e-14)
 
     def test_constant_input_scan_matches_numpy_oracle(self, rng):
         # the decoders' use: one projection of a constant input, fed every step
@@ -254,7 +295,7 @@ class TestLstm:
 
 
 SCAN_CASES = [
-    # (batch, steps, reverse, constant input)
+    # (batch, steps, two directions, constant input)
     (2, 5, False, False),
     (2, 5, True, False),
     (2, 5, False, True),
@@ -263,60 +304,95 @@ SCAN_CASES = [
     (1, 1, True, True),
     (1, 4, True, False),
     (3, 1, False, True),
+    # the encoder's use (two directions) and the decoders' (one, constant input)
+    (1, 1, True, False),
+    (1, 5, True, False),
+    (3, 4, True, False),
+    (1, 1, False, True),
+    (1, 5, False, True),
+    (3, 4, False, True),
 ]
 
 
-def scan_problem(rng, batch, steps, constant, n=3):
-    """Random leaves of one lstm_scan call and a fixed loss weighting."""
-    xw = T.parameter(rng.normal(size=(batch, 1 if constant else steps, 4 * n)))
-    h0, c0 = T.parameter(rng.normal(size=(batch, n))), T.parameter(rng.normal(size=(batch, n)))
-    W_h, b = T.parameter(rng.normal(size=(n, 4 * n))), T.parameter(rng.normal(size=4 * n))
-    weight = rng.normal(size=(batch, steps, n))
-    return [xw, h0, c0, W_h, b], weight
+def scan_problem(rng, batch, steps, two, constant, n=3):
+    """Random leaves of one lstm_scan call, direction by direction, and a
+    fixed loss weighting of its (B, steps, dirs * n) output."""
+    directions = []
+    for _ in range(2 if two else 1):
+        xw = T.parameter(rng.normal(size=(batch, 1 if constant else steps, 4 * n)))
+        h0, c0 = T.parameter(rng.normal(size=(batch, n))), T.parameter(rng.normal(size=(batch, n)))
+        W_h, b = T.parameter(rng.normal(size=(n, 4 * n))), T.parameter(rng.normal(size=4 * n))
+        directions.append((xw, h0, c0, W_h, b))
+    return directions, rng.normal(size=(batch, steps, len(directions) * n))
+
+
+def per_direction_oracle(directions, steps, weight, oracle):
+    """Hidden states and leaf gradients of a scan, one direction at a time:
+    the second direction runs the oracle over time-reversed inputs."""
+    n = directions[0][3].shape[0]
+    hidden, grads = [], []
+    for d, (xw, h0, c0, W_h, b) in enumerate(directions):
+        flip = (lambda a: a[:, ::-1]) if d else (lambda a: a)
+        full = np.broadcast_to(xw.data, (xw.shape[0], steps, xw.shape[2]))
+        h, dxw, dh0, dc0, dW_h, db = oracle(
+            flip(full), W_h.data, b.data, h0.data, c0.data, flip(weight[..., d * n : (d + 1) * n])
+        )
+        dxw = flip(dxw)
+        if xw.shape[1] == 1:
+            dxw = dxw.sum(axis=1, keepdims=True)
+        hidden.append(flip(h))
+        grads += [dxw, dh0, dc0, dW_h, db]
+    return np.concatenate(hidden, axis=2), grads
+
+
+def leaves_of(directions):
+    return [t for direction in directions for t in direction]
 
 
 class TestLstmScan:
-    @pytest.mark.parametrize("batch,steps,reverse,constant", SCAN_CASES)
-    def test_gradients(self, rng, batch, steps, reverse, constant):
-        leaves, weight = scan_problem(rng, batch, steps, constant)
+    @pytest.mark.parametrize("batch,steps,two,constant", SCAN_CASES)
+    def test_gradients(self, rng, batch, steps, two, constant):
+        directions, weight = scan_problem(rng, batch, steps, two, constant)
 
         def loss():
-            return (T.lstm_scan(*leaves, steps, reverse) * Tensor(weight)).sum()
+            return (T.lstm_scan(directions, steps) * Tensor(weight)).sum()
 
-        check_gradients(loss, leaves)
+        check_gradients(loss, leaves_of(directions))
 
-    @pytest.mark.parametrize("batch,steps,reverse,constant", SCAN_CASES)
-    def test_matches_numpy_oracle(self, rng, batch, steps, reverse, constant):
-        leaves, weight = scan_problem(rng, batch, steps, constant)
-        xw, h0, c0, W_h, b = leaves
-        out = T.lstm_scan(*leaves, steps, reverse)
+    @pytest.mark.parametrize("batch,steps,two,constant", SCAN_CASES)
+    def test_matches_numpy_oracle(self, rng, batch, steps, two, constant):
+        directions, weight = scan_problem(rng, batch, steps, two, constant)
+        out = T.lstm_scan(directions, steps)
         (out * Tensor(weight)).sum().backward()
-
-        # the oracle scans left to right over a full-length input
-        full = np.broadcast_to(xw.data, (batch, steps, xw.shape[2]))
-        flip = (lambda a: a[:, ::-1]) if reverse else (lambda a: a)
-        hidden, dxw, dh0, dc0, dW_h, db = numpy_lstm(
-            flip(full), W_h.data, b.data, h0.data, c0.data, dhidden=flip(weight)
-        )
-        dxw = flip(dxw)
-        if constant:
-            dxw = dxw.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, flip(hidden), rtol=0, atol=1e-14)
-        for leaf, expected in zip(leaves, (dxw, dh0, dc0, dW_h, db)):
+        hidden, grads = per_direction_oracle(directions, steps, weight, numpy_lstm)
+        np.testing.assert_allclose(out.data, hidden, rtol=0, atol=1e-14)
+        for leaf, expected in zip(leaves_of(directions), grads):
             np.testing.assert_allclose(leaf.grad, expected, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("two,constant", [(True, False), (False, True)])
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    def test_bit_equal_to_per_direction_oracle(self, rng, batch, two, constant):
+        # one time loop over both directions changes no arithmetic
+        directions, weight = scan_problem(rng, batch, 30, two, constant, n=24)
+        out = T.lstm_scan(directions, 30)
+        (out * Tensor(weight)).sum().backward()
+        hidden, grads = per_direction_oracle(directions, 30, weight, scan_step_oracle)
+        np.testing.assert_array_equal(out.data, hidden)
+        for leaf, expected in zip(leaves_of(directions), grads):
+            np.testing.assert_array_equal(leaf.grad, expected)
+
     def test_one_tape_node(self, rng):
-        cell = random_cell(rng, 3, 4)
-        out = nn.lstm_unroll(T.parameter(rng.normal(size=(2, 7, 3))), cell)
+        fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
+        out = nn.bilstm(T.parameter(rng.normal(size=(2, 7, 3))), fwd, bwd)
         assert out._op == "lstm_scan"
-        assert [p._op for p in out._parents] == ["matmul", "", "", "", ""]
+        assert [p._op for p in out._parents] == ["matmul", "", "", "", ""] * 2
 
     def test_grad_only_on_leaves(self, rng):
         cell = random_cell(rng, 3, 4)
         x = T.parameter(rng.normal(size=(2, 5, 3)))
         xw = T.matmul(x, cell.W_x)
         h0, c0 = zero_state(cell, 2)
-        hidden = T.lstm_scan(xw, h0, c0, cell.W_h, cell.b, 5)
+        hidden = T.lstm_scan([(xw, h0, c0, cell.W_h, cell.b)], 5)
         loss = T.square(hidden).sum()
         loss.backward()
         assert xw.grad is None and hidden.grad is None and loss.grad is None
@@ -329,8 +405,19 @@ class TestLstmScan:
     @pytest.mark.parametrize("xw_shape,steps", [((2, 3, 12), 4), ((2, 5, 8), 5), ((3, 5, 12), 5), ((2, 5), 5)])
     def test_shape_mismatch_rejected(self, rng, xw_shape, steps):
         h0 = c0 = Tensor(np.zeros((2, 3)))
-        with pytest.raises(DimensionError):
-            T.lstm_scan(Tensor(np.zeros(xw_shape)), h0, c0, Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)), steps)
+        W_h, b = Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        good = (Tensor(np.zeros((2, steps, 12))), h0, c0, W_h, b)
+        bad = (Tensor(np.zeros(xw_shape)), h0, c0, W_h, b)
+        for directions in ([bad], [good, bad], [bad, good]):
+            with pytest.raises(DimensionError):
+                T.lstm_scan(directions, steps)
+
+    def test_direction_count_rejected(self, rng):
+        direction = (Tensor(np.zeros((2, 5, 12))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
+        for directions in ([], [direction] * 3):
+            with pytest.raises(ContractError):
+                T.lstm_scan(directions, 5)
 
 
 class TestBilstm:
@@ -355,8 +442,8 @@ class TestBilstm:
         fwd, bwd = nn.LstmCell(rng, 3, 2), nn.LstmCell(rng, 3, 2)
         x = rng.normal(size=(1, 3, 3))
         out = nn.bilstm(Tensor(x), fwd, bwd).data
-        fpart = nn.lstm_unroll(Tensor(x), fwd).data
-        bpart = nn.lstm_unroll(Tensor(x), bwd, reverse=True).data
+        fpart = scan_cell(fwd, x, *zero_state(fwd, 1)).data
+        bpart = scan_cell(bwd, x[:, ::-1], *zero_state(bwd, 1)).data[:, ::-1]
         np.testing.assert_allclose(out, np.concatenate([fpart, bpart], axis=2), atol=1e-14)
 
     def test_causality_split(self, rng):
@@ -376,6 +463,12 @@ class TestBilstm:
         fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
         with pytest.raises(DimensionError):
             nn.bilstm(Tensor(np.zeros((4, 2))), fwd, bwd)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (4, 3)])
+    def test_cell_size_mismatch_rejected(self, rng, sizes):
+        fwd, bwd = (nn.LstmCell(rng, 2, n) for n in sizes)
+        with pytest.raises(DimensionError):
+            nn.bilstm(Tensor(np.zeros((1, 4, 2))), fwd, bwd)
 
 
 class TestAttention:

@@ -9,7 +9,7 @@ from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from mafn.cluster import ClusterModel
 from mafn.config import TrainConfig
 from mafn.data import NormalizationStats
-from mafn.errors import ContractError, DataError, DimensionError
+from mafn.errors import ContractError, DataError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul, predict_rul, prepare_window
 from mafn.tensor import Tensor
@@ -135,6 +135,11 @@ class TestPrediction:
         assert clamp_rul(-3.0, 125.0) == 0.0
         assert clamp_rul(140.0, 125.0) == 125.0
         assert clamp_rul(60.0, 125.0) == 60.0
+
+    @pytest.mark.parametrize("raw", [np.nan, np.inf, -np.inf])
+    def test_clamp_rejects_non_finite(self, raw):
+        with pytest.raises(NumericError):
+            clamp_rul(raw, 125.0)
 
     def test_prediction_in_range(self, rng):
         model, cfg = tiny_model()

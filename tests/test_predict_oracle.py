@@ -124,7 +124,7 @@ class TestPredictOracle:
 
         monkeypatch.setattr(T, "lstm_scan", counting)
         predict_rul(record, model, bundle)
-        assert len(calls) == 2                             # the BiLSTM's two directions
+        assert len(calls) == 1                             # the BiLSTM, both directions in one scan
         calls.clear()
         forecast_trajectory(record, model, bundle)
-        assert len(calls) == 4                             # plus the trend and state decoders
+        assert len(calls) == 3                             # plus the trend and state decoders
