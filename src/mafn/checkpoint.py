@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def save_checkpoint(bundle: CheckpointBundle, path):
     arrays += [(f"param.{name}", arr) for name, arr in bundle.params.items()]
     header = {
         "format_version": FORMAT_VERSION,
-        "config": bundle.config.to_dict(),
+        "config": asdict(bundle.config),
         "cluster": {
             "k": bundle.cluster.k,
             "inertia": bundle.cluster.inertia,
@@ -94,10 +94,9 @@ def load_checkpoint(path) -> CheckpointBundle:
                 arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
                 if not np.isfinite(arrays[meta["name"]]).all():
                     raise DataError(f"{path}: checkpoint array {meta['name']} holds NaN or inf")
-            cfg_dict = dict(header["config"])
-            cfg_dict["fusion_widths"] = tuple(cfg_dict["fusion_widths"])
-            cfg_dict["rul_widths"] = tuple(cfg_dict["rul_widths"])
-            config = TrainConfig(**cfg_dict).validate()
+            config = TrainConfig(
+                **{k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()}
+            ).validate()
             cluster = ClusterModel(
                 k=header["cluster"]["k"],
                 centroids=arrays.pop("cluster.centroids"),

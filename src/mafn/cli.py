@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
-from .config import TrainConfig, apply_env_overrides, default_config_text, load_config
+from .config import default_config_text, load_config, read_fields
 from .data import (
     atomic_write,
     normalize_record,
@@ -33,15 +33,14 @@ from .data import (
     record_states,
     select_sensors,
     split_by_engine,
-    text_blocks,
     truncate_at_fraction,
     write_cmapss,
 )
 from .errors import ContractError, DataError, MafnError, NumericError
-from .model import forecast_trajectory, predict_rul
+from .model import forecast_trajectory, min_history, predict_rul
 from .pipeline import fit_pipeline, load_predictor, windows_for_records
 from .svgplot import LineChart
-from .synthetic import default_synth_spec_text, generate, parse_synth_spec_text, write_truth
+from .synthetic import SynthSpec, default_synth_spec_text, generate, write_truth
 from .training import evaluate_cutoffs, evaluate_testset, format_log_csv, train
 
 
@@ -65,12 +64,13 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _write_manifest(out_dir: Path, command: str, config_dict, seed, data_files, artifacts):
+def _write_manifest(out_dir: Path, command: str, spec, data_files, artifacts):
+    """``spec`` is the TrainConfig or SynthSpec the command ran with."""
     manifest = {
         "tool_version": __version__,
         "command": command,
-        "seed": seed,
-        "config": config_dict,
+        "seed": spec.seed,
+        "config": dataclasses.asdict(spec),
         "data_files": {str(p): _sha256(p) for p in data_files},
         "artifacts": sorted(str(a) for a in artifacts),
     }
@@ -79,17 +79,6 @@ def _write_manifest(out_dir: Path, command: str, config_dict, seed, data_files, 
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
-
-
-def _load_cfg(args) -> TrainConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = apply_env_overrides(TrainConfig()).validate()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.validate()
-    return cfg
 
 
 def _prepare_out(path) -> Path:
@@ -115,7 +104,7 @@ def cmd_config(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
@@ -141,14 +130,14 @@ def cmd_cluster(args) -> int:
         )
         + "\n"
     )
-    _write_manifest(out, "cluster", cfg.to_dict(), cfg.seed, [args.data], [report_path.name, model_path.name])
+    _write_manifest(out, "cluster", cfg, [args.data], [report_path.name, model_path.name])
     for j in range(model.k):
         print(f"cluster {j}: {counts[j]} cycles")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
     created = []
     stage = "parse"
@@ -178,7 +167,7 @@ def cmd_train(args) -> int:
         log_path = out / "training_log.csv"
         _write_text(log_path, format_log_csv(result.log_rows))
         created.append(log_path)
-        _write_manifest(out, "train", cfg.to_dict(), cfg.seed, [args.data], [p.name for p in created])
+        _write_manifest(out, "train", cfg, [args.data], [p.name for p in created])
         print(
             f"trained {result.epochs_run} epochs ({result.stop_reason}); "
             f"best val {result.best_val:.6f} at epoch {result.best_epoch}"
@@ -213,8 +202,7 @@ def cmd_evaluate(args) -> int:
         return predict_rul(rec, model, prep)
 
     if args.mode == "cutoffs":
-        min_len = 1 if cfg.pad_short else cfg.window
-        report = evaluate_cutoffs(records, predict, min_len, cfg.rul_cap)
+        report = evaluate_cutoffs(records, predict, min_history(cfg), cfg.rul_cap)
         lines = ["cutoff_pct,rmse,re,score"]
         for pct, r, e, s in report.rows:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
@@ -229,7 +217,7 @@ def cmd_evaluate(args) -> int:
         path = out / "evaluation_testset.csv"
         _write_text(path, "rmse,score\n" + f"{r:.6f},{s:.6f}\n")
         data_files = [args.data, args.rul, args.checkpoint]
-    _write_manifest(out, "evaluate", cfg.to_dict(), cfg.seed, data_files, [path.name])
+    _write_manifest(out, "evaluate", cfg, data_files, [path.name])
     print(f"wrote {path}")
     return 0
 
@@ -249,8 +237,7 @@ def cmd_forecast(args) -> int:
         raise DataError(f"sensor {args.sensor} not in selected set {prep.stats.sensor_ids}")
     record = by_unit[args.unit]
     truncated, residual = truncate_at_fraction(record, args.cutoff)
-    min_len = 1 if cfg.pad_short else cfg.window
-    if truncated.length < min_len:
+    if truncated.length < min_history(cfg):
         raise DataError(f"cutoff {args.cutoff:g} leaves {truncated.length} cycles, fewer than "
                         + ("1" if cfg.pad_short else f"the window ({cfg.window})"))
     col = prep.stats.sensor_ids.index(args.sensor)
@@ -288,32 +275,23 @@ def cmd_forecast(args) -> int:
     chart.add_vline(record.length, "true TTF", "#1f77b4")
     svg_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.svg"
     _write_text(svg_path, chart.render())
-    _write_manifest(
-        out, "forecast", cfg.to_dict(), cfg.seed, [args.data, args.checkpoint],
-        [csv_path.name, svg_path.name],
-    )
+    _write_manifest(out, "forecast", cfg, [args.data, args.checkpoint], [csv_path.name, svg_path.name])
     print(f"unit {args.unit}: predicted RUL {predicted_rul:.1f}, true residual {residual}")
     return 0
 
 
 def cmd_synthesize(args) -> int:
-    if args.spec:
-        text = "".join(block for _, block in text_blocks(args.spec))
-        spec = parse_synth_spec_text(text, path=args.spec)
-    else:
-        spec = parse_synth_spec_text("")
+    spec = read_fields(SynthSpec, args.spec, "synthesis")
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     records, truth = generate(spec)
     out = _prepare_out(args.out)
     data_path = out / "synthetic_train.txt"
     write_cmapss(records, data_path)
     truth_path = out / "truth.json"
     write_truth(truth, truth_path)
-    _write_manifest(
-        out, "synthesize", dataclasses.asdict(spec), spec.seed,
-        [args.spec] if args.spec else [], [data_path.name, truth_path.name],
-    )
+    inputs = [args.spec] if args.spec else []
+    _write_manifest(out, "synthesize", spec, inputs, [data_path.name, truth_path.name])
     print(f"wrote {data_path} ({len(records)} engines)")
     return 0
 

@@ -1,8 +1,10 @@
-"""Training configuration: every hyperparameter the model leaves open.
-
-Configs serialize to a flat ``key = value`` text file (one key per line,
-``#`` comments, comma-separated lists).  Environment variables prefixed
-``MAFN_`` override file values, e.g. ``MAFN_SEED=7`` beats ``seed = 7``.
+"""Training configuration: every hyperparameter the model leaves open, and
+the flat ``key = value`` format it shares with the synthesis spec: one field
+per line, ``#`` comments, comma-separated tuples, each value of its field's
+default's type.  :func:`load_config` applies the file, then environment
+variables prefixed ``MAFN_`` (``MAFN_SEED=7`` beats ``seed = 7``), then
+``--seed``, and validates once.  A value that does not read names its
+``path:line`` or its environment variable.
 """
 from __future__ import annotations
 
@@ -75,8 +77,9 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ContractError(f"config field {name} must be positive, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ContractError("patience must be >= 0")
+        for name in ("patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0")
         if self.window < self.kernel_size:
             raise ContractError(f"window {self.window} is shorter than kernel_size {self.kernel_size}")
         for name in ("beta1", "beta2"):
@@ -103,12 +106,6 @@ class TrainConfig:
                 "or the layer sizes"
             )
         return self
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["fusion_widths"] = list(self.fusion_widths)
-        out["rul_widths"] = list(self.rul_widths)
-        return out
 
 
 def model_sizes(cfg: TrainConfig, n_sensors: int = N_RAW_SENSORS):
@@ -168,54 +165,52 @@ _FIELD_COMMENTS = {
 
 def default_config_text() -> str:
     """The full default config as a flat key = value file with comments."""
-    lines = ["# mafn configuration: flat key = value, '#' starts a comment"]
-    for f in dataclasses.fields(TrainConfig):
-        value = getattr(TrainConfig(), f.name)
-        comment = _FIELD_COMMENTS.get(f.name)
-        rendered = _render_value(value)
-        lines.append(f"{f.name} = {rendered}" + (f"  # {comment}" if comment else ""))
-    return "\n".join(lines) + "\n"
-
-
-def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
-def _parse_value(name: str, raw: str, py_type):
-    raw = raw.strip()
-    try:
-        if py_type is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if py_type is int:
-            return int(raw)
-        if py_type is float:
-            return float(raw)
-        if py_type is str:
-            return raw
-        # tuple of ints
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    except ValueError as e:
-        raise DataError(f"config field {name}: {e}") from None
-
-
-def _field_types():
-    hints = {}
-    for f in dataclasses.fields(TrainConfig):
-        default = getattr(TrainConfig(), f.name)
-        hints[f.name] = bool if isinstance(default, bool) else type(default)
-    return hints
+    return render_fields(
+        TrainConfig(), "# mafn configuration: flat key = value, '#' starts a comment", _FIELD_COMMENTS
+    )
 
 
 def parse_config_text(text: str, path: str = "<string>") -> TrainConfig:
-    types = _field_types()
+    return parse_fields(TrainConfig, text, path, "config")
+
+
+def load_config(path=None, seed=None) -> TrainConfig:
+    """The defaults, then the file at ``path`` if one is given, then the
+    ``MAFN_*`` environment overrides, then ``seed``; validated once."""
+    cfg = read_fields(TrainConfig, path, "config")
+    updates = {}
+    for f in dataclasses.fields(TrainConfig):
+        key = ENV_PREFIX + f.name.upper()
+        if key in os.environ:
+            updates[f.name] = _parse_value(os.environ[key], f.default, key, f"config field {f.name}")
+    if seed is not None:
+        updates["seed"] = seed
+    return dataclasses.replace(cfg, **updates).validate()
+
+
+# -- the key = value codec of a flat dataclass whose every field has a default -----
+
+
+def render_fields(spec, header: str, comments=None) -> str:
+    """``spec`` as key = value lines under ``header``, each field followed by
+    its entry in ``comments`` if it has one."""
+    lines = [header]
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        comment = (comments or {}).get(f.name)
+        lines.append(f"{f.name} = {value}" + (f"  # {comment}" if comment else ""))
+    return "\n".join(lines) + "\n"
+
+
+def parse_fields(cls, text: str, path: str, kind: str):
+    """A ``cls`` from key = value text: its defaults, with each line's value
+    read as the type of that field's default.  ``kind`` names the format in
+    errors; a line that does not read is a DataError naming ``path:line``."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -223,28 +218,35 @@ def parse_config_text(text: str, path: str = "<string>") -> TrainConfig:
             continue
         if "=" not in stripped:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in types:
-            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw, types[key])
-    return TrainConfig(**values)
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in defaults:
+            raise DataError(f"{path}:{lineno}: unknown {kind} key {key!r}")
+        values[key] = _parse_value(raw, defaults[key], f"{path}:{lineno}", f"{kind} field {key}")
+    return cls(**values)
 
 
-def load_config(path, apply_env: bool = True) -> TrainConfig:
-    text = "".join(block for _, block in text_blocks(path))
-    cfg = parse_config_text(text, path=str(path))
-    if apply_env:
-        cfg = apply_env_overrides(cfg)
-    return cfg.validate()
+def read_fields(cls, path, kind: str):
+    """:func:`parse_fields` of the text file at ``path``; the defaults when
+    ``path`` is None."""
+    if path is None:
+        return cls()
+    return parse_fields(cls, "".join(block for _, block in text_blocks(path)), str(path), kind)
 
 
-def apply_env_overrides(cfg: TrainConfig, environ=None) -> TrainConfig:
-    environ = os.environ if environ is None else environ
-    types = _field_types()
-    updates = {}
-    for name, py_type in types.items():
-        key = ENV_PREFIX + name.upper()
-        if key in environ:
-            updates[name] = _parse_value(name, environ[key], py_type)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _parse_value(raw: str, default, where: str, what: str):
+    try:
+        if isinstance(default, tuple):
+            return tuple(_parse_scalar(p.strip(), type(default[0])) for p in raw.split(",") if p.strip())
+        return _parse_scalar(raw.strip(), type(default))
+    except ValueError as e:
+        raise DataError(f"{where}: {what}: {e}") from None
+
+
+def _parse_scalar(raw: str, kind: type):
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    return kind(raw)

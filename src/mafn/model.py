@@ -213,6 +213,12 @@ def clamp_rul(raw_cycles: float, cap: float) -> float:
     return float(min(max(raw_cycles, 0.0), cap))
 
 
+def min_history(cfg: TrainConfig) -> int:
+    """The fewest cycles an inference history may hold: 1 when ``pad_short``
+    left-pads it, the window otherwise."""
+    return 1 if cfg.pad_short else cfg.window
+
+
 def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     """The normalized trailing window of a raw history and its state ids.
 
@@ -220,7 +226,7 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     assignment; ``pad_short`` left-pads a short history with its first cycle.
     """
     cfg = bundle.config
-    if record.length < (1 if cfg.pad_short else cfg.window):
+    if record.length < min_history(cfg):
         raise ContractError(
             f"history of {record.length} cycles is shorter than the window ({cfg.window})"
             + ("" if cfg.pad_short else "; enable pad_short to left-pad by repeating the first cycle")

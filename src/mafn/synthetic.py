@@ -8,6 +8,11 @@ K-Means on settings recovers the true states.  The dropped (non-informative)
 sensor channels stay constant, matching their role in the real data.
 A sidecar JSON file carries the true trends, states, and RULs so tests can
 check decomposition recovery against an exact oracle.
+
+The spec is a flat ``key = value`` file in the config's format
+(:mod:`mafn.config`): one parser and one renderer serve both, and a value
+that does not read names its ``path:line``.  No environment variable
+overrides a spec field; ``mafn synthesize --seed`` overrides ``seed``.
 """
 from __future__ import annotations
 
@@ -18,9 +23,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .config import require_finite
+from .config import parse_fields, render_fields, require_finite
 from .data import DROPPED_SENSORS, EngineRecord, N_RAW_SENSORS, SELECTED_SENSORS, atomic_write
-from .errors import ContractError, DataError
+from .errors import ContractError
 
 # per-state centers of the three setting columns; far apart vs. jitter 0.01
 _SETTING_CENTERS = np.array(
@@ -56,7 +61,7 @@ class SynthSpec:
         if self.trend not in ("linear", "quadratic"):
             raise ContractError(f"unknown trend shape {self.trend!r}")
         require_finite(self)
-        for name in ("noise_sigma", "setting_jitter"):
+        for name in ("noise_sigma", "setting_jitter", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0")
         if not 1 <= self.life_min <= self.life_max:
@@ -142,44 +147,11 @@ def generate(spec: SynthSpec):
 
 
 def parse_synth_spec_text(text: str, path: str = "<string>") -> SynthSpec:
-    """Parse the flat key = value synthesis spec format."""
-    defaults = SynthSpec()
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, raw = stripped.split("=", 1)
-        key, raw = key.strip(), raw.strip()
-        if not hasattr(defaults, key):
-            raise DataError(f"{path}:{lineno}: unknown synthesis key {key!r}")
-        current = getattr(defaults, key)
-        try:
-            if isinstance(current, tuple):
-                values[key] = tuple(float(p) for p in raw.split(",") if p.strip())
-            elif isinstance(current, int):
-                values[key] = int(raw)
-            elif isinstance(current, float):
-                values[key] = float(raw)
-            else:
-                values[key] = raw
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from None
-    return SynthSpec(**values)
+    return parse_fields(SynthSpec, text, path, "synthesis")
 
 
 def default_synth_spec_text() -> str:
-    lines = ["# mafn synthesis spec: flat key = value"]
-    for f in dataclasses.fields(SynthSpec):
-        value = getattr(SynthSpec(), f.name)
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return render_fields(SynthSpec(), "# mafn synthesis spec: flat key = value")
 
 
 def write_truth(truth: dict, path):

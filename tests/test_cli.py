@@ -66,6 +66,7 @@ seed = 11
 BAD_CONFIG_LINES = [
     "rul_cap = inf", "grad_clip = nan", "learning_rate = nan", "lambda_smooth = nan",
     "adam_eps = -inf", "adam_eps = 0", "adam_eps = -1", "beta1 = 1.5", "beta1 = -0.1", "beta2 = 1.0",
+    "seed = -1",
 ]
 
 
@@ -115,6 +116,24 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.seed == 99
         assert cfg.batch_size == 17
+
+    def test_bad_env_value_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("MAFN_SEED", "x")
+        with pytest.raises(DataError, match=r"^MAFN_SEED: config field seed: "):
+            load_config()
+
+    def test_bad_file_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "mafn.cfg"
+        path.write_text("# comment\nseed = 1\nbatch_size = lots\n")
+        with pytest.raises(DataError, match=r"mafn\.cfg:3: config field batch_size: "):
+            load_config(path)
+
+    def test_seed_argument_beats_env_beats_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "mafn.cfg"
+        path.write_text("seed = 1\nwindow = 20\n")
+        monkeypatch.setenv("MAFN_SEED", "2")
+        assert load_config(path).seed == 2
+        assert load_config(path, seed=3) == replace(TrainConfig(), window=20, seed=3)
 
     def test_validation_failure(self):
         with pytest.raises(Exception, match="lambda_late"):
@@ -328,13 +347,24 @@ class TestSynthesizeCommand:
         assert "synth.spec:1: not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["setting_jitter = -1", "setting_jitter = nan", "noise_sigma = inf",
-                                      "trend_amplitude = nan", "offsets = -1,inf"])
+                                      "trend_amplitude = nan", "offsets = -1,inf", "seed = -1",
+                                      "validate = 3"])
     def test_bad_spec_value_clean_error(self, tmp_path, capsys, line):
         spec = tmp_path / "synth.spec"
         spec.write_text(SYNTH_SPEC + line + "\n")
         assert main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         assert line.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "o" / "synthetic_train.txt").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "cluster", "train"])
+    def test_negative_seed_clean_error(self, workspace, tmp_path, capsys, command):
+        data = ["--data", str(workspace / "data" / "synthetic_train.txt")] if command != "synthesize" else []
+        out = tmp_path / "o"
+        assert main([command, *data, "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("mafn: error: ") and err.count("\n") == 1 and "seed must be >= 0" in err
+        assert not out.exists()
 
 
 class TestTrainCommand:

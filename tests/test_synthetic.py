@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mafn.data import DROPPED_SENSORS, SELECTED_SENSORS, parse_cmapss, write_cmapss
-from mafn.errors import ContractError
+from mafn.errors import ContractError, DataError
 from mafn.synthetic import (
     SynthSpec,
     default_synth_spec_text,
@@ -81,6 +81,10 @@ class TestGenerate:
         with pytest.raises(ContractError, match="setting_jitter must be >= 0"):
             generate(SynthSpec(setting_jitter=-1.0))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            generate(SynthSpec(seed=-1))
+
 
 class TestTrend:
     def test_linear_endpoints(self):
@@ -104,3 +108,12 @@ class TestSpecText:
         assert spec.engines == 7
         assert spec.offsets == (-2.0, 2.0)
         assert spec.noise_sigma == 0.0
+
+    @pytest.mark.parametrize("line", ["validate = 3", "__init__ = 1", "no_such_knob = 2"])
+    def test_only_field_names_are_keys(self, line):
+        with pytest.raises(DataError, match="unknown synthesis key"):
+            parse_synth_spec_text(line)
+
+    def test_bad_value_names_path_line_and_field(self):
+        with pytest.raises(DataError, match=r"^synth\.spec:2: synthesis field engines: "):
+            parse_synth_spec_text("seed = 1\nengines = many\n", path="synth.spec")
