@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cluster import ClusterModel
-from .config import TrainConfig
+from .config import TrainConfig, decode_fields, decoded_value
 from .data import NormalizationStats, atomic_write
 from .errors import ContractError, DataError
 
@@ -77,7 +77,8 @@ def _read(fh, n: int, path, what: str) -> bytes:
 
 def load_checkpoint(path) -> CheckpointBundle:
     """Read a checkpoint; a truncated or corrupt file, an array holding NaN
-    or inf, or a config that fails ``TrainConfig.validate`` raises DataError."""
+    or inf, a header value not of its field's type, or a config that fails
+    ``TrainConfig.validate`` raises DataError."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
@@ -94,21 +95,20 @@ def load_checkpoint(path) -> CheckpointBundle:
                 arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
                 if not np.isfinite(arrays[meta["name"]]).all():
                     raise DataError(f"{path}: checkpoint array {meta['name']} holds NaN or inf")
-            config = TrainConfig(
-                **{k: tuple(v) if isinstance(v, list) else v for k, v in header["config"].items()}
-            ).validate()
+            where = f"{path}: checkpoint header"
+            config = decode_fields(TrainConfig, header["config"], where, "config").validate()
             cluster = ClusterModel(
-                k=header["cluster"]["k"],
+                k=decoded_value(header["cluster"]["k"], 0, where, "cluster.k"),
                 centroids=arrays.pop("cluster.centroids"),
-                inertia=header["cluster"]["inertia"],
-                feature_spec=header["cluster"]["feature_spec"],
+                inertia=decoded_value(header["cluster"]["inertia"], 0.0, where, "cluster.inertia"),
+                feature_spec=decoded_value(header["cluster"]["feature_spec"], "", where, "cluster.feature_spec"),
             )
             stats = NormalizationStats(
-                sensor_ids=tuple(header["sensor_ids"]),
+                sensor_ids=decoded_value(header["sensor_ids"], (0,), where, "sensor_ids"),
                 mins=arrays.pop("stats.mins"),
                 maxs=arrays.pop("stats.maxs"),
             )
-        except (ValueError, KeyError, TypeError, ContractError) as e:
+        except (ValueError, KeyError, TypeError, AttributeError, ContractError) as e:
             raise DataError(f"{path}: corrupt checkpoint header: {e!r}") from None
     params = OrderedDict(
         (name[len("param.") :], arr) for name, arr in arrays.items() if name.startswith("param.")

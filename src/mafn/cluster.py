@@ -12,10 +12,12 @@ iteration is repaired by reseeding its centroid to the point farthest from
 its assigned centroid.
 
 A fit transposes its (n, d) points once into a contiguous (d, n) copy, the
-layout the restart, Lloyd and polish functions take.  Every distance (seeding,
-Lloyd, polish, ``assign_states``) comes from one kernel, ``_sq_dists``, which
-adds one feature column at a time into a (k, n) matrix in the summation order
-of the row-major einsum it replaced, so fits keep their bits.
+layout the restart, Lloyd and polish functions take.  Every distance comes
+from ``_block_dists``, which adds one feature column at a time in the order of
+the row-major einsum it replaced, over column blocks of at most ``BLOCK_BYTES``
+of distances in buffers reused from block to block: a pass stays in L2 and
+builds no (k, n) temporary.  No bit moves, as every distance is elementwise, a
+minimum is exact and the seeding potentials still sum over whole rows.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, DimensionError
+
+# bytes of one (k, w) block of distances; a block's three buffers stay in L2
+BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -49,26 +54,47 @@ def _lane_features(d: int):
     return evens, [i + 1 for i in evens if i + 1 < d]
 
 
-def _sq_dists(cols: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _block_dists(cols: np.ndarray, centroids: np.ndarray):
+    """Yield (column slice, (k, w) squared distances) per block of the points
+    ``cols`` (d, n) against the centroid rows, adding feature columns in
+    :func:`_lane_features` order into buffers that the next block reuses."""
+    (d, n), k = cols.shape, len(centroids)
+    w = max(1, BLOCK_BYTES // (8 * k))
+    lanes = np.empty((3, k, min(w, n)))
+    for start in range(0, n, w):
+        x = cols[:, start:start + w]
+        even, odd, term = lanes[:, :, :x.shape[1]]
+        for lane, features in zip((even, odd), _lane_features(d)):
+            for pos, i in enumerate(features):
+                dst = term if pos else lane
+                np.subtract(x[i], centroids[:, i, None], out=dst)
+                np.multiply(dst, dst, out=dst)
+                if pos:
+                    np.add(lane, term, out=lane)
+        yield slice(start, start + x.shape[1]), np.add(even, odd, out=even) if d > 1 else even
+
+
+def _sq_dists(cols: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
     """(k, n) squared distances from the points ``cols`` (d, n) to each
-    centroid row, adding feature columns in :func:`_lane_features` order."""
-    lanes = []
-    for features in _lane_features(len(cols)):
-        terms = ((cols[i] - centroids[:, i, None]) ** 2 for i in features)
-        lanes.append(next(terms, None))
-        for term in terms:
-            lanes[-1] += term
-    even, odd = lanes
-    return even if odd is None else np.add(even, odd, out=even)
+    centroid row, filled into ``out`` (new if None) one ``BLOCK_BYTES`` block
+    at a time; every value is elementwise, so no bit depends on the blocks."""
+    out = np.empty((len(centroids), cols.shape[1])) if out is None else out
+    for at, d2 in _block_dists(cols, centroids):
+        out[:, at] = d2
+    return out
 
 
-def _nearest(d2: np.ndarray):
-    """Row index and value of each column's minimum in ``d2`` (k, n); only a
-    strictly smaller row takes over, so ties go to the lowest index."""
-    labels, best = np.zeros(d2.shape[1], dtype=np.intp), d2[0].copy()
-    for j in range(1, len(d2)):
-        labels[d2[j] < best] = j
-        np.minimum(best, d2[j], out=best)
+def _nearest(cols: np.ndarray, centroids: np.ndarray):
+    """Each point's nearest centroid index and squared distance, block by
+    block; only a strictly smaller distance takes over, so ties go low."""
+    n = cols.shape[1]
+    labels, best, closer = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    for at, d2 in _block_dists(cols, centroids):
+        label, low, less = labels[at], best[at], closer[at]
+        low[:] = d2[0]
+        for j in range(1, len(d2)):
+            np.putmask(label, np.less(d2[j], low, out=less), j)
+            np.minimum(low, d2[j], out=low)
     return labels, best
 
 
@@ -83,7 +109,7 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     n_candidates = min(n, 2 + int(np.log(k))) if k > 1 else 1
     centroids = np.empty((k, cols.shape[0]))
     centroids[0] = cols[:, rng.integers(n)]
-    closest = _sq_dists(cols, centroids[:1])[0]
+    closest, reach = _sq_dists(cols, centroids[:1])[0], np.empty((n_candidates, n))
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -92,10 +118,11 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             continue
         draws = rng.random(n_candidates) * total
         candidates = np.minimum(np.searchsorted(np.cumsum(closest), draws), n - 1)
-        reach = np.minimum(closest, _sq_dists(cols, cols[:, candidates].T))
+        for at, d2 in _block_dists(cols, cols[:, candidates].T):
+            np.minimum(closest[at], d2, out=reach[:, at])
         best = int(np.argmin(reach.sum(axis=1)))
         centroids[j] = cols[:, candidates[best]]
-        closest = reach[best]
+        np.copyto(closest, reach[best])
     return centroids
 
 
@@ -108,24 +135,33 @@ def _single_point_moves(cols: np.ndarray, labels: np.ndarray, k: int, max_moves:
     with the lowest (point, cluster) index pair is taken.  Returns the means
     of the final assignment and the number of moves applied.
     """
-    at = np.arange(cols.shape[1])
+    n = cols.shape[1]
+    at = np.arange(n)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     sums = _cluster_sums(cols, labels, k)
     centroids = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
     d2 = _sq_dists(cols, centroids)
+    w = max(1, BLOCK_BYTES // (8 * k))
+    delta, best = np.empty((k, min(w, n))), np.empty(n)   # a block of deltas, each point's best
     moves = 0
     while moves < max_moves:
         own_count = counts[labels]
         with np.errstate(divide="ignore", invalid="ignore"):
             removal_gain = (own_count / (own_count - 1.0)) * d2[labels, at]
         removal_gain[own_count == 1] = -np.inf
-        addition_cost = (counts / (counts + 1.0))[:, None] * d2   # 0 for an empty cluster
-        delta = addition_cost - removal_gain
-        delta[labels, at] = np.inf
-        i = int(delta.min(axis=0).argmin())
-        j = int(delta[:, i].argmin())
-        if not delta[j, i] < -1e-12:
+        growth = (counts / (counts + 1.0))[:, None]   # 0 for an empty cluster
+        for start in range(0, n, w):
+            block, cut = delta[:, :min(w, n - start)], slice(start, start + w)
+            np.multiply(growth, d2[:, cut], out=block)
+            np.subtract(block, removal_gain[cut], out=block)
+            block[labels[cut], at[:block.shape[1]]] = np.inf
+            block.min(axis=0, out=best[cut])
+        i = int(best.argmin())
+        if not best[i] < -1e-12:
             break
+        column = growth[:, 0] * d2[:, i] - removal_gain[i]
+        column[labels[i]] = np.inf
+        j = int(column.argmin())
         a = labels[i]
         labels[i] = j
         counts[a] -= 1.0
@@ -134,7 +170,8 @@ def _single_point_moves(cols: np.ndarray, labels: np.ndarray, k: int, max_moves:
         sums[j] += cols[:, i]
         # only the two touched means move, and neither cluster is empty now
         centroids[[a, j]] = sums[[a, j]] / counts[[a, j], None]
-        d2[[a, j]] = _sq_dists(cols, centroids[[a, j]])
+        rows = slice(min(a, j), max(a, j) + 1, abs(a - j))    # rows a and j, as a view
+        _sq_dists(cols, centroids[rows], out=d2[rows])
         moves += 1
     return centroids, moves
 
@@ -162,9 +199,9 @@ def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol
     """
     k = centroids.shape[0]
     history = []
-    labels = None
+    labels, unmoved = None, False
     for _ in range(max_iter):
-        new_labels, assigned = _nearest(_sq_dists(cols, centroids))
+        new_labels, assigned = _nearest(cols, centroids)
         inertia = float(assigned.sum())
         history.append(inertia)
         counts = np.bincount(new_labels, minlength=k)[:, None]
@@ -177,10 +214,13 @@ def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol
             assigned[far] = -1.0                 # keep later repairs off this point
         shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1).max()))
         converged = labels is not None and np.array_equal(labels, new_labels)
+        # no repair and not a bit moved: this pass already holds the final assignment
+        unmoved = counts.all() and updated.tobytes() == centroids.tobytes()
         centroids, labels = updated, new_labels
         if converged or shift < tol:
             break
-    labels, assigned = _nearest(_sq_dists(cols, centroids))
+    if not unmoved:
+        labels, assigned = _nearest(cols, centroids)
     inertia = float(assigned.sum())
     history.append(inertia)
     return centroids, labels, inertia, history
@@ -221,7 +261,7 @@ def assign_states(points: np.ndarray, model: ClusterModel) -> np.ndarray:
         raise DimensionError(
             f"points shape {points.shape} does not match centroids {model.centroids.shape}"
         )
-    return _nearest(_sq_dists(np.ascontiguousarray(points.T), model.centroids))[0]
+    return _nearest(np.ascontiguousarray(points.T), model.centroids)[0]
 
 
 def relabel_canonical(model: ClusterModel, train_points: np.ndarray) -> ClusterModel:

@@ -4,13 +4,15 @@ per line, ``#`` comments, comma-separated tuples, each value of its field's
 default's type.  :func:`load_config` applies the file, then environment
 variables prefixed ``MAFN_`` (``MAFN_SEED=7`` beats ``seed = 7``), then
 ``--seed``, and validates once.  A value that does not read names its
-``path:line`` or its environment variable.
+``path:line`` or its environment variable.  A checkpoint's JSON header is
+read by the same rule (:func:`decode_fields`).
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -210,8 +212,7 @@ def parse_fields(cls, text: str, path: str, kind: str):
     """A ``cls`` from key = value text: its defaults, with each line's value
     read as the type of that field's default.  ``kind`` names the format in
     errors; a line that does not read is a DataError naming ``path:line``."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    values = {}
+    items = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -219,9 +220,27 @@ def parse_fields(cls, text: str, path: str, kind: str):
         if "=" not in stripped:
             raise DataError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        items.append((f"{path}:{lineno}", key, raw))
+    return _build_fields(cls, items, kind, _parse_value)
+
+
+def decode_fields(cls, values: dict, where: str, kind: str):
+    """A ``cls`` from a decoded JSON object by the rule of :func:`parse_fields`:
+    its defaults, with each value of its field default's type (see
+    :func:`decoded_value`).  A value of another type is a DataError naming
+    ``where`` and the field."""
+    return _build_fields(cls, [(where, key, value) for key, value in values.items()], kind, decoded_value)
+
+
+def _build_fields(cls, items, kind: str, read):
+    """``cls`` from (where, key, value) items, each value read by ``read``
+    as the type of its field's default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
+    for where, key, value in items:
         if key not in defaults:
-            raise DataError(f"{path}:{lineno}: unknown {kind} key {key!r}")
-        values[key] = _parse_value(raw, defaults[key], f"{path}:{lineno}", f"{kind} field {key}")
+            raise DataError(f"{where}: unknown {kind} key {key!r}")
+        values[key] = read(value, defaults[key], where, f"{kind} field {key}")
     return cls(**values)
 
 
@@ -240,6 +259,23 @@ def _parse_value(raw: str, default, where: str, what: str):
         return _parse_scalar(raw.strip(), type(default))
     except ValueError as e:
         raise DataError(f"{where}: {what}: {e}") from None
+
+
+def decoded_value(value, default, where: str, what: str):
+    """A value decoded from JSON, checked to be of ``default``'s type as the
+    text format reads it: a list stands for a tuple and an int for a float,
+    but a bool is never a number, nor a string a number or a bool."""
+    def scalar(item, kind):
+        if kind is float and type(item) is int and abs(item) <= sys.float_info.max:
+            return float(item)
+        if type(item) is not kind:
+            raise DataError(f"{where}: {what}: expected {kind.__name__}, got {item!r}")
+        return item
+    if isinstance(default, tuple):
+        if type(value) is not list:
+            raise DataError(f"{where}: {what}: expected a list, got {value!r}")
+        return tuple(scalar(item, type(default[0])) for item in value)
+    return scalar(value, type(default))
 
 
 def _parse_scalar(raw: str, kind: type):

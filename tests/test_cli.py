@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import mafn
 from mafn import cli
-from mafn.checkpoint import load_checkpoint, save_checkpoint
+from mafn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from mafn.cli import main
 from mafn.config import (
     MAX_ARRAY_VALUES,
@@ -527,6 +528,34 @@ class TestEvaluateCommand:
         assert code == 2
         assert "rul_cap must be finite" in capsys.readouterr().err
         assert not (out / "evaluation_cutoffs.csv").exists()
+
+    @pytest.mark.parametrize("old, new, field", [
+        (b'"window":12', b'"window":12.5', "config field window"),
+        (b'"pad_short":false', b'"pad_short":"no"', "config field pad_short"),
+        (b'"k":2', b'"k":true', "cluster.k"),
+        (b'"sensor_ids":[2', b'"sensor_ids":[2.0', "sensor_ids"),
+    ])
+    def test_mistyped_header_value_clean_error(self, workspace, tmp_path, capsys, old, new, field):
+        """Each header value must be of its field's type, as in a config
+        file: a fractional window or a string for a bool names its field."""
+        blob = (workspace / "run1" / "model.ckpt").read_bytes()
+        start = len(MAGIC) + 4
+        (hlen,) = struct.unpack("<Q", blob[start:start + 8])
+        header = blob[start + 8:start + 8 + hlen]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        bad = tmp_path / "typed.ckpt"
+        bad.write_bytes(blob[:start] + struct.pack("<Q", len(header)) + header + blob[start + 8 + hlen:])
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(bad),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--mode", "cutoffs", "--out", str(tmp_path / "eval"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("mafn: error:") and field in err[0], err
 
     def test_cutoffs_schema(self, workspace, tmp_path):
         out = tmp_path / "eval"

@@ -1,10 +1,16 @@
 import itertools
 
+try:
+    import resource
+except ImportError:                      # not on every platform
+    resource = None
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mafn.cluster
 from mafn.cluster import (
     ClusterModel,
     _single_point_moves,
@@ -44,67 +50,77 @@ def reference_sq_dists(points, centroids):
     return np.einsum("nkd,nkd->nk", diff, diff)
 
 
-def reference_fit(points, k, seed, restarts=10, max_iter=100, tol=1e-8):
-    """The row-major K-Means fit that the column-major kernels replace: greedy
-    k-means++, Lloyd, then single-point polish and Lloyd again, best of
-    ``restarts``.  Returns (centroids, inertia, polish moves over all restarts)."""
+def reference_lloyd(points, centroids, max_iter, tol):
+    """Row-major Lloyd from the (k, d) ``centroids``.  Returns (centroids,
+    labels, inertia, history of the objective after every assignment)."""
+    k, at = len(centroids), np.arange(len(points))
+    labels, history = None, []
+    for _ in range(max_iter):
+        d2 = reference_sq_dists(points, centroids)
+        new_labels = d2.argmin(axis=1)
+        reseed_pool = d2[at, new_labels]
+        history.append(float(reseed_pool.sum()))
+        updated = centroids.copy()
+        for j in range(k):
+            members = points[new_labels == j]
+            if len(members):
+                updated[j] = members.mean(axis=0)
+            else:
+                far = int(reseed_pool.argmax())
+                updated[j] = points[far]
+                reseed_pool[far] = -1.0
+        shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1).max())
+        converged = labels is not None and np.array_equal(labels, new_labels)
+        centroids, labels = updated, new_labels
+        if converged or shift < tol:
+            break
+    d2 = reference_sq_dists(points, centroids)
+    labels = d2.argmin(axis=1)
+    history.append(float(d2[at, labels].sum()))
+    return centroids, labels, history[-1], history
+
+
+def reference_polish(points, labels, k, max_moves=200):
+    """Row-major single-point moves on ``labels`` (changed in place): every
+    move rebuilds the full (n, k) delta matrix.  Returns (means, moves)."""
     n, d = points.shape
     at = np.arange(n)
-
-    def lloyd(centroids):
-        labels = None
-        for _ in range(max_iter):
-            d2 = reference_sq_dists(points, centroids)
-            new_labels = d2.argmin(axis=1)
-            reseed_pool = d2[at, new_labels]
-            updated = centroids.copy()
-            for j in range(k):
-                members = points[new_labels == j]
-                if len(members):
-                    updated[j] = members.mean(axis=0)
-                else:
-                    far = int(reseed_pool.argmax())
-                    updated[j] = points[far]
-                    reseed_pool[far] = -1.0
-            shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1).max())
-            converged = labels is not None and np.array_equal(labels, new_labels)
-            centroids, labels = updated, new_labels
-            if converged or shift < tol:
-                break
-        d2 = reference_sq_dists(points, centroids)
-        labels = d2.argmin(axis=1)
-        return centroids, labels, float(d2[at, labels].sum())
 
     def means(sums, counts):
         centroids = np.zeros((k, d))
         centroids[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
         return centroids
 
-    def polish(labels):
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        sums = np.zeros((k, d))
-        np.add.at(sums, labels, points)
-        for moves in range(200):
-            d2 = reference_sq_dists(points, means(sums, counts))
-            own_count = counts[labels]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                removal_gain = (own_count / (own_count - 1.0)) * d2[at, labels]
-            addition_cost = (counts[None, :] / (counts[None, :] + 1.0)) * d2
-            addition_cost[:, counts == 0] = 0.0
-            delta = addition_cost - removal_gain[:, None]
-            delta[own_count == 1, :] = np.inf
-            delta[at, labels] = np.inf
-            i, j = np.unravel_index(np.argmin(delta), delta.shape)
-            if not delta[i, j] < -1e-12:
-                return means(sums, counts), moves
-            a = labels[i]
-            labels[i] = j
-            counts[a] -= 1.0
-            counts[j] += 1.0
-            sums[a] -= points[i]
-            sums[j] += points[i]
-        return means(sums, counts), 200
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    sums = np.zeros((k, d))
+    np.add.at(sums, labels, points)
+    for moves in range(max_moves):
+        d2 = reference_sq_dists(points, means(sums, counts))
+        own_count = counts[labels]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            removal_gain = (own_count / (own_count - 1.0)) * d2[at, labels]
+        addition_cost = (counts[None, :] / (counts[None, :] + 1.0)) * d2
+        addition_cost[:, counts == 0] = 0.0
+        delta = addition_cost - removal_gain[:, None]
+        delta[own_count == 1, :] = np.inf
+        delta[at, labels] = np.inf
+        i, j = np.unravel_index(np.argmin(delta), delta.shape)
+        if not delta[i, j] < -1e-12:
+            return means(sums, counts), moves
+        a = labels[i]
+        labels[i] = j
+        counts[a] -= 1.0
+        counts[j] += 1.0
+        sums[a] -= points[i]
+        sums[j] += points[i]
+    return means(sums, counts), max_moves
 
+
+def reference_fit(points, k, seed, restarts=10, max_iter=100, tol=1e-8):
+    """The row-major K-Means fit that the column-major kernels replace: greedy
+    k-means++, Lloyd, then single-point polish and Lloyd again, best of
+    ``restarts``.  Returns (centroids, inertia, polish moves over all restarts)."""
+    n, d = points.shape
     best, total_moves = None, 0
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
@@ -125,13 +141,13 @@ def reference_fit(points, k, seed, restarts=10, max_iter=100, tol=1e-8):
             ]
             init[j] = points[candidates[int(np.argmin(potentials))]]
             closest = np.minimum(closest, ((points - init[j]) ** 2).sum(axis=1))
-        centroids, labels, inertia = lloyd(init)
+        centroids, labels, inertia, _ = reference_lloyd(points, init, max_iter, tol)
         for _ in range(50):
-            moved, n_moves = polish(labels.copy())
+            moved, n_moves = reference_polish(points, labels.copy(), k)
             total_moves += n_moves
             if not n_moves:
                 break
-            centroids, labels, inertia = lloyd(moved)
+            centroids, labels, inertia, _ = reference_lloyd(points, moved, max_iter, tol)
         if best is None or inertia < best[1]:
             best = (centroids, inertia)
     return best[0], best[1], total_moves
@@ -299,6 +315,81 @@ class TestAssign:
         )
         with pytest.raises(DimensionError):
             assign_states(np.zeros((1, 2)), model)
+
+
+class TestBlocks:
+    """Every pass runs over blocks of ``BLOCK_BYTES``; shrunk to a few columns,
+    the blocks split n <= 60 points raggedly, and the bits must not move."""
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        d=st.integers(1, 12),
+        k=st.integers(1, 6),
+        grid=st.sampled_from([None, 4.0, 10.0]),
+        width=st.integers(1, 7),
+        starve=st.sampled_from([None, "duplicate", "far"]),
+    )
+    @example(seed=1, n=60, d=1, k=6, grid=4.0, width=1, starve="duplicate")
+    @example(seed=2, n=37, d=9, k=1, grid=None, width=3, starve=None)
+    @example(seed=3, n=53, d=12, k=5, grid=10.0, width=7, starve="far")
+    def test_small_blocks_match_references(self, seed, n, d, k, grid, width, starve):
+        """Distances, labels, Lloyd (history and empty-cluster repair
+        included), the polish and the whole fit against the row-major
+        references.  One-feature points lie on the 1/4 grid, where every
+        cluster sum is exact: the reference averages a single column by
+        pairwise summation (see the polish test above)."""
+        rng = np.random.default_rng(seed)
+        grid = 4.0 if d == 1 else grid
+        points, init = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        if grid:
+            points, init = np.round(points * grid) / grid, np.round(init * grid) / grid
+        if starve == "duplicate":
+            init[-1] = init[0]           # ties go to row 0: the last cluster starts empty
+        elif starve == "far":
+            init[-1] = 1e3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mafn.cluster, "BLOCK_BYTES", 8 * k * width + int(rng.integers(8 * k)))
+            expected = reference_sq_dists(points, init)
+            assert _sq_dists(points.T, init).T.tobytes() == expected.tobytes()
+            model = ClusterModel(k=k, centroids=init, inertia=0.0, feature_spec="settings")
+            np.testing.assert_array_equal(assign_states(points, model), expected.argmin(axis=1))
+
+            got = lloyd_iterations(np.ascontiguousarray(points.T), init.copy(), 20, 0.0)
+            want = reference_lloyd(points, init.copy(), 20, 0.0)
+            assert got[0].tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
+
+            labels = rng.integers(k, size=n)
+            got_labels, want_labels = labels.copy(), labels.copy()
+            got = _single_point_moves(np.ascontiguousarray(points.T), got_labels, k)
+            want = reference_polish(points, want_labels, k)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+            np.testing.assert_array_equal(got_labels, want_labels)
+
+            if len(np.unique(points, axis=0)) >= k:
+                model = kmeans_fit(points, k, seed=seed, restarts=2)
+                centroids, inertia, _ = reference_fit(points, k, seed, restarts=2)
+                assert model.centroids.tobytes() == centroids.tobytes()
+                assert model.inertia == inertia
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_refit_faults_few_pages(self):
+        """A fit reuses its block buffers instead of building (k, n)
+        temporaries, so once a first fit has grown the heap, a second fit of
+        the same ~40k points faults in almost no fresh pages.  A kernel that
+        built the temporaries on every pass faulted 52,295 pages in that
+        second fit."""
+        records, _ = generate(SynthSpec(seed=5, engines=160, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        assert len(points) > 5 * mafn.cluster.BLOCK_BYTES // (8 * 6)   # several blocks
+        kmeans_fit(points, 6, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        kmeans_fit(points, 6, seed=0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2_000, f"{faults} minor page faults in one fit of {len(points)} points"
 
 
 class TestRelabel:
