@@ -64,41 +64,18 @@ class Conv1d:
 
     Kernels have shape (kernel, channels, filters); padding is
     floor((kernel-1)/2) on the left and kernel-1-p on the right so the
-    output length equals the input length.
+    output length equals the input length; :func:`mafn.tensor.conv1d` is one node.
     """
 
     def __init__(self, rng, n_channels: int, n_filters: int, kernel: int, activation: str = "relu"):
-        fan_in = kernel * n_channels
-        self.W = T.parameter(glorot_uniform(rng, fan_in, n_filters, (kernel, n_channels, n_filters)))
+        self.W = T.parameter(glorot_uniform(rng, kernel * n_channels, n_filters, (kernel, n_channels, n_filters)))
         self.b = T.parameter(np.zeros(n_filters))
-        self.kernel = kernel
-        self.n_channels = n_channels
-        self.n_filters = n_filters
         if activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 3:
-            raise DimensionError(f"conv1d input must be (B, T, C), got {x.shape}")
-        B, t_len, C = x.shape
-        if C != self.n_channels:
-            raise DimensionError(f"conv1d expects {self.n_channels} channels, got {C}")
-        if self.kernel > 2 * t_len:
-            raise ContractError(f"kernel {self.kernel} too long for window {t_len}")
-        p = (self.kernel - 1) // 2
-        right = self.kernel - 1 - p
-        pieces = []
-        if p:
-            pieces.append(Tensor(np.zeros((B, p, C))))
-        pieces.append(x)
-        if right:
-            pieces.append(Tensor(np.zeros((B, right, C))))
-        xp = T.concat(pieces, axis=1) if len(pieces) > 1 else x
-        taps = [xp[:, j : j + t_len, :] for j in range(self.kernel)]
-        cols = T.concat(taps, axis=2)                              # (B, T, kernel*C)
-        w2 = self.W.reshape((self.kernel * self.n_channels, self.n_filters))
-        return ACTIVATIONS[self.activation](T.matmul(cols, w2) + self.b)
+        return ACTIVATIONS[self.activation](T.conv1d(x, self.W) + self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]
@@ -147,7 +124,8 @@ class Attention:
     """Additive attention with a learned query vector.
 
     Scores e_t = v . tanh(h_t Wh + s Ws); softmax over time gives weights
-    whose convex combination of the hidden states is the context.
+    whose convex combination of the hidden states is the context
+    (:func:`mafn.tensor.additive_attention`: one node, constant weights).
     """
 
     def __init__(self, rng, n_hidden: int, n_attn: int):
@@ -158,14 +136,7 @@ class Attention:
 
     def __call__(self, h: Tensor):
         """Context (B, H) and attention weights (B, T) of hidden states (B, T, H)."""
-        if h.ndim != 3:
-            raise DimensionError(f"attention input must be (B, T, H), got {h.shape}")
-        B, t_len, _ = h.shape
-        pre = T.tanh(T.matmul(h, self.Wh) + T.matmul(self.s, self.Ws))
-        scores = T.matmul(pre, self.v).reshape((B, t_len))
-        weights = T.softmax(scores, axis=-1)
-        context = (weights.reshape((B, t_len, 1)) * h).sum(axis=1)
-        return context, weights
+        return T.additive_attention(h, self.Wh, self.s, self.Ws, self.v)
 
     def parameters(self):
         return [("Wh", self.Wh), ("Ws", self.Ws), ("v", self.v), ("s", self.s)]

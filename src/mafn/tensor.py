@@ -16,6 +16,7 @@ handed between threads freely.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -280,21 +281,6 @@ def square(x: Tensor) -> Tensor:
 # -- normalizers ----------------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Exponential normalization along ``axis``, max-shifted for stability."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_fn(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (x,), grad_fn, "softmax")
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if np.isnan(x.data).any():
         raise NumericError("log_softmax input contains NaN")
@@ -425,6 +411,65 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (x,), grad_fn, "mean")
 
 
+# -- convolution and attention -----------------------------------------------------
+
+
+def conv1d(x: Tensor, W: Tensor) -> Tensor:
+    """Same-padded (``(kernel-1)//2`` zeros on the left) stride-1 convolution
+    of (B, T, C) ``x`` with (kernel, C, F) ``W`` as one tape node: one matmul
+    over a strided view of the padded input.  The backward sums one zero
+    buffer per tap in tap order, bit-equal to a graph of tap slices."""
+    if x.ndim != 3 or x.shape[2] != W.shape[1]:
+        raise DimensionError(f"conv1d input must be (B, T, {W.shape[1]}), got {x.shape}")
+    (B, t_len, C), (kernel, _, n_filters) = x.shape, W.shape
+    if kernel > 2 * t_len:
+        raise ContractError(f"kernel {kernel} too long for window {t_len}")
+    p = (kernel - 1) // 2
+    xp = np.zeros((B, t_len + kernel - 1, C))
+    xp[:, p : p + t_len] = x.data
+    cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(xp, (B, t_len, kernel * C), xp.strides))
+    w2 = W.data.reshape(kernel * C, n_filters)
+
+    def grad_fn(g):
+        g_cols, dxp = g @ w2.T, None
+        for j in range(kernel):
+            buf = np.zeros_like(xp)
+            buf[:, j : j + t_len] = g_cols[..., j * C : (j + 1) * C]
+            dxp = buf if dxp is None else dxp + buf
+        return dxp[:, p : p + t_len], _unbroadcast(np.swapaxes(cols, -1, -2) @ g, w2.shape).reshape(W.shape)
+
+    return _make(cols @ w2, (x, W), grad_fn, "conv1d")
+
+
+def additive_attention(h: Tensor, Wh: Tensor, s: Tensor, Ws: Tensor, v: Tensor):
+    """Context (B, H), one tape node, and constant weights (B, T) of attention
+    over (B, T, H) states: a max-shifted softmax over time of the scores
+    ``tanh(h Wh + s Ws) v``.  The backward repeats the taped graph's
+    arithmetic, a (B, T, 1) broadcast multiply and batch-then-time sums."""
+    if h.ndim != 3 or h.shape[2] != Wh.shape[0]:
+        raise DimensionError(f"attention input must be (B, T, {Wh.shape[0]}), got {h.shape}")
+    B, t_len, _ = h.shape
+    query = s.data @ Ws.data
+    pre = np.tanh(h.data @ Wh.data + query)
+    scores = (pre @ v.data).reshape(B, t_len)
+    if np.isnan(scores).any():
+        raise NumericError("softmax input contains NaN")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    w3 = w.reshape(B, t_len, 1)
+
+    def grad_fn(g):
+        g = np.broadcast_to(g.reshape(B, 1, -1), h.shape)
+        dw = _unbroadcast(g * h.data, w3.shape).reshape(B, t_len)
+        dscores = (w * (dw - (dw * w).sum(axis=-1, keepdims=True))).reshape(B, t_len, 1)
+        dpre = (dscores @ v.data.T) * (1.0 - pre * pre)
+        dquery = _unbroadcast(dpre, query.shape)
+        return (g * w3 + dpre @ Wh.data.T, _unbroadcast(np.swapaxes(h.data, -1, -2) @ dpre, Wh.shape),
+                dquery @ Ws.data.T, s.data.T @ dquery, _unbroadcast(np.swapaxes(pre, -1, -2) @ dscores, v.shape))
+
+    return _make((w3 * h.data).sum(axis=(1,)), (h, Wh, s, Ws, v), grad_fn, "additive_attention"), Tensor(w)
+
+
 # -- recurrence -----------------------------------------------------------------------
 
 
@@ -445,8 +490,9 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     the input's time order in the output.  Gates are stacked in i, f, g, o
     column order; each step computes ``z = (xw_t + h @ W_h) + b``,
     ``c = f * c + i * g`` and ``h = o * tanh(c)``.  The directions share one
-    time loop, so each step is one set of numpy calls.  The backward pass is
-    backpropagation through time in numpy.
+    time loop, so each step is one set of numpy calls; with the tape off it
+    reuses one gate, cell and tanh(c) slot, its views made once.  The backward
+    pass is backpropagation through time in numpy.
     """
     dirs = len(directions)
     if dirs not in (1, 2):
@@ -465,30 +511,33 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     # (4, H) blocks of each row
     xs = np.stack([_scan_order(dr[0].data.transpose(1, 0, 2), d) for d, dr in enumerate(directions)], axis=1)
     h0, c0, W_h, b = (np.stack([d[j].data for d in directions]) for j in range(1, 5))
-    b = b[:, None]
-    gates = np.empty((steps, dirs, B, 4, n))  # i, f, g, o activations
-    cells = np.empty((steps, dirs, B, n))
-    tanh_c = np.empty((steps, dirs, B, n))
+    b, h, c = b[:, None], h0, c0
+    record = _grad_enabled and any(t.requires_grad for direction in directions for t in direction)
+    slots = steps if record else 1
+    gates = np.empty((slots, dirs, B, 4, n))  # i, f, g, o activations
+    cells, tanh_c = np.empty((2, slots, dirs, B, n))
     hidden = np.empty((steps, dirs, B, n))
-    h, c = h0, c0
+    cand, i_cand = np.empty((2, dirs, B, n))
     i, f, g, o = (gates[..., j, :] for j in range(4))
-    zs = gates.reshape(steps, dirs, B, 4 * n)
-    for k in range(steps):
-        z = zs[k]
+    history = (gates.reshape(slots, dirs, B, 4 * n), i, f, g, o, cells, tanh_c)
+    per_step = zip(*history) if record else itertools.repeat(tuple(a[0] for a in history))
+    inputs = itertools.repeat(xs[0]) if const else xs
+    for (z, i_k, f_k, g_k, o_k, c_k, tc_k), x_k, h_k in zip(per_step, inputs, hidden):
         np.matmul(h, W_h, out=z)
-        np.add(xs[0 if const else k], z, out=z)
+        np.add(x_k, z, out=z)
         z += b
-        cand = np.tanh(g[k])
+        np.tanh(g_k, out=cand)
         # sigmoid 1 / (1 + exp(-z)) in place, then the candidate block takes tanh
         np.negative(z, out=z)
         np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=z)
-        g[k] = cand
-        c = np.multiply(f[k], c, out=cells[k])
-        c += i[k] * cand
-        np.tanh(c, out=tanh_c[k])
-        h = np.multiply(o[k], tanh_c[k], out=hidden[k])
+        if record:
+            g_k[...] = cand
+        c = np.multiply(f_k, c, out=c_k)
+        c += np.multiply(i_k, cand, out=i_cand)
+        np.tanh(c, out=tc_k)
+        h = np.multiply(o_k, tc_k, out=h_k)
 
     def grad_fn(grad):
         by_dir = grad.reshape(B, steps, dirs, n).transpose(2, 1, 0, 3)

@@ -113,7 +113,7 @@ def _dataset_loss(model: MafnModel, ds: WindowDataset, cfg: TrainConfig, weights
 
 
 # a diverging run overflows inside matmul and exp before the NaN checks in
-# softmax and total_loss raise; those report it once, without numpy warnings
+# the attention softmax and total_loss raise; those report it once, without numpy warnings
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     train_ds: WindowDataset,

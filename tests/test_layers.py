@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mafn import layers as nn
 from mafn import tensor as T
+from mafn.config import TrainConfig
+from mafn.data import SELECTED_SENSORS
 from mafn.errors import ContractError, DimensionError
 from mafn.gradcheck import check_gradients
+from mafn.model import MafnModel
 from mafn.tensor import Tensor
 
 
@@ -380,6 +385,34 @@ class TestLstmScan:
         np.testing.assert_array_equal(out.data, hidden)
         for leaf, expected in zip(leaves_of(directions), grads):
             np.testing.assert_array_equal(leaf.grad, expected)
+
+    @pytest.mark.parametrize("two,constant", [(False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    def test_tape_off_matches_taped(self, rng, batch, two, constant):
+        # with the tape off the scan reuses one gate, cell and tanh slot
+        directions, _ = scan_problem(rng, batch, 30, two, constant, n=24)
+        taped = T.lstm_scan(directions, 30)
+        with T.no_grad():
+            untaped = T.lstm_scan(directions, 30)
+        assert taped.requires_grad and not untaped.requires_grad
+        np.testing.assert_array_equal(untaped.data, taped.data)
+
+    def test_tape_off_forward_keeps_no_history(self):
+        # a default-config B=64 forward with the tape off: 12.0 MiB at its
+        # peak while the scan kept every step's gates, cells and tanh(c)
+        cfg = TrainConfig()
+        model = MafnModel(cfg, len(SELECTED_SENSORS), np.random.default_rng(0))
+        data = np.random.default_rng(1)
+        windows = data.normal(size=(64, cfg.window, len(SELECTED_SENSORS)))
+        states = data.integers(0, cfg.k_states, size=(64, cfg.window))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                model.forward(windows, states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_one_tape_node(self, rng):
         fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)

@@ -107,31 +107,43 @@ class TestElementwise:
                     op(Tensor(a), Tensor(b))
 
 
+def attention_weights(scores) -> np.ndarray:
+    """The softmax over time inside ``additive_attention``, its scores set
+    to ``scores`` up to rounding: one attention unit whose ``v`` is twice the
+    largest |score| and states whose tanh is each score's share of ``v``."""
+    x = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    scale = 2.0 * max(np.abs(x).max(), 1.0)
+    one, zero = Tensor([[1.0]]), Tensor([[0.0]])
+    _, weights = T.additive_attention(Tensor(np.arctanh(x / scale)[..., None]), one, zero, zero, Tensor([[scale]]))
+    return weights.data[0]
+
+
 class TestSoftmax:
+    """The softmax of ``additive_attention``, the one softmax left."""
+
     def test_uniform_by_symmetry(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(attention_weights([0.0, 0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
 
     def test_overflow_safe(self):
-        out = T.softmax(Tensor([1000.0, 0.0]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-12)
+        out = attention_weights([1000.0, 0.0])
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_direct_evaluation(self):
-        out = T.softmax(Tensor([1.0, 2.0]))
+        out = attention_weights([1.0, 2.0])
         e = np.e
-        np.testing.assert_allclose(out.data, [1 / (1 + e), e / (1 + e)], atol=1e-12)
-        np.testing.assert_allclose(out.data, [0.26894, 0.73106], atol=1e-5)
+        np.testing.assert_allclose(out, [1 / (1 + e), e / (1 + e)], atol=1e-12)
+        np.testing.assert_allclose(out, [0.26894, 0.73106], atol=1e-5)
 
     def test_nan_raises(self):
-        with pytest.raises(NumericError):
-            T.softmax(Tensor([np.nan, 1.0]))
+        with pytest.raises(NumericError, match="softmax input contains NaN"):
+            attention_weights([np.nan, 1.0])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-100, 100))
     def test_sums_to_one_and_shift_invariant(self, values, shift):
         x = np.asarray(values)
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x + shift)).data
+        a = attention_weights(x)
+        b = attention_weights(x + shift)
         assert abs(a.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -205,8 +217,8 @@ class TestBackward:
 
     def test_deterministic_forward(self, rng):
         x = rng.normal(size=(4, 4))
-        r1 = T.softmax(T.tanh(Tensor(x) @ Tensor(x)), axis=1).data
-        r2 = T.softmax(T.tanh(Tensor(x) @ Tensor(x)), axis=1).data
+        r1 = T.log_softmax(T.tanh(Tensor(x) @ Tensor(x)), axis=1).data
+        r2 = T.log_softmax(T.tanh(Tensor(x) @ Tensor(x)), axis=1).data
         assert np.array_equal(r1, r2)
 
     def test_no_grad_blocks_taping(self):
