@@ -68,7 +68,8 @@ class Conv1d:
     """
 
     def __init__(self, rng, n_channels: int, n_filters: int, kernel: int, activation: str = "relu"):
-        self.W = T.parameter(glorot_uniform(rng, kernel * n_channels, n_filters, (kernel, n_channels, n_filters)))
+        fan_in = kernel * n_channels
+        self.W = T.parameter(glorot_uniform(rng, fan_in, n_filters, (kernel, n_channels, n_filters)))
         self.b = T.parameter(np.zeros(n_filters))
         if activation not in ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")

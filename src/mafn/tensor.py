@@ -427,11 +427,12 @@ def conv1d(x: Tensor, W: Tensor) -> Tensor:
     p = (kernel - 1) // 2
     xp = np.zeros((B, t_len + kernel - 1, C))
     xp[:, p : p + t_len] = x.data
-    cols = np.ascontiguousarray(np.lib.stride_tricks.as_strided(xp, (B, t_len, kernel * C), xp.strides))
+    cols = np.ndarray((B, t_len, kernel * C), xp.dtype, buffer=xp, strides=xp.strides).copy()
     w2 = W.data.reshape(kernel * C, n_filters)
 
     def grad_fn(g):
-        g_cols, dxp = g @ w2.T, None
+        g_cols = g @ w2.T
+        dxp = None
         for j in range(kernel):
             buf = np.zeros_like(xp)
             buf[:, j : j + t_len] = g_cols[..., j * C : (j + 1) * C]
@@ -511,13 +512,16 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     # (4, H) blocks of each row
     xs = np.stack([_scan_order(dr[0].data.transpose(1, 0, 2), d) for d, dr in enumerate(directions)], axis=1)
     h0, c0, W_h, b = (np.stack([d[j].data for d in directions]) for j in range(1, 5))
-    b, h, c = b[:, None], h0, c0
+    b = b[:, None]
     record = _grad_enabled and any(t.requires_grad for direction in directions for t in direction)
     slots = steps if record else 1
     gates = np.empty((slots, dirs, B, 4, n))  # i, f, g, o activations
-    cells, tanh_c = np.empty((2, slots, dirs, B, n))
+    cells = np.empty((slots, dirs, B, n))
+    tanh_c = np.empty((slots, dirs, B, n))
     hidden = np.empty((steps, dirs, B, n))
-    cand, i_cand = np.empty((2, dirs, B, n))
+    h, c = h0, c0
+    cand = np.empty((dirs, B, n))
+    i_cand = np.empty((dirs, B, n))
     i, f, g, o = (gates[..., j, :] for j in range(4))
     history = (gates.reshape(slots, dirs, B, 4 * n), i, f, g, o, cells, tanh_c)
     per_step = zip(*history) if record else itertools.repeat(tuple(a[0] for a in history))

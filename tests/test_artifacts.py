@@ -51,7 +51,10 @@ def cpu_model() -> str:
 
 
 def environment() -> dict:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.25 has no ``mode``; an unknown BLAS skips
+        blas = {}
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),

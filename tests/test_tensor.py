@@ -110,9 +110,10 @@ class TestElementwise:
 def attention_weights(scores) -> np.ndarray:
     """The softmax over time inside ``additive_attention``, its scores set
     to ``scores`` up to rounding: one attention unit whose ``v`` is twice the
-    largest |score| and states whose tanh is each score's share of ``v``."""
+    largest finite |score| and states whose tanh is each score's share of
+    ``v``; a NaN score stays NaN and leaves the others finite."""
     x = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    scale = 2.0 * max(np.abs(x).max(), 1.0)
+    scale = 2.0 * np.abs(x[np.isfinite(x)]).max(initial=1.0)
     one, zero = Tensor([[1.0]]), Tensor([[0.0]])
     _, weights = T.additive_attention(Tensor(np.arctanh(x / scale)[..., None]), one, zero, zero, Tensor([[scale]]))
     return weights.data[0]
