@@ -2,8 +2,11 @@
 
 The walkthrough runs in-process through ``mafn.cli.main`` in a temporary
 directory, with the README's relative paths (manifests record them) and
-``MAFN_MAX_EPOCHS=2``.  The sha256 of every file it writes must equal the
-one in ``tests/golden/walkthrough.sha256``.
+``MAFN_MAX_EPOCHS=2``.  Three more runs follow it: a second ``train`` that
+clusters sensors and pads short histories, a forecast from that checkpoint
+at a cutoff that leaves fewer cycles than the window, and a test-set
+evaluation against a made-up RUL file.  The sha256 of every file they all
+write must equal the one in ``tests/golden/walkthrough.sha256``.
 
 Float bits can differ with the numpy version, the BLAS build and the CPU,
 so the golden file records all three; on another environment the test
@@ -18,6 +21,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +41,20 @@ WALKTHROUGH = [
     ["forecast", "--checkpoint", "run/model.ckpt", "--data", "data/synthetic_train.txt",
      "--unit", "12", "--cutoff", "0.7", "--sensor", "7", "--out", "plots/"],
 ]
+
+# after the walkthrough: the environment each run adds, and its arguments
+EXTRA_RUNS = [
+    ({"MAFN_CLUSTER_FEATURES": "sensors", "MAFN_PAD_SHORT": "true"},
+     ["train", "--data", "data/synthetic_train.txt", "--config", "mafn.cfg", "--out", "run-sensors/"]),
+    # a cutoff of 0.2 leaves 20-28 cycles of the 30-cycle window
+    ({}, ["forecast", "--checkpoint", "run-sensors/model.ckpt", "--data", "data/synthetic_train.txt",
+          "--unit", "3", "--cutoff", "0.2", "--sensor", "11", "--out", "plots-short/"]),
+    ({}, ["evaluate", "--checkpoint", "run-sensors/model.ckpt", "--data", "data/synthetic_train.txt",
+          "--mode", "testset", "--rul", "rul.txt", "--out", "eval-testset/"]),
+]
+
+# one made-up RUL value per walkthrough engine (the default spec has 40)
+RUL_TEXT = "".join(f"{(37 * i) % 120 + 1}\n" for i in range(40))
 
 
 def cpu_model() -> str:
@@ -67,8 +85,10 @@ def run_walkthrough(root: Path) -> dict:
     old = Path.cwd()
     os.chdir(root)
     try:
-        for argv in WALKTHROUGH:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        Path("rul.txt").write_text(RUL_TEXT)
+        for env, argv in [({}, argv) for argv in WALKTHROUGH] + EXTRA_RUNS:
+            with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
             assert code == 0, f"{' '.join(argv)} exited {code}: {err.getvalue()}"
     finally:
