@@ -21,12 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointBundle, save_checkpoint
 from .config import default_config_text, load_config, read_fields
 from .data import (
     atomic_write,
     normalize_record,
-    normalize_values,
     pack_windows,
     parse_cmapss,
     parse_rul_file,
@@ -193,18 +192,17 @@ def _print_epoch(args):
 
 def cmd_evaluate(args) -> int:
     out = _prepare_out(args.out)
-    bundle = load_checkpoint(args.checkpoint)
-    model, prep = load_predictor(bundle)
+    model, prep = load_predictor(args.checkpoint)
     records = parse_cmapss(args.data)
-    cfg = bundle.config
+    cfg = prep.config
 
     def predict(rec):
         return predict_rul(rec, model, prep)
 
     if args.mode == "cutoffs":
-        report = evaluate_cutoffs(records, predict, min_history(cfg), cfg.rul_cap)
+        rows = evaluate_cutoffs(records, predict, min_history(cfg), cfg.rul_cap)
         lines = ["cutoff_pct,rmse,re,score"]
-        for pct, r, e, s in report.rows:
+        for pct, r, e, s in rows:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
         path = out / "evaluation_cutoffs.csv"
         _write_text(path, "\n".join(lines) + "\n")
@@ -224,9 +222,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_forecast(args) -> int:
     out = _prepare_out(args.out)
-    bundle = load_checkpoint(args.checkpoint)
-    model, prep = load_predictor(bundle)
-    cfg = bundle.config
+    model, prep = load_predictor(args.checkpoint)
+    cfg = prep.config
     records = parse_cmapss(args.data)
     by_unit = {r.unit_id: r for r in records}
     if args.unit not in by_unit:
@@ -245,8 +242,7 @@ def cmd_forecast(args) -> int:
     normalized_full = normalize_record(sel, prep.stats)
     cut = truncated.length
     horizon = cfg.horizon
-    forecast_sensors, _, predicted_rul = forecast_trajectory(truncated, model, prep)
-    forecast_norm = normalize_values(forecast_sensors, prep.stats)[:, col]
+    forecast, _, predicted_rul = forecast_trajectory(truncated, model, prep)
     history = normalized_full.sensors[:cut, col]
     truth_n = min(horizon, record.length - cut)
     truth = normalized_full.sensors[cut : cut + truth_n, col]
@@ -256,7 +252,7 @@ def cmd_forecast(args) -> int:
         rows.append(f"{t + 1},{history[t]:.6f},,")
     for h in range(horizon):
         truth_val = f"{truth[h]:.6f}" if h < truth_n else ""
-        rows.append(f"{cut + h + 1},,{forecast_norm[h]:.6f},{truth_val}")
+        rows.append(f"{cut + h + 1},,{forecast[h, col]:.6f},{truth_val}")
     csv_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.csv"
     _write_text(csv_path, "\n".join(rows) + "\n")
 
@@ -267,10 +263,9 @@ def cmd_forecast(args) -> int:
     )
     chart.add_series("history", range(1, cut + 1), history, "#1f77b4")
     chart.add_series(
-        "forecast", range(cut + 1, cut + horizon + 1), forecast_norm, "#ff7f0e"
+        "forecast", range(cut + 1, cut + horizon + 1), forecast[:, col], "#ff7f0e"
     )
-    if truth_n:
-        chart.add_series("truth", range(cut + 1, cut + truth_n + 1), truth, "#2ca02c")
+    chart.add_series("truth", range(cut + 1, cut + truth_n + 1), truth, "#2ca02c")  # dropped when empty
     chart.add_vline(cut + predicted_rul, "predicted TTF", "#d62728")
     chart.add_vline(record.length, "true TTF", "#1f77b4")
     svg_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.svg"

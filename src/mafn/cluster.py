@@ -39,8 +39,8 @@ class ClusterModel:
     feature_spec: str              # which columns were clustered ("settings" | "sensors")
 
     def __post_init__(self):
-        if self.centroids.shape[0] != self.k:
-            raise ContractError(f"expected {self.k} centroids, got {self.centroids.shape[0]}")
+        if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
+            raise ContractError(f"expected ({self.k}, d) centroids, got shape {self.centroids.shape}")
         if np.isnan(self.centroids).any():
             raise ContractError("centroid contains NaN")
 

@@ -172,10 +172,6 @@ def default_config_text() -> str:
     )
 
 
-def parse_config_text(text: str, path: str = "<string>") -> TrainConfig:
-    return parse_fields(TrainConfig, text, path, "config")
-
-
 def load_config(path=None, seed=None) -> TrainConfig:
     """The defaults, then the file at ``path`` if one is given, then the
     ``MAFN_*`` environment overrides, then ``seed``; validated once."""

@@ -66,6 +66,10 @@ class NormalizationStats:
     mins: np.ndarray               # (S,)
     maxs: np.ndarray               # (S,)
 
+    def __post_init__(self):
+        if not np.shape(self.mins) == np.shape(self.maxs) == (len(self.sensor_ids),):
+            raise ContractError("mins and maxs must hold one value per sensor id")
+
     @property
     def degenerate(self) -> np.ndarray:
         return self.maxs == self.mins
@@ -299,6 +303,9 @@ def select_sensors(record: EngineRecord, keep: Sequence[int] = SELECTED_SENSORS)
     if len(record.sensor_ids) != N_RAW_SENSORS:
         raise ContractError(f"expected {N_RAW_SENSORS} sensor channels, got {len(record.sensor_ids)}")
     keep = tuple(sorted(keep))
+    lacking = [s for s in keep if s not in record.sensor_ids]
+    if lacking:
+        raise ContractError(f"record has no sensor {lacking}; its sensors are {record.sensor_ids}")
     cols = [record.sensor_ids.index(s) for s in keep]
     return replace(record, sensors=record.sensors[:, cols].copy(), sensor_ids=keep)
 
@@ -337,11 +344,6 @@ def normalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarra
     safe = np.where(span == 0.0, 1.0, span)
     out = (values - stats.mins) / safe
     return np.where(span == 0.0, 0.0, out)
-
-
-def denormalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    span = stats.maxs - stats.mins
-    return values * span + stats.mins
 
 
 def normalize_record(record: EngineRecord, stats: NormalizationStats) -> EngineRecord:

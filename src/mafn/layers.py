@@ -48,10 +48,6 @@ class EmbeddingTable:
     def __init__(self, rng, n_states: int, dim: int):
         self.weights = T.parameter(glorot_uniform(rng, n_states, dim, (n_states, dim)))
 
-    @property
-    def n_states(self) -> int:
-        return self.weights.shape[0]
-
     def __call__(self, state_ids) -> Tensor:
         return T.gather_rows(self.weights, np.asarray(state_ids))
 
@@ -91,7 +87,6 @@ class LstmCell:
     one scan."""
 
     def __init__(self, rng, n_in: int, n_hidden: int):
-        self.n_in = n_in
         self.n_hidden = n_hidden
         lim_x = np.sqrt(6.0 / (n_in + n_hidden))
         lim_h = np.sqrt(6.0 / (2 * n_hidden))

@@ -150,9 +150,9 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def relative_error(pred, truth, eps: float = 1e-8) -> float:
+def relative_error(pred, truth) -> float:
     pred, truth = _paired(pred, truth)
-    return float(np.mean(np.abs(pred - truth) / (truth + eps)))
+    return float(np.mean(np.abs(pred - truth) / (truth + 1e-8)))
 
 
 def score(pred, truth) -> float:

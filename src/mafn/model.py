@@ -14,16 +14,15 @@ The RUL head consumes the attention context alone and works on a normalized
 scale (cycles / rul_cap), so its loss is commensurate with the other heads;
 prediction helpers convert back to cycles and clamp to [0, rul_cap].
 
-``forward`` takes (B, T, D) windows only and runs every head.  On one
-history's trailing window, ``predict_rul`` runs ``encode`` (embedding,
-Conv1D, BiLSTM, attention) and ``rul_head`` alone; ``forecast_trajectory``
-runs the full ``forward``.
+``forward`` runs every head over the config's horizon.  On one history's
+trailing window, ``predict_rul`` runs ``encode`` (embedding, Conv1D, BiLSTM,
+attention) and ``rul_head`` alone; ``forecast_trajectory`` runs ``forward``
+and returns its forecast in the normalized units the model is trained in.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .data import (
     EngineRecord,
     N_RAW_SENSORS,
     NormalizationStats,
-    denormalize_values,
     normalize_record,
     record_states,
     select_sensors,
@@ -48,7 +46,6 @@ from .tensor import Tensor
 class MafnOutput:
     state_logits: Tensor       # (B, H, K)
     degradation: Tensor        # (B, H): scalar trend per step
-    trend_vectors: Tensor      # (B, H, d_d)
     forecast: Tensor           # (B, H, d_s)
     rul: Tensor                # (B,): normalized (cycles / rul_cap)
     attention_weights: Tensor  # (B, T_w)
@@ -161,16 +158,14 @@ class MafnModel:
         """Normalized RUL (B,) from the attention context."""
         return self.rul_out(self.rul_l2(self.rul_l1(context))).reshape((context.shape[0],))
 
-    def forward(self, windows, state_ids, future_states=None, horizon: Optional[int] = None) -> MafnOutput:
+    def forward(self, windows, state_ids, future_states=None) -> MafnOutput:
         """Run every head on a (B, T, D) batch of windows.
 
         ``future_states`` (when given) teacher-forces the fusion head with
         the true future state ids; otherwise the state head's argmax feeds
         the fusion embedding lookup.
         """
-        h_steps = self.config.horizon if horizon is None else int(horizon)
-        if h_steps < 1:
-            raise ContractError(f"horizon must be >= 1, got {h_steps}")
+        h_steps = self.config.horizon
         context, weights = self.encode(windows, state_ids)  # (B, 2H), (B, T)
         batch, rul = context.shape[0], self.rul_head(context)
 
@@ -192,7 +187,7 @@ class MafnModel:
         for layer in self.fusion_layers:
             fused = layer(fused)
         forecast = self.fusion_out(fused)                  # (B, H, d_s)
-        return MafnOutput(logits, trend, trend_vecs, forecast, rul, weights)
+        return MafnOutput(logits, trend, forecast, rul, weights)
 
 
 # -- inference over raw engine histories -----------------------------------------
@@ -254,18 +249,12 @@ def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle
     return clamp_rul(rul * bundle.config.rul_cap, bundle.config.rul_cap)
 
 
-def forecast_trajectory(
-    record: EngineRecord,
-    model: MafnModel,
-    bundle: PreprocessBundle,
-    horizon: Optional[int] = None,
-):
-    """Post-cutoff forecast from one forward: denormalized (H, d_s) sensors,
-    H state ids and the RUL in cycles as :func:`predict_rul` gives it."""
+def forecast_trajectory(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle):
+    """Post-cutoff forecast from one forward: the normalized (H, d_s) sensor
+    forecast, H state ids and the RUL in cycles as :func:`predict_rul` gives it."""
     inputs, states = prepare_window(record, bundle)
     with T.no_grad():
-        out = model.forward(inputs[None], states[None], horizon=horizon)
+        out = model.forward(inputs[None], states[None])
     predicted_states = out.state_logits.data[0].argmax(axis=-1)
-    sensors = denormalize_values(out.forecast.data[0], bundle.stats)
     rul = clamp_rul(out.rul.item() * bundle.config.rul_cap, bundle.config.rul_cap)
-    return sensors, predicted_states, rul
+    return out.forecast.data[0], predicted_states, rul

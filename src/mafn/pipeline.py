@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import CheckpointBundle
+from .checkpoint import load_checkpoint
 from .cluster import kmeans_fit, relabel_canonical
 from .config import TrainConfig
 from .data import fit_normalization, make_windows, normalize_record, select_sensors, state_features
@@ -47,8 +47,9 @@ def windows_for_records(records, cluster_model, cfg: TrainConfig):
     ]
 
 
-def load_predictor(bundle: CheckpointBundle):
-    """The model and preprocessing bundle a checkpoint describes."""
+def load_predictor(path):
+    """The model and preprocessing bundle of the checkpoint at ``path``."""
+    bundle = load_checkpoint(path)
     cfg = bundle.config
     model = MafnModel(cfg, bundle.n_sensors, np.random.default_rng(cfg.seed))
     model.load_state(bundle.params)

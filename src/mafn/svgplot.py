@@ -1,4 +1,4 @@
-"""Deterministic SVG line charts, no plotting dependency.
+"""Deterministic SVG line charts on a fixed 720 x 440 canvas, no plotting dependency.
 
 Output depends only on the data and labels handed in: coordinates are
 formatted at fixed precision and nothing timestamped or random enters the
@@ -12,17 +12,19 @@ import numpy as np
 
 from .errors import ContractError
 
+_WIDTH = 720.0
+_HEIGHT = 440.0
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 48.0
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / n
+    raw = span / 5
     mag = 10.0 ** np.floor(np.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -38,29 +40,27 @@ def _nice_ticks(lo: float, hi: float, n: int = 5):
 
 
 class LineChart:
-    def __init__(self, title: str, xlabel: str, ylabel: str, width: int = 720, height: int = 440):
+    def __init__(self, title: str, xlabel: str, ylabel: str):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.width = float(width)
-        self.height = float(height)
-        self.series = []          # (label, xs, ys, color, dashed)
+        self.series = []          # (label, xs, ys, color)
         self.vlines = []          # (x, label, color)
 
-    def add_series(self, label, xs, ys, color: str, dashed: bool = False):
+    def add_series(self, label, xs, ys, color: str):
         xs = [float(v) for v in xs]
         ys = [float(v) for v in ys]
         if len(xs) != len(ys):
             raise ContractError(f"series {label!r}: {len(xs)} x values vs {len(ys)} y values")
         if xs:
-            self.series.append((label, xs, ys, color, dashed))
+            self.series.append((label, xs, ys, color))
 
     def add_vline(self, x: float, label: str, color: str):
         self.vlines.append((float(x), label, color))
 
     def _bounds(self):
-        xs = [x for _, sx, _, _, _ in self.series for x in sx]
-        ys = [y for _, _, sy, _, _ in self.series for y in sy]
+        xs = [x for _, sx, _, _ in self.series for x in sx]
+        ys = [y for _, _, sy, _ in self.series for y in sy]
         xs += [x for x, _, _ in self.vlines]
         if not xs or not ys:
             raise ContractError("chart has no data")
@@ -73,8 +73,8 @@ class LineChart:
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()
-        plot_w = self.width - _MARGIN_LEFT - _MARGIN_RIGHT
-        plot_h = self.height - _MARGIN_TOP - _MARGIN_BOTTOM
+        plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+        plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
         def px(x):
             return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -84,10 +84,10 @@ class LineChart:
 
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width:.0f}" '
-            f'height="{self.height:.0f}" viewBox="0 0 {self.width:.0f} {self.height:.0f}">',
-            f'<rect x="0" y="0" width="{self.width:.0f}" height="{self.height:.0f}" fill="#ffffff"/>',
-            f'<text x="{self.width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
+            f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
+            f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>',
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{escape(self.title)}</text>',
         ]
         # frame
@@ -116,7 +116,7 @@ class LineChart:
                 f'font-family="sans-serif" font-size="11">{t:g}</text>'
             )
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{self.height - 10:.1f}" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10:.1f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">{escape(self.xlabel)}</text>'
         )
         parts.append(
@@ -135,16 +135,15 @@ class LineChart:
                 f'<text x="{sx + 4:.2f}" y="{_MARGIN_TOP + 14:.2f}" font-family="sans-serif" '
                 f'font-size="11" fill="{color}">{escape(label)}</text>'
             )
-        for label, xs, ys, color, dashed in self.series:
+        for label, xs, ys, color in self.series:
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-            dash = ' stroke-dasharray="5,3"' if dashed else ""
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash}/>'
+                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
             )
         # legend
         lx = _MARGIN_LEFT + 10
         ly = _MARGIN_TOP + 14
-        for i, (label, _, _, color, _) in enumerate(self.series):
+        for i, (label, _, _, color) in enumerate(self.series):
             y = ly + 16 * i
             parts.append(
                 f'<line x1="{lx:.1f}" y1="{y - 4:.1f}" x2="{lx + 18:.1f}" y2="{y - 4:.1f}" '

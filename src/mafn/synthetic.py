@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .config import parse_fields, render_fields, require_finite
+from .config import render_fields, require_finite
 from .data import DROPPED_SENSORS, EngineRecord, N_RAW_SENSORS, SELECTED_SENSORS, atomic_write
 from .errors import ContractError
 
@@ -144,10 +144,6 @@ def generate(spec: SynthSpec):
         "engines": truth_engines,
     }
     return records, truth
-
-
-def parse_synth_spec_text(text: str, path: str = "<string>") -> SynthSpec:
-    return parse_fields(SynthSpec, text, path, "synthesis")
 
 
 def default_synth_spec_text() -> str:

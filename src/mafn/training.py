@@ -219,21 +219,15 @@ def format_log_csv(rows: Sequence[dict]) -> str:
 CUTOFF_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
-@dataclass
-class CutoffReport:
-    rows: list          # (cutoff_pct, rmse, re, score)
-    skipped: int        # engines too short after truncation
-
-
 def evaluate_cutoffs(
     records,
     predict_fn: Callable,
     window: int,
     rul_cap: float,
     cutoffs: Sequence[float] = CUTOFF_GRID,
-) -> CutoffReport:
-    """Truncate every run-to-failure engine at each cutoff and score
-    predictions against the capped residual life min(L - cut, rul_cap).
+) -> list:
+    """One ``(cutoff_pct, rmse, re, score)`` row per cutoff: every engine cut
+    there, scored against its capped residual life min(L - cut, rul_cap).
 
     Truncations shorter than ``window`` are skipped with a warning count; a
     cutoff where every engine is too short contributes no row.
@@ -259,7 +253,7 @@ def evaluate_cutoffs(
         raise ContractError("no engine long enough at any cutoff")
     if skipped:
         log.warning("evaluate_cutoffs skipped %d short truncations", skipped)
-    return CutoffReport(rows=rows, skipped=skipped)
+    return rows
 
 
 def evaluate_testset(records, rul_truth: np.ndarray, predict_fn: Callable, rul_cap: float):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import mafn
 from mafn import cli
-from mafn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from mafn import tensor as T
+from mafn.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from mafn.cli import main
 from mafn.config import (
     MAX_ARRAY_VALUES,
@@ -25,10 +26,12 @@ from mafn.config import (
     default_config_text,
     load_config,
     model_sizes,
-    parse_config_text,
+    parse_fields,
 )
+from mafn.data import parse_cmapss, truncate_at_fraction
 from mafn.errors import ContractError, DataError
-from mafn.model import MafnModel
+from mafn.model import MafnModel, prepare_window
+from mafn.pipeline import load_predictor
 from mafn.svgplot import LineChart
 
 
@@ -92,7 +95,7 @@ def workspace(tmp_path_factory):
 
 class TestConfig:
     def test_default_text_parses_to_defaults(self):
-        assert parse_config_text(default_config_text()) == TrainConfig()
+        assert parse_fields(TrainConfig, default_config_text(), "<string>", "config") == TrainConfig()
 
     def test_config_init_roundtrip(self, tmp_path):
         path = tmp_path / "mafn.cfg"
@@ -101,7 +104,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataError, match="unknown config key"):
-            parse_config_text("no_such_knob = 3")
+            parse_fields(TrainConfig, "no_such_knob = 3", "<string>", "config")
 
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "mafn.cfg"
@@ -138,7 +141,7 @@ class TestConfig:
 
     def test_validation_failure(self):
         with pytest.raises(Exception, match="lambda_late"):
-            parse_config_text("lambda_late = 1.0\nlambda_early = 2.0").validate()
+            parse_fields(TrainConfig, "lambda_late = 1.0\nlambda_early = 2.0", "<string>", "config").validate()
 
     @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
     def test_non_finite_or_out_of_range_value_rejected(self, tmp_path, line):
@@ -607,6 +610,68 @@ class TestEvaluateCommand:
         assert not (out / "evaluation_testset.csv").exists()
 
 
+def rewrite_checkpoint(path, out, edit):
+    """The checkpoint at ``path`` with its header and arrays passed through
+    ``edit(header, arrays)``, written to ``out`` with a valid length prefix
+    and each array's shape taken from the edited array."""
+    blob = Path(path).read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack("<Q", blob[start:start + 8])
+    header = json.loads(blob[start + 8:start + 8 + hlen])
+    arrays, offset = {}, start + 8 + hlen
+    for meta in header["arrays"]:
+        n = int(np.prod(meta["shape"]))
+        arrays[meta["name"]] = np.frombuffer(blob, "<f8", n, offset).reshape(meta["shape"])
+        offset += 8 * n
+    edit(header, arrays)
+    header["arrays"] = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = b"".join(np.ascontiguousarray(arr, "<f8").tobytes() for arr in arrays.values())
+    Path(out).write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(text)) + text + body)
+    return out
+
+
+def _set_first_sensor_id(value):
+    def edit(header, arrays):
+        header["sensor_ids"][0] = value
+    return edit
+
+
+# parts of a checkpoint that disagree with each other; each escaped
+# ``mafn evaluate`` as a traceback: an IndexError in assign_states, a
+# broadcast ValueError in normalization, a tuple.index ValueError
+DISAGREEING_CHECKPOINTS = {
+    "k centroids of one value": lambda header, arrays: arrays.update(
+        {"cluster.centroids": arrays["cluster.centroids"][:, 0]}),
+    "3 normalization bounds": lambda header, arrays: arrays.update(
+        {"stats.mins": arrays["stats.mins"][:3], "stats.maxs": arrays["stats.maxs"][:3]}),
+    "sensor id 99": _set_first_sensor_id(99),
+    "sensor id 0": _set_first_sensor_id(0),
+}
+
+
+class TestDisagreeingCheckpoint:
+    @pytest.mark.parametrize("case", sorted(DISAGREEING_CHECKPOINTS))
+    def test_clean_error(self, workspace, tmp_path, capsys, case):
+        ckpt = rewrite_checkpoint(workspace / "run1" / "model.ckpt", tmp_path / "bad.ckpt",
+                                  DISAGREEING_CHECKPOINTS[case])
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data" / "synthetic_train.txt"),
+                     "--mode", "cutoffs", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("mafn: error:"), err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unchanged_rewrite_is_byte_identical(self, workspace, tmp_path):
+        ckpt = workspace / "run1" / "model.ckpt"
+        copy = rewrite_checkpoint(ckpt, tmp_path / "copy.ckpt", lambda header, arrays: None)
+        assert copy.read_bytes() == ckpt.read_bytes()
+
+
 NON_FINITE_CHECKPOINTS = {
     # each loaded once: nan scored nan rows, inf clamped every prediction,
     # a nan normalization bound failed deep in the forward with exit 3
@@ -722,6 +787,30 @@ class TestForecastCommand:
         forecast = [r for r in rows if r.split(",")[2]]
         assert len(history) == cut and len(forecast) == 3 and len(rows) == cut + 3
         ET.parse(out / "forecast_unit2_sensor7.svg")
+
+    @pytest.mark.parametrize("pad_short, unit, cutoff, sensor", [
+        (False, 1, 0.5, 2), (False, 3, 0.9, 21), (False, 5, 0.7, 11),
+        (True, 2, 0.05, 7), (True, 4, 0.15, 15),   # 2 and 6-8 cycles: shorter than the window
+    ])
+    def test_forecast_column_is_the_model_output(self, workspace, tmp_path, pad_short, unit, cutoff, sensor):
+        """The CSV's forecast column prints the model's normalized forecast
+        on the window ``prepare_window`` cuts, with no conversion between."""
+        ckpt = self._pad_short_checkpoint(workspace, tmp_path) if pad_short else workspace / "run1" / "model.ckpt"
+        data = workspace / "data" / "synthetic_train.txt"
+        out = tmp_path / "fc"
+        assert main(["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--unit", str(unit),
+                     "--cutoff", str(cutoff), "--sensor", str(sensor), "--out", str(out)]) == 0
+        model, prep = load_predictor(ckpt)
+        record = next(r for r in parse_cmapss(data) if r.unit_id == unit)
+        truncated, _ = truncate_at_fraction(record, cutoff)
+        assert (truncated.length < prep.config.window) == pad_short
+        inputs, states = prepare_window(truncated, prep)
+        with T.no_grad():
+            forecast = model.forward(inputs[None], states[None]).forecast.data[0]
+        col = prep.stats.sensor_ids.index(sensor)
+        rows = (out / f"forecast_unit{unit}_sensor{sensor}.csv").read_text().splitlines()[1:]
+        column = [row.split(",")[2] for row in rows if row.split(",")[2]]
+        assert column == [format(v, ".6f") for v in forecast[:, col]]
 
     def test_empty_cutoff_rejected_with_pad_short(self, workspace, tmp_path, capsys):
         out = tmp_path / "fc"

@@ -4,8 +4,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mafn.config import TrainConfig, parse_config_text, render_fields
-from mafn.synthetic import SynthSpec, parse_synth_spec_text
+from mafn.config import TrainConfig, parse_fields, render_fields
+from mafn.synthetic import SynthSpec
 
 # the str fields take one of the words the program accepts
 WORDS = {"cluster_features": ("settings", "sensors"), "trend": ("linear", "quadratic")}
@@ -35,5 +35,6 @@ def _instances(cls):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_instances(TrainConfig), _instances(SynthSpec)))
 def test_render_then_parse_is_identity(spec):
-    parse = {TrainConfig: parse_config_text, SynthSpec: parse_synth_spec_text}[type(spec)]
-    assert parse(render_fields(spec, "# header", {"seed": "a comment"})) == spec
+    text = render_fields(spec, "# header", {"seed": "a comment"})
+    kind = {TrainConfig: "config", SynthSpec: "synthesis"}[type(spec)]
+    assert parse_fields(type(spec), text, "<string>", kind) == spec

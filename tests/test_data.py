@@ -246,15 +246,6 @@ class TestNormalization:
         stats = D.NormalizationStats(sensor_ids=(2,), mins=np.array([0.0]), maxs=np.array([1.0]))
         assert D.normalize_values(np.array([2.0]), stats)[0] == 2.0
 
-    def test_denormalize_inverts(self, rng):
-        stats = D.NormalizationStats(
-            sensor_ids=tuple(range(11)), mins=rng.normal(size=11), maxs=rng.normal(size=11) + 5.0
-        )
-        v = rng.normal(size=(4, 11))
-        np.testing.assert_allclose(
-            D.normalize_values(D.denormalize_values(v, stats), stats), v, atol=1e-12
-        )
-
     def test_empty_train_set(self):
         with pytest.raises(ContractError):
             D.fit_normalization([])

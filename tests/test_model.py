@@ -88,11 +88,6 @@ class TestForward:
         with pytest.raises(DimensionError, match=r"\(B, T, D\)"):
             model.forward(rng.random((cfg.window, 2)), rng.integers(0, 2, cfg.window))
 
-    def test_horizon_override(self, rng):
-        model, cfg = tiny_model()
-        out = model.forward(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)), horizon=1)
-        assert out.forecast.shape == (1, 1, 2)
-
     def test_full_model_gradient_check(self, rng):
         model, cfg = tiny_model(seed=11)
         x = rng.random((2, cfg.window, 2))
@@ -167,8 +162,9 @@ class TestPrediction:
 class TestForecastTrajectory:
     def test_recovers_state_offsets_on_switching_data(self):
         # noise-free two-state data: the forecast must land on trend + state
-        # offset, and predicted states must match the cluster's labeling of
-        # the true future settings
+        # offset (within 0.5 raw units, compared in normalized units), and
+        # predicted states must match the cluster's labeling of the true
+        # future settings
         from mafn.pipeline import fit_pipeline, windows_for_records
         from mafn.cluster import assign_states
         from mafn.data import pack_windows, split_by_engine, truncate_at_fraction
@@ -207,8 +203,9 @@ class TestForecastTrajectory:
             forecast, pred_states, rul = forecast_trajectory(truncated, model, bundle)
             assert rul == predict_rul(truncated, model, bundle)
             offsets = np.where(states[cut : cut + 4] == 0, -1.0, 1.0)
-            expected = sensor_base(2) + trend[cut : cut + 4] + offsets
-            assert np.abs(forecast[:, 0] - expected).max() < 0.5
+            span = stats.maxs[0] - stats.mins[0]
+            expected = (sensor_base(2) + trend[cut : cut + 4] + offsets - stats.mins[0]) / span
+            assert np.abs(forecast[:, 0] - expected).max() < 0.5 / span
             cluster_truth = assign_states(rec.op_settings[cut : cut + 4], cluster)
             np.testing.assert_array_equal(pred_states, cluster_truth)
 

@@ -15,7 +15,6 @@ from mafn.data import (
     N_RAW_SENSORS,
     EngineRecord,
     NormalizationStats,
-    denormalize_values,
     normalize_record,
     record_states,
     select_sensors,
@@ -45,13 +44,13 @@ def reference_prepare(record, bundle):
 
 
 def reference_forward(record, model, bundle):
-    """Full forward on the reference window: (RUL in cycles, forecast, states)."""
+    """Full forward on the reference window: (RUL in cycles, normalized
+    forecast, states)."""
     inputs, states = reference_prepare(record, bundle)
     with T.no_grad():
         out = model.forward(inputs[None], states[None])
     cap = bundle.config.rul_cap
-    forecast = denormalize_values(out.forecast.data[0], bundle.stats)
-    return clamp_rul(out.rul.item() * cap, cap), forecast, out.state_logits.data[0].argmax(axis=-1)
+    return clamp_rul(out.rul.item() * cap, cap), out.forecast.data[0], out.state_logits.data[0].argmax(axis=-1)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import logging
+import re
 from collections import OrderedDict
 
 import numpy as np
@@ -194,23 +196,26 @@ class TestEvaluate:
             full = lengths[truncated.unit_id]
             return min(float(full - truncated.length), 125.0)
 
-        report = evaluate_cutoffs(records, oracle, window=6, rul_cap=125.0)
-        assert len(report.rows) == 9
-        for pct, r, e, s in report.rows:
+        rows = evaluate_cutoffs(records, oracle, window=6, rul_cap=125.0)
+        assert len(rows) == 9
+        for pct, r, e, s in rows:
             assert r == pytest.approx(0.0, abs=1e-12)
             assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_cutoff_grid_is_nine_rows(self):
         spec = SynthSpec(engines=3, life_min=80, life_max=90, seed=4)
         records, _ = generate(spec)
-        report = evaluate_cutoffs(records, lambda rec: 50.0, window=5, rul_cap=125.0)
-        assert [row[0] for row in report.rows] == [round(0.1 * i, 1) for i in range(1, 10)]
+        rows = evaluate_cutoffs(records, lambda rec: 50.0, window=5, rul_cap=125.0)
+        assert [row[0] for row in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
 
-    def test_short_truncations_counted(self):
+    def test_short_truncations_counted(self, caplog):
         spec = SynthSpec(engines=3, life_min=40, life_max=50, seed=4)
         records, _ = generate(spec)
-        report = evaluate_cutoffs(records, lambda rec: 10.0, window=20, rul_cap=125.0)
-        assert report.skipped > 0
+        with caplog.at_level(logging.WARNING, logger="mafn.training"):
+            evaluate_cutoffs(records, lambda rec: 10.0, window=20, rul_cap=125.0)
+        found = [re.fullmatch(r"evaluate_cutoffs skipped (\d+) short truncations", m) for m in caplog.messages]
+        counts = [int(m.group(1)) for m in found if m]
+        assert len(counts) == 1 and counts[0] > 0
 
     def test_testset_schema_and_capping(self):
         spec = SynthSpec(engines=4, life_min=60, life_max=70, seed=4)
