@@ -8,7 +8,7 @@ or a string (``perfbench`` patches functions by name).  ``mafn.cli.main``
 is called through ``[project.scripts]``.
 """
 import ast
-import tomllib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,12 +17,10 @@ PACKAGE = ROOT / "src" / "mafn"
 
 def script_targets() -> set:
     """``(module, name)`` of each console script in ``pyproject.toml``."""
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    targets = set()
-    for target in scripts.values():
-        module, _, name = target.partition(":")
-        targets.add((module.removeprefix("mafn."), name))
-    return targets
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return {(module.removeprefix("mafn."), name)
+            for module, name in re.findall(r'^\s*[\w-]+\s*=\s*"([\w.]+):(\w+)"', section, re.M)}
 
 
 def names_used(tree) -> list:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from mafn.config import parse_fields
 from mafn.data import DROPPED_SENSORS, SELECTED_SENSORS, parse_cmapss, write_cmapss
 from mafn.errors import ContractError, DataError
-from mafn.config import parse_fields
 from mafn.synthetic import (
     SynthSpec,
     default_synth_spec_text,
@@ -98,17 +98,14 @@ class TestTrend:
         assert t[-1] == pytest.approx(2.0)
 
 
-def parse_synth_spec(text):
-    return parse_fields(SynthSpec, text, "<string>", "synthesis")
-
-
 class TestSpecText:
     def test_default_text_roundtrip(self):
-        spec = parse_synth_spec(default_synth_spec_text())
+        spec = parse_fields(SynthSpec, default_synth_spec_text(), "<string>", "synthesis")
         assert spec == SynthSpec()
 
     def test_overrides(self):
-        spec = parse_synth_spec("engines = 7\noffsets = -2,2\nnoise_sigma = 0\nk_states = 2")
+        text = "engines = 7\noffsets = -2,2\nnoise_sigma = 0\nk_states = 2"
+        spec = parse_fields(SynthSpec, text, "<string>", "synthesis")
         assert spec.engines == 7
         assert spec.offsets == (-2.0, 2.0)
         assert spec.noise_sigma == 0.0
@@ -116,7 +113,7 @@ class TestSpecText:
     @pytest.mark.parametrize("line", ["validate = 3", "__init__ = 1", "no_such_knob = 2"])
     def test_only_field_names_are_keys(self, line):
         with pytest.raises(DataError, match="unknown synthesis key"):
-            parse_synth_spec(line)
+            parse_fields(SynthSpec, line, "<string>", "synthesis")
 
     def test_bad_value_names_path_line_and_field(self):
         with pytest.raises(DataError, match=r"^synth\.spec:2: synthesis field engines: "):
