@@ -9,6 +9,8 @@ bundles produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -17,11 +19,12 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .config import TrainConfig, decode_fields, decoded_value
-from .data import NormalizationStats, atomic_write
+from .data import N_RAW_SENSORS, NormalizationStats, atomic_write
 from .errors import ContractError, DataError
 
 MAGIC = b"MAFNCKPT"
 FORMAT_VERSION = 2
+_ARRAY_GROUPS = ("cluster.", "stats.", "param.")
 
 
 @dataclass
@@ -75,27 +78,54 @@ def _read(fh, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _array_layout(metas, left: int, path, where: str) -> "OrderedDict[str, tuple]":
+    """Each array's shape by name, once the names are known and distinct and
+    the arrays' bytes fill the ``left`` bytes after the header exactly."""
+    layout: "OrderedDict[str, tuple]" = OrderedDict()
+    for meta in metas:
+        name = decoded_value(meta["name"], "", where, "array name")
+        shape = decoded_value(meta["shape"], (0,), where, f"array {name} shape")
+        if not name.startswith(_ARRAY_GROUPS) or name in layout:
+            raise DataError(f"{where}: array {name!r} is unknown or repeated")
+        if min(shape, default=0) < 0:
+            raise DataError(f"{where}: array {name} has a negative dimension {list(shape)}")
+        left -= 8 * math.prod(shape)
+        if left < 0:
+            raise DataError(f"{path}: truncated checkpoint (array {name})")
+        layout[name] = shape
+    if left:
+        raise DataError(f"{path}: {left} bytes after the last array")
+    return layout
+
+
 def load_checkpoint(path) -> CheckpointBundle:
-    """Read a checkpoint; a truncated or corrupt file, an array holding NaN
-    or inf, a header value not of its field's type, or a config that fails
-    ``TrainConfig.validate`` raises DataError."""
+    """Read a checkpoint; a truncated or corrupt file, bytes after the last
+    array, an array holding NaN or inf, named twice or outside ``cluster.*``,
+    ``stats.*`` and ``param.*``, sensor ids that are not distinct raw ids in
+    ascending order, a header value not of its field's type, or a config
+    that fails ``TrainConfig.validate`` raises DataError.  The header length
+    and every array's size are checked against the bytes left in the file
+    before anything is read."""
     with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", _read(fh, 4, path, "version"))
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<Q", _read(fh, 8, path, "header length"))
+        left -= len(MAGIC) + 12 + hlen
+        if left < 0:
+            raise DataError(f"{path}: truncated checkpoint (header)")
+        where = f"{path}: checkpoint header"
         try:
             header = json.loads(_read(fh, hlen, path, "header"))
             arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
-            for meta in header["arrays"]:
-                shape = tuple(meta["shape"])
-                buf = _read(fh, int(np.prod(shape)) * 8, path, f"array {meta['name']}")
-                arrays[meta["name"]] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-                if not np.isfinite(arrays[meta["name"]]).all():
-                    raise DataError(f"{path}: checkpoint array {meta['name']} holds NaN or inf")
-            where = f"{path}: checkpoint header"
+            for name, shape in _array_layout(header["arrays"], left, path, where).items():
+                buf = _read(fh, 8 * math.prod(shape), path, f"array {name}")
+                arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
+                if not np.isfinite(arrays[name]).all():
+                    raise DataError(f"{path}: checkpoint array {name} holds NaN or inf")
             config = decode_fields(TrainConfig, header["config"], where, "config").validate()
             cluster = ClusterModel(
                 k=decoded_value(header["cluster"]["k"], 0, where, "cluster.k"),
@@ -103,8 +133,13 @@ def load_checkpoint(path) -> CheckpointBundle:
                 inertia=decoded_value(header["cluster"]["inertia"], 0.0, where, "cluster.inertia"),
                 feature_spec=decoded_value(header["cluster"]["feature_spec"], "", where, "cluster.feature_spec"),
             )
+            sensor_ids = decoded_value(header["sensor_ids"], (0,), where, "sensor_ids")
+            if list(sensor_ids) != sorted(set(sensor_ids) & set(range(1, N_RAW_SENSORS + 1))):
+                raise DataError(
+                    f"{where}: sensor_ids {list(sensor_ids)} are not distinct ids in 1..{N_RAW_SENSORS}, ascending"
+                )
             stats = NormalizationStats(
-                sensor_ids=decoded_value(header["sensor_ids"], (0,), where, "sensor_ids"),
+                sensor_ids=sensor_ids,
                 mins=arrays.pop("stats.mins"),
                 maxs=arrays.pop("stats.maxs"),
             )

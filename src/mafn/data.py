@@ -298,16 +298,20 @@ def parse_rul_file(path) -> np.ndarray:
     return np.concatenate(values)
 
 
+def sensor_columns(sensor_ids: tuple, keep: Sequence[int]) -> list:
+    """The column of each id in ``keep``, in its order, among ``sensor_ids``."""
+    lacking = [s for s in keep if s not in sensor_ids]
+    if lacking:
+        raise ContractError(f"record has no sensor {lacking}; its sensors are {sensor_ids}")
+    return [sensor_ids.index(s) for s in keep]
+
+
 def select_sensors(record: EngineRecord, keep: Sequence[int] = SELECTED_SENSORS) -> EngineRecord:
     """Keep only the informative sensor channels, in ascending original order."""
     if len(record.sensor_ids) != N_RAW_SENSORS:
         raise ContractError(f"expected {N_RAW_SENSORS} sensor channels, got {len(record.sensor_ids)}")
     keep = tuple(sorted(keep))
-    lacking = [s for s in keep if s not in record.sensor_ids]
-    if lacking:
-        raise ContractError(f"record has no sensor {lacking}; its sensors are {record.sensor_ids}")
-    cols = [record.sensor_ids.index(s) for s in keep]
-    return replace(record, sensors=record.sensors[:, cols].copy(), sensor_ids=keep)
+    return replace(record, sensors=record.sensors[:, sensor_columns(record.sensor_ids, keep)], sensor_ids=keep)
 
 
 def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:

@@ -22,7 +22,7 @@ and returns its forecast in the normalized units the model is trained in.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .data import (
     EngineRecord,
     N_RAW_SENSORS,
     NormalizationStats,
-    normalize_record,
+    normalize_values,
     record_states,
-    select_sensors,
+    sensor_columns,
 )
 from .errors import ContractError, DimensionError, NumericError
 from .layers import Attention, Conv1d, Dense, EmbeddingTable, LstmCell, bilstm
@@ -217,8 +217,9 @@ def min_history(cfg: TrainConfig) -> int:
 def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     """The normalized trailing window of a raw history and its state ids.
 
-    The window is cut before the per-cycle selection, normalization and state
-    assignment; ``pad_short`` left-pads a short history with its first cycle.
+    One gather takes the window's rows and the checkpoint's sensor columns,
+    before normalization and state assignment; ``pad_short`` left-pads a
+    short history with its first cycle.
     """
     cfg = bundle.config
     if record.length < min_history(cfg):
@@ -226,17 +227,15 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
             f"history of {record.length} cycles is shorter than the window ({cfg.window})"
             + ("" if cfg.pad_short else "; enable pad_short to left-pad by repeating the first cycle")
         )
-    rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
-    record = replace(record, cycle_index=np.arange(1, cfg.window + 1),
-                     op_settings=record.op_settings[rows], sensors=record.sensors[rows])
+    ids, cols = bundle.stats.sensor_ids, np.arange(len(record.sensor_ids))
     if len(record.sensor_ids) == N_RAW_SENSORS:
-        record = select_sensors(record, keep=bundle.stats.sensor_ids)
-    if record.sensor_ids != bundle.stats.sensor_ids:
-        raise ContractError(
-            f"record sensors {record.sensor_ids} do not match checkpoint {bundle.stats.sensor_ids}"
-        )
-    record = normalize_record(record, bundle.stats)
-    return record.sensors, record_states(record, bundle.cluster)
+        cols = sensor_columns(record.sensor_ids, ids)
+    elif record.sensor_ids != ids:
+        raise ContractError(f"record sensors {record.sensor_ids} do not match checkpoint {ids}")
+    rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
+    sensors = normalize_values(record.sensors[rows[:, None], cols], bundle.stats)
+    window = EngineRecord(record.unit_id, np.arange(1, cfg.window + 1), record.op_settings[rows], sensors, ids)
+    return sensors, record_states(window, bundle.cluster)
 
 
 def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle) -> float:

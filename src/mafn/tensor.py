@@ -508,40 +508,44 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
                 f"b {b.shape} do not fit {steps} steps of batch {B}, hidden {n}"
             )
     # time-step-major buffers: scan step k of every direction sits at index k,
-    # so each step's (dirs, B, ...) block is contiguous, with the gates as
-    # (4, H) blocks of each row
+    # so each step's (dirs, B, ...) block is contiguous.  The pre-activations
+    # z hold the gates as (4, H) blocks of each row; the activations are
+    # gate-major, so the cell and hidden updates read contiguous blocks
     xs = np.stack([_scan_order(dr[0].data.transpose(1, 0, 2), d) for d, dr in enumerate(directions)], axis=1)
-    h0, c0, W_h, b = (np.stack([d[j].data for d in directions]) for j in range(1, 5))
+    h0, c0, W_h, b = (np.array([d[j].data for d in directions]) for j in range(1, 5))
     b = b[:, None]
     record = _grad_enabled and any(t.requires_grad for direction in directions for t in direction)
     slots = steps if record else 1
-    gates = np.empty((slots, dirs, B, 4, n))  # i, f, g, o activations
+    gates = np.empty((slots, 4, dirs, B, n))  # i, f, g, o activations
     cells = np.empty((slots, dirs, B, n))
     tanh_c = np.empty((slots, dirs, B, n))
     hidden = np.empty((steps, dirs, B, n))
     h, c = h0, c0
-    cand = np.empty((dirs, B, n))
-    i_cand = np.empty((dirs, B, n))
-    i, f, g, o = (gates[..., j, :] for j in range(4))
-    history = (gates.reshape(slots, dirs, B, 4 * n), i, f, g, o, cells, tanh_c)
+    z, cand, i_cand = np.empty((dirs, B, 4, n)), np.empty((dirs, B, n)), np.empty((dirs, B, n))
+    z_rows, z_g, one = z.reshape(dirs, B, 4 * n), z[..., 2, :], np.ones(())
+    i, f, g, o = gates.transpose(1, 0, 2, 3, 4)
+    history = (gates.transpose(0, 2, 3, 1, 4), i, f, g, o, cells, tanh_c)
     per_step = zip(*history) if record else itertools.repeat(tuple(a[0] for a in history))
     inputs = itertools.repeat(xs[0]) if const else xs
-    for (z, i_k, f_k, g_k, o_k, c_k, tc_k), x_k, h_k in zip(per_step, inputs, hidden):
-        np.matmul(h, W_h, out=z)
-        np.add(x_k, z, out=z)
-        z += b
-        np.tanh(g_k, out=cand)
-        # sigmoid 1 / (1 + exp(-z)) in place, then the candidate block takes tanh
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
+    # at batch 1 a step costs numpy call overhead, not arithmetic: functions
+    # bound to locals, outputs passed positionally, the constant 1 a 0-d array
+    matmul, add, multiply, divide, negative, exp, tanh = np.matmul, np.add, np.multiply, np.divide, np.negative, np.exp, np.tanh
+    for (act, i_k, f_k, g_k, o_k, c_k, tc_k), x_k, h_k in zip(per_step, inputs, hidden):
+        matmul(h, W_h, z_rows)
+        add(x_k, z_rows, z_rows)
+        add(z_rows, b, z_rows)
+        tanh(z_g, cand)
+        # sigmoid 1 / (1 + exp(-z)) into the gate-major slot; the candidate block takes tanh
+        negative(z, z)
+        exp(z, z)
+        add(z, one, z)
+        divide(one, z, act)
         if record:
             g_k[...] = cand
-        c = np.multiply(f_k, c, out=c_k)
-        c += np.multiply(i_k, cand, out=i_cand)
-        np.tanh(c, out=tc_k)
-        h = np.multiply(o_k, tc_k, out=h_k)
+        c = multiply(f_k, c, c_k)
+        add(c, multiply(i_k, cand, i_cand), c)
+        tanh(c, tc_k)
+        h = multiply(o_k, tc_k, h_k)
 
     def grad_fn(grad):
         by_dir = grad.reshape(B, steps, dirs, n).transpose(2, 1, 0, 3)

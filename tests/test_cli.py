@@ -33,6 +33,7 @@ from mafn.errors import ContractError, DataError
 from mafn.model import MafnModel, prepare_window
 from mafn.pipeline import load_predictor
 from mafn.svgplot import LineChart
+from tests.test_model import with_header
 
 
 SMOKE_CONFIG = """
@@ -666,10 +667,78 @@ class TestDisagreeingCheckpoint:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [99, 0])
+    def test_sensor_id_rejected_before_the_data(self, workspace, tmp_path, capsys, value):
+        ckpt = rewrite_checkpoint(workspace / "run1" / "model.ckpt", tmp_path / "bad.ckpt",
+                                  _set_first_sensor_id(value))
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(tmp_path / "absent.txt"),
+                     "--mode", "cutoffs", "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sensor_ids [{value}," in err and "absent.txt" not in err, err
+
     def test_unchanged_rewrite_is_byte_identical(self, workspace, tmp_path):
         ckpt = workspace / "run1" / "model.ckpt"
         copy = rewrite_checkpoint(ckpt, tmp_path / "copy.ckpt", lambda header, arrays: None)
         assert copy.read_bytes() == ckpt.read_bytes()
+
+
+def mutate(blob: bytes, kind: str, *args) -> bytes:
+    """``blob``, a checkpoint's bytes, damaged one way: truncated at a
+    position, a tail appended, one bit of the magic, version, length prefix
+    or JSON header flipped, the length prefix replaced, or one array
+    dimension in the header replaced under a matching length prefix."""
+    start = len(MAGIC) + 4                          # the length prefix
+    (hlen,) = struct.unpack("<Q", blob[start:start + 8])
+    body = start + 8 + hlen
+    if kind == "truncated":
+        return blob[:args[0] % len(blob)]
+    if kind == "appended":
+        return blob + args[0]
+    if kind == "header bit flipped":
+        at = args[0] % body
+        return blob[:at] + bytes([blob[at] ^ 1 << args[1]]) + blob[at + 1:]
+    if kind == "length prefix":
+        return blob[:start] + struct.pack("<Q", args[0]) + blob[start + 8:]
+    assert kind == "array dimension"
+
+    def edit(header):
+        meta = header["arrays"][args[0] % len(header["arrays"])]
+        meta["shape"][args[1] % len(meta["shape"])] = args[2]
+    return with_header(blob, edit)
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncated"), st.integers(0, 10**6)),
+    st.tuples(st.just("appended"),
+              st.sampled_from([1, 8, 800]).flatmap(lambda n: st.binary(min_size=n, max_size=n))),
+    st.tuples(st.just("header bit flipped"), st.integers(0, 10**6), st.integers(0, 7)),
+    st.tuples(st.just("length prefix"), st.integers(2**44, 2**64 - 1)),
+    st.tuples(st.just("array dimension"), st.integers(0, 100), st.integers(0, 1), st.integers(2**44, 2**70)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=MUTATIONS, command=st.sampled_from(["forecast", "evaluate"]))
+def test_mutated_checkpoint_loads_or_fails_cleanly(workspace, mutation, command):
+    """A damaged checkpoint exits 0 or 2 through ``main`` with at most one
+    ``mafn:`` line and no traceback.  Only a header bit flip may leave a
+    loadable file; every other mutation breaks the layout and exits 2."""
+    blob = mutate((workspace / "run1" / "model.ckpt").read_bytes(), *mutation)
+    extra = (["--mode", "cutoffs"] if command == "evaluate"
+             else ["--unit", "2", "--cutoff", "0.7", "--sensor", "7"])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "mutated.ckpt"
+        ckpt.write_bytes(blob)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--checkpoint", str(ckpt),
+                         "--data", str(workspace / "data" / "synthetic_train.txt"),
+                         *extra, "--out", str(Path(tmp) / "out")])
+    text = out.getvalue() + err.getvalue()
+    assert "Traceback" not in text, text
+    assert sum(line.startswith("mafn:") for line in err.getvalue().splitlines()) <= 1, text
+    assert code in ((0, 2) if mutation[0] == "header bit flipped" else (2,)), (code, text)
 
 
 NON_FINITE_CHECKPOINTS = {

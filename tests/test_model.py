@@ -1,4 +1,8 @@
+import json
+import re
+import struct
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +147,28 @@ class TestPrediction:
         value = predict_rul(rec, model, bundle)
         assert 0.0 <= value <= cfg.rul_cap
 
+    def test_preselected_record_with_other_ids_names_both(self):
+        model, cfg = tiny_model()
+        rec = make_record(length=10, n_sensors=2)            # sensors (1, 2); the bundle's are (2, 3)
+        with pytest.raises(ContractError, match=r"record sensors \(1, 2\) do not match checkpoint \(2, 3\)"):
+            predict_rul(rec, model, self._bundle(cfg))
+
+    @pytest.mark.parametrize("ids, lacking", [((2, 99), "[99]"), ((0, 3), "[0]")])
+    def test_raw_record_lacking_a_checkpoint_id(self, ids, lacking):
+        model, cfg = tiny_model()
+        bundle = self._bundle(cfg)
+        bundle = replace(bundle, stats=NormalizationStats(sensor_ids=ids, mins=np.zeros(2), maxs=np.ones(2)))
+        with pytest.raises(ContractError, match=re.escape(f"record has no sensor {lacking}")):
+            predict_rul(make_record(length=10), model, bundle)
+
+    def test_raw_record_window_equals_the_preselected_one(self, rng):
+        rec = make_record(length=10, sensor_fn=lambda c, t: rng.random(len(t)))
+        chosen = replace(rec, sensors=rec.sensors[:, [1, 2]], sensor_ids=(2, 3))
+        for cfg in (tiny_config(), tiny_config(window=12, pad_short=True)):
+            bundle = self._bundle(cfg)
+            for got, want in zip(prepare_window(rec, bundle), prepare_window(chosen, bundle)):
+                np.testing.assert_array_equal(got, want)
+
     def test_short_history_raises_with_policy_hint(self):
         model, cfg = tiny_model()
         bundle = self._bundle(cfg)
@@ -210,6 +236,46 @@ class TestForecastTrajectory:
             np.testing.assert_array_equal(pred_states, cluster_truth)
 
 
+def with_header(blob, edit):
+    """A checkpoint's bytes with ``edit`` applied to its JSON header, under a
+    matching length prefix; the arrays' bytes are kept as they are."""
+    (hlen,) = struct.unpack("<Q", blob[12:20])
+    header = json.loads(blob[20:20 + hlen])
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:12] + struct.pack("<Q", len(text)) + text + blob[20 + hlen:]
+
+
+def _set(key, value):
+    return lambda blob: with_header(blob, lambda h: h.update({key: value}))
+
+
+def _edit_array(index, edit):
+    return lambda blob: with_header(blob, lambda h: edit(h["arrays"], h["arrays"][index]))
+
+
+# each damages a checkpoint's layout; without a check of the layout before
+# the reads, a negative dimension raised a read error, and every other case
+# loaded or raised MemoryError
+DAMAGED_LAYOUTS = {
+    "8 bytes appended": (lambda blob: blob + bytes(8), "8 bytes after the last array"),
+    "length prefix 2**44": (lambda blob: blob[:12] + struct.pack("<Q", 2**44) + blob[20:],
+                            r"truncated checkpoint \(header\)"),
+    "dimension 2**44": (_edit_array(3, lambda arrays, a: a["shape"].__setitem__(0, 2**44)),
+                        r"truncated checkpoint \(array param\."),
+    "negative dimension": (_edit_array(3, lambda arrays, a: a["shape"].__setitem__(0, -1)),
+                           "negative dimension"),
+    "array outside the groups": (_edit_array(3, lambda arrays, a: a.update(name="weights.x")),
+                                 "'weights.x' is unknown or repeated"),
+    "array named twice": (_edit_array(4, lambda arrays, a: a.update(name=arrays[3]["name"])),
+                          "unknown or repeated"),
+    "sensor id 0": (_set("sensor_ids", [0, 3]), r"sensor_ids \[0, 3\]"),
+    "sensor id 22": (_set("sensor_ids", [2, 22]), r"sensor_ids \[2, 22\]"),
+    "sensor id repeated": (_set("sensor_ids", [3, 3]), r"sensor_ids \[3, 3\]"),
+    "sensor ids descending": (_set("sensor_ids", [3, 2]), r"sensor_ids \[3, 2\]"),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         model, cfg = tiny_model(seed=5)
@@ -256,6 +322,16 @@ class TestCheckpoint:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="header"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_LAYOUTS))
+    def test_layout_checked_before_reading(self, tmp_path, case):
+        damage, message = DAMAGED_LAYOUTS[case]
+        blob = self._saved(tmp_path)
+        assert with_header(blob, lambda h: None) == blob
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(damage(blob))
+        with pytest.raises(DataError, match=message):
             load_checkpoint(bad)
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
