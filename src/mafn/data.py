@@ -306,12 +306,12 @@ def sensor_columns(sensor_ids: tuple, keep: Sequence[int]) -> list:
     return [sensor_ids.index(s) for s in keep]
 
 
-def select_sensors(record: EngineRecord, keep: Sequence[int] = SELECTED_SENSORS) -> EngineRecord:
+def select_sensors(record: EngineRecord) -> EngineRecord:
     """Keep only the informative sensor channels, in ascending original order."""
     if len(record.sensor_ids) != N_RAW_SENSORS:
         raise ContractError(f"expected {N_RAW_SENSORS} sensor channels, got {len(record.sensor_ids)}")
-    keep = tuple(sorted(keep))
-    return replace(record, sensors=record.sensors[:, sensor_columns(record.sensor_ids, keep)], sensor_ids=keep)
+    cols = sensor_columns(record.sensor_ids, SELECTED_SENSORS)
+    return replace(record, sensors=record.sensors[:, cols], sensor_ids=SELECTED_SENSORS)
 
 
 def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:

@@ -81,10 +81,10 @@ class Conv1d:
 class LstmCell:
     """Standard LSTM gate equations, gates stacked in i, f, g, o column order:
     W_x (n_in, 4H), W_h (H, 4H), b (4H); the forget-gate bias b[H:2H] starts
-    at 1.  A cell holds parameters only: :func:`mafn.tensor.lstm_scan` runs
-    the recurrence on the input projection ``x @ W_x``, so a constant input
-    (the decoders') is projected once, and :func:`bilstm` runs two cells in
-    one scan."""
+    at 1.  A cell holds parameters only: :func:`mafn.tensor.lstm_scan` takes
+    its input and W_x, projects the input itself (a constant input, the
+    decoders', once) and runs the recurrence; :func:`bilstm` runs two cells
+    in one scan."""
 
     def __init__(self, rng, n_in: int, n_hidden: int):
         self.n_hidden = n_hidden
@@ -106,14 +106,13 @@ class LstmCell:
 
 def bilstm(x: Tensor, fwd_cell: LstmCell, bwd_cell: LstmCell) -> Tensor:
     """Forward and backward hidden states side by side, (B, T, 2H): both
-    directions run as one two-direction :func:`mafn.tensor.lstm_scan`."""
+    directions run as one two-direction :func:`mafn.tensor.lstm_scan`, which
+    projects ``x`` by each cell's W_x itself."""
     if x.ndim != 3:
         raise DimensionError(f"bilstm input must be (B, T, F), got {x.shape}")
     B, t_len, _ = x.shape
     zeros = Tensor(np.zeros((B, fwd_cell.n_hidden)))
-    return T.lstm_scan(
-        [(T.matmul(x, cell.W_x), zeros, zeros, cell.W_h, cell.b) for cell in (fwd_cell, bwd_cell)], t_len
-    )
+    return T.lstm_scan([(x, cell.W_x, zeros, zeros, cell.W_h, cell.b) for cell in (fwd_cell, bwd_cell)], t_len)
 
 
 class Attention:

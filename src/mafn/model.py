@@ -130,11 +130,12 @@ class MafnModel:
     # -- forward ----------------------------------------------------------------
 
     def _decode(self, cell: LstmCell, init: Dense, context: Tensor, horizon: int) -> Tensor:
+        """Hidden states (B, horizon, H) of ``cell`` run from (h0, c0) =
+        ``init(context)`` with the (B, 2H) context as its input at every
+        step; the scan projects the context itself, once."""
         hidden = cell.n_hidden
         hc = init(context)
-        # the constant input, projected once
-        xw = T.matmul(context, cell.W_x).reshape((context.shape[0], 1, 4 * hidden))
-        return T.lstm_scan([(xw, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b)], horizon)  # (B, H, hidden)
+        return T.lstm_scan([(context, cell.W_x, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b)], horizon)
 
     def encode(self, windows, state_ids):
         """Shared encoder: the attention context (B, 2H) and weights (B, T)."""

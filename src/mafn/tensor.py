@@ -484,12 +484,16 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     """One or two LSTM unrolls as one tape node; returns hidden states
     (B, steps, dirs * H), the directions' blocks side by side.
 
-    Each direction is a tuple ``(xw, h0, c0, W_h, b)``: ``xw`` is the input
-    projection ``x @ W_x``, (B, steps, 4H), or (B, 1, 4H) for an input held
-    constant over every step, and every direction has the same shapes.  The
-    first direction scans left to right, a second right to left; both keep
-    the input's time order in the output.  Gates are stacked in i, f, g, o
-    column order; each step computes ``z = (xw_t + h @ W_h) + b``,
+    Each direction is a tuple ``(x, W_x, h0, c0, W_h, b)``: ``x`` is a
+    (B, steps, F) sequence or a (B, F) input held over every step (the
+    decoders' context), and every direction has the same shapes.  The scan
+    projects its own input, ``x @ W_x`` as per-batch (steps, F) @ (F, 4H)
+    products or one (B, F) @ (F, 4H), into its time-step-major buffer; its
+    backward returns ``dx`` and ``dW_x`` from the same products, the weight's
+    summed over the batch, so the tape holds no projection.  The first
+    direction scans left to right, a second right to left; both keep the
+    input's time order in the output.  Gates are stacked in i, f, g, o column
+    order; each step computes ``z = (xw_t + h @ W_h) + b``,
     ``c = f * c + i * g`` and ``h = o * tanh(c)``.  The directions share one
     time loop, so each step is one set of numpy calls; with the tape off it
     reuses one gate, cell and tanh(c) slot, its views made once.  The backward
@@ -498,21 +502,23 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     dirs = len(directions)
     if dirs not in (1, 2):
         raise ContractError(f"lstm_scan runs one or two directions, got {dirs}")
-    n, B = directions[0][3].shape[0], directions[0][1].shape[0]
-    const = directions[0][0].shape[1:2] == (1,)
-    for xw, h0, c0, W_h, b in directions:
-        if (steps < 1 or xw.shape != (B, 1 if const else steps, 4 * n) or W_h.shape != (n, 4 * n)
-                or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n)):
+    n, B = directions[0][4].shape[0], directions[0][2].shape[0]
+    const = directions[0][0].ndim == 2
+    for x, W_x, h0, c0, W_h, b in directions:
+        if (steps < 1 or x.shape[:-1] != ((B,) if const else (B, steps)) or W_x.shape != (x.shape[-1], 4 * n)
+                or W_h.shape != (n, 4 * n) or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n)):
             raise DimensionError(
-                f"lstm_scan: xw {xw.shape}, h0 {h0.shape}, c0 {c0.shape}, W_h {W_h.shape} and "
+                f"lstm_scan: x {x.shape}, W_x {W_x.shape}, h0 {h0.shape}, c0 {c0.shape}, W_h {W_h.shape} and "
                 f"b {b.shape} do not fit {steps} steps of batch {B}, hidden {n}"
             )
     # time-step-major buffers: scan step k of every direction sits at index k,
     # so each step's (dirs, B, ...) block is contiguous.  The pre-activations
     # z hold the gates as (4, H) blocks of each row; the activations are
     # gate-major, so the cell and hidden updates read contiguous blocks
-    xs = np.stack([_scan_order(dr[0].data.transpose(1, 0, 2), d) for d, dr in enumerate(directions)], axis=1)
-    h0, c0, W_h, b = (np.array([d[j].data for d in directions]) for j in range(1, 5))
+    xs = np.empty((1 if const else steps, dirs, B, 4 * n))
+    for d, (x, W_x, *_) in enumerate(directions):
+        xs[:, d] = _scan_order((x.data @ W_x.data).reshape(B, -1, 4 * n).transpose(1, 0, 2), d)
+    h0, c0, W_h, b = (np.array([d[j].data for d in directions]) for j in range(2, 6))
     b = b[:, None]
     record = _grad_enabled and any(t.requires_grad for direction in directions for t in direction)
     slots = steps if record else 1
@@ -550,17 +556,21 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     def grad_fn(grad):
         by_dir = grad.reshape(B, steps, dirs, n).transpose(2, 1, 0, 3)
         gs = np.stack([_scan_order(by_dir[d], d) for d in range(dirs)], axis=1)
-        c_prev = np.concatenate([c0[None], cells[:-1]])
         # d(loss)/d(pre-activation) is dc times these for i, f, g and dh for
-        # o; the loop scales them in place.  Direction-major, so each
-        # direction's tail below reads one contiguous block.
+        # o, built in place as g·i(1-i), c_prev·f(1-f), i(1-g²) and
+        # tanh(c)·o(1-o); the loop scales them in place.  Direction-major, so
+        # each direction's tail below reads one contiguous block.
         dz = np.empty((dirs, steps, B, 4, n))
-        scale = dz.transpose(1, 0, 2, 3, 4)
-        scale[..., 0, :] = g * (i * (1.0 - i))
-        scale[..., 1, :] = c_prev * (f * (1.0 - f))
-        scale[..., 2, :] = i * (1.0 - g * g)
-        scale[..., 3, :] = tanh_c * (o * (1.0 - o))
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        s_i, s_f, s_g, s_o = dz.transpose(3, 1, 0, 2, 4)
+        subtract, multiply = np.subtract, np.multiply
+        multiply(g, multiply(i, subtract(1.0, i, s_i), s_i), s_i)
+        multiply(f, subtract(1.0, f, s_f), s_f)
+        multiply(c0, s_f[0], s_f[0])
+        multiply(cells[:-1], s_f[1:], s_f[1:])
+        multiply(i, subtract(1.0, multiply(g, g, s_g), s_g), s_g)
+        multiply(tanh_c, multiply(o, subtract(1.0, o, s_o), s_o), s_o)
+        dc_dh = multiply(tanh_c, tanh_c)
+        multiply(o, subtract(1.0, dc_dh, dc_dh), dc_dh)
         dh = np.zeros((dirs, B, n))
         dc = np.zeros((dirs, B, n))
         W_hT = W_h.transpose(0, 2, 1)
@@ -571,17 +581,21 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
             dz[:, k, ..., 3, :] *= dh
             dc *= f[k]
             dh = dz[:, k].reshape(dirs, B, 4 * n) @ W_hT
-        del gs, c_prev, dc_dh                # free before the tail allocates dxw
+        del gs, dc_dh                        # free before the tail allocates
         grads = []
-        for d in range(dirs):
+        for d, (x, W_x, *_) in enumerate(directions):
             dz_d = dz[d].reshape(steps, B, 4 * n)
             h_prev = np.concatenate([h0[d][None], hidden[:-1, d]])
             if const:
-                dxw = dz_d.sum(axis=0)[:, None, :]
+                dxw = dz_d.sum(axis=0)
             else:
-                dxw = np.ascontiguousarray(_scan_order(dz_d, d).transpose(1, 0, 2))
+                # BLAS reads each batch's (steps, 4H) block in place only at a
+                # positive row stride, so the right-to-left direction copies
+                dxw = _scan_order(dz_d, d).transpose(1, 0, 2)
+                dxw = np.ascontiguousarray(dxw) if d else dxw
+            dW_x = _unbroadcast(np.swapaxes(x.data, -1, -2) @ dxw, W_x.shape)
             dW_h = h_prev.reshape(-1, n).T @ dz_d.reshape(-1, 4 * n)
-            grads += [dxw, dh[d], dc[d], dW_h, dz_d.sum(axis=(0, 1))]
+            grads += [dxw @ W_x.data.T, dW_x, dh[d], dc[d], dW_h, dz_d.sum(axis=(0, 1))]
         return grads
 
     out = np.concatenate([_scan_order(hidden[:, d], d).transpose(1, 0, 2) for d in range(dirs)], axis=2)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafn import layers as nn
 from mafn import tensor as T
@@ -11,6 +13,7 @@ from mafn.errors import ContractError, DimensionError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel
 from mafn.tensor import Tensor
+from tests.test_fused_ops import ZERO_SHARES, assert_bits_equal, with_zeros
 
 
 def naive_conv1d(x, W, b, kernel):
@@ -214,10 +217,10 @@ def zero_state(cell, batch):
 
 def scan_cell(cell, x, h, c, steps=None):
     """Hidden states of ``cell`` run from (h, c) over the (B, T, n_in) input
-    ``x``; a (B, 1, n_in) input held for ``steps`` steps is the decoders' use."""
+    ``x``; a (B, n_in) input held for ``steps`` steps is the decoders' use."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     steps = x.shape[1] if steps is None else steps
-    return T.lstm_scan([(T.matmul(x, cell.W_x), h, c, cell.W_h, cell.b)], steps)
+    return T.lstm_scan([(x, cell.W_x, h, c, cell.W_h, cell.b)], steps)
 
 
 class TestLstm:
@@ -257,7 +260,7 @@ class TestLstm:
 
     def test_gradients(self, rng):
         cell = nn.LstmCell(rng, 2, 2)
-        x = T.parameter(rng.normal(size=(1, 1, 2)))
+        x = T.parameter(rng.normal(size=(1, 2)))
         h0 = Tensor(np.zeros((1, 2)))
         c0 = Tensor(np.zeros((1, 2)))
 
@@ -291,10 +294,10 @@ class TestLstm:
     def test_constant_input_scan_matches_numpy_oracle(self, rng):
         # the decoders' use: one projection of a constant input, fed every step
         cell = random_cell(rng, 3, 4)
-        context = rng.normal(size=(2, 1, 3))
+        context = rng.normal(size=(2, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
         out = scan_cell(cell, context, Tensor(h0), Tensor(c0), steps=5)
-        x = np.repeat(context, 5, axis=1)
+        x = np.repeat(context[:, None], 5, axis=1)
         expected = numpy_lstm(x @ cell.W_x.data, cell.W_h.data, cell.b.data, h0, c0)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
 
@@ -319,39 +322,91 @@ SCAN_CASES = [
 ]
 
 
-def scan_problem(rng, batch, steps, two, constant, n=3):
+def scan_problem(rng, batch, steps, two, constant, n=3, n_in=2):
     """Random leaves of one lstm_scan call, direction by direction, and a
     fixed loss weighting of its (B, steps, dirs * n) output."""
     directions = []
     for _ in range(2 if two else 1):
-        xw = T.parameter(rng.normal(size=(batch, 1 if constant else steps, 4 * n)))
+        x = T.parameter(rng.normal(size=(batch, n_in) if constant else (batch, steps, n_in)))
+        W_x = T.parameter(rng.normal(size=(n_in, 4 * n)))
         h0, c0 = T.parameter(rng.normal(size=(batch, n))), T.parameter(rng.normal(size=(batch, n)))
         W_h, b = T.parameter(rng.normal(size=(n, 4 * n))), T.parameter(rng.normal(size=4 * n))
-        directions.append((xw, h0, c0, W_h, b))
+        directions.append((x, W_x, h0, c0, W_h, b))
     return directions, rng.normal(size=(batch, steps, len(directions) * n))
 
 
 def per_direction_oracle(directions, steps, weight, oracle):
-    """Hidden states and leaf gradients of a scan, one direction at a time:
-    the second direction runs the oracle over time-reversed inputs."""
-    n = directions[0][3].shape[0]
+    """Hidden states and gradients of a scan, one direction at a time, by the
+    graph the scan replaced: ``x @ W_x`` as a taped matmul, reshaped to
+    (B, 1, 4H) for a constant input, then ``oracle`` over that projection
+    (time-reversed for the second direction), whose projection gradient goes
+    back through the taped nodes' own gradient functions.  The gradients come
+    in leaf order, ``(x, W_x, h0, c0, W_h, b)`` per direction."""
+    n = directions[0][4].shape[0]
     hidden, grads = [], []
-    for d, (xw, h0, c0, W_h, b) in enumerate(directions):
+    for d, (x, W_x, h0, c0, W_h, b) in enumerate(directions):
+        proj = T.matmul(x, W_x)
+        xw = proj.reshape((x.shape[0], 1, 4 * n)) if x.ndim == 2 else proj
         flip = (lambda a: a[:, ::-1]) if d else (lambda a: a)
-        full = np.broadcast_to(xw.data, (xw.shape[0], steps, xw.shape[2]))
+        full = np.broadcast_to(xw.data, (x.shape[0], steps, 4 * n))
         h, dxw, dh0, dc0, dW_h, db = oracle(
             flip(full), W_h.data, b.data, h0.data, c0.data, flip(weight[..., d * n : (d + 1) * n])
         )
-        dxw = flip(dxw)
-        if xw.shape[1] == 1:
-            dxw = dxw.sum(axis=1, keepdims=True)
+        # the projection's gradient reached the tape contiguous; a constant
+        # input's was summed over the scan's steps in scan order
+        if x.ndim == 2:
+            (dxw,) = xw._grad_fn(dxw.sum(axis=1, keepdims=True))
+        else:
+            dxw = np.ascontiguousarray(flip(dxw))
         hidden.append(flip(h))
-        grads += [dxw, dh0, dc0, dW_h, db]
+        grads += [*proj._grad_fn(dxw), dh0, dc0, dW_h, db]
     return np.concatenate(hidden, axis=2), grads
 
 
 def leaves_of(directions):
     return [t for direction in directions for t in direction]
+
+
+def assert_matches_reference(directions, steps, weight):
+    """The scan's output and the gradients its tape node hands each leaf
+    equal :func:`per_direction_oracle` over ``scan_step_oracle`` bit for bit,
+    the sign of zero included."""
+    out = T.lstm_scan(directions, steps)
+    hidden, grads = per_direction_oracle(directions, steps, weight, scan_step_oracle)
+    assert_bits_equal(out.data, hidden)
+    for got, expected in zip(out._grad_fn(weight), grads, strict=True):
+        assert_bits_equal(got, expected)
+
+
+@st.composite
+def scan_cases(draw):
+    """Batch 1-4 or 64, steps 1-6 or 30, one or two directions, a sequence
+    or a constant input; input and hidden widths, the share of signed zeros
+    in the upstream gradient, and a seed."""
+    return (draw(st.one_of(st.integers(1, 4), st.just(64))), draw(st.one_of(st.integers(1, 6), st.just(30))),
+            draw(st.booleans()), draw(st.booleans()), draw(st.integers(1, 4)), draw(st.sampled_from([1, 3, 24])),
+            draw(ZERO_SHARES), draw(st.integers(0, 2**32 - 1)))
+
+
+def default_batch_peak(taped):
+    """tracemalloc peak, in bytes, of a default-config B=64 forward, and of
+    its backward when ``taped``; with the tape off, the validation pass."""
+    cfg = TrainConfig()
+    model = MafnModel(cfg, len(SELECTED_SENSORS), np.random.default_rng(0))
+    data = np.random.default_rng(1)
+    windows = data.normal(size=(64, cfg.window, len(SELECTED_SENSORS)))
+    states = data.integers(0, cfg.k_states, size=(64, cfg.window))
+    tracemalloc.start()
+    try:
+        if taped:
+            out = model.forward(windows, states)
+            (out.state_logits.sum() + out.degradation.sum() + out.forecast.sum() + out.rul.sum()).backward()
+        else:
+            with T.no_grad():
+                model.forward(windows, states)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLstmScan:
@@ -377,14 +432,19 @@ class TestLstmScan:
     @pytest.mark.parametrize("two,constant", [(True, False), (False, True)])
     @pytest.mark.parametrize("batch", [1, 2, 64])
     def test_bit_equal_to_per_direction_oracle(self, rng, batch, two, constant):
-        # one time loop over both directions changes no arithmetic
-        directions, weight = scan_problem(rng, batch, 30, two, constant, n=24)
-        out = T.lstm_scan(directions, 30)
-        (out * Tensor(weight)).sum().backward()
-        hidden, grads = per_direction_oracle(directions, 30, weight, scan_step_oracle)
-        np.testing.assert_array_equal(out.data, hidden)
-        for leaf, expected in zip(leaves_of(directions), grads):
-            np.testing.assert_array_equal(leaf.grad, expected)
+        # the encoder's sizes (16 filters in) and the decoders' (a 48-wide context)
+        directions, weight = scan_problem(rng, batch, 30, two, constant, n=24, n_in=48 if constant else 16)
+        assert_matches_reference(directions, 30, weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_cases())
+    def test_bit_equal_to_projection_graph(self, case):
+        # the scan's own projection and its gradients keep the taped graph's
+        # matmul shapes: per-batch (T, F) @ (F, 4H), or (B, F) @ (F, 4H)
+        batch, steps, two, constant, n_in, n, share, seed = case
+        rng = np.random.default_rng(seed)
+        directions, _ = scan_problem(rng, batch, steps, two, constant, n=n, n_in=n_in)
+        assert_matches_reference(directions, steps, with_zeros(rng, (batch, steps, len(directions) * n), share))
 
     @pytest.mark.parametrize("two,constant", [(False, False), (True, False), (False, True), (True, True)])
     @pytest.mark.parametrize("batch", [1, 2, 64])
@@ -398,37 +458,34 @@ class TestLstmScan:
         np.testing.assert_array_equal(untaped.data, taped.data)
 
     def test_tape_off_forward_keeps_no_history(self):
-        # a default-config B=64 forward with the tape off: 12.0 MiB at its
-        # peak while the scan kept every step's gates, cells and tanh(c)
-        cfg = TrainConfig()
-        model = MafnModel(cfg, len(SELECTED_SENSORS), np.random.default_rng(0))
-        data = np.random.default_rng(1)
-        windows = data.normal(size=(64, cfg.window, len(SELECTED_SENSORS)))
-        states = data.integers(0, cfg.k_states, size=(64, cfg.window))
-        tracemalloc.start()
-        try:
-            with T.no_grad():
-                model.forward(windows, states)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 9 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        # 12.0 MiB while the scan kept every step's gates, cells and tanh(c)
+        # with the tape off, 8.0 MiB while each (B, T, 4H) projection x @ W_x
+        # lived beside the scan's own copy of it
+        peak = default_batch_peak(taped=False)
+        assert peak < 6.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_taped_step_holds_no_projection(self):
+        # 19.3 MiB while the tape held each (B, T, 4H) projection x @ W_x and
+        # the backward built its BPTT factors from temporaries
+        peak = default_batch_peak(taped=True)
+        assert peak < 17.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_one_tape_node(self, rng):
         fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)
-        out = nn.bilstm(T.parameter(rng.normal(size=(2, 7, 3))), fwd, bwd)
+        x = T.parameter(rng.normal(size=(2, 7, 3)))
+        out = nn.bilstm(x, fwd, bwd)
         assert out._op == "lstm_scan"
-        assert [p._op for p in out._parents] == ["matmul", "", "", "", ""] * 2
+        zeros = out._parents[2]
+        assert out._parents == (x, fwd.W_x, zeros, zeros, fwd.W_h, fwd.b, x, bwd.W_x, zeros, zeros, bwd.W_h, bwd.b)
 
     def test_grad_only_on_leaves(self, rng):
         cell = random_cell(rng, 3, 4)
         x = T.parameter(rng.normal(size=(2, 5, 3)))
-        xw = T.matmul(x, cell.W_x)
         h0, c0 = zero_state(cell, 2)
-        hidden = T.lstm_scan([(xw, h0, c0, cell.W_h, cell.b)], 5)
+        hidden = T.lstm_scan([(x, cell.W_x, h0, c0, cell.W_h, cell.b)], 5)
         loss = T.square(hidden).sum()
         loss.backward()
-        assert xw.grad is None and hidden.grad is None and loss.grad is None
+        assert hidden.grad is None and loss.grad is None
         leaves = [x, cell.W_x, cell.W_h, cell.b]
         once = [t.grad.copy() for t in leaves]
         loss.backward()
@@ -437,17 +494,30 @@ class TestLstmScan:
 
     @pytest.mark.parametrize("xw_shape,steps", [((2, 3, 12), 4), ((2, 5, 8), 5), ((3, 5, 12), 5), ((2, 5), 5)])
     def test_shape_mismatch_rejected(self, rng, xw_shape, steps):
+        # ``xw_shape`` is the projection x @ W_x a bad direction would make:
+        # too few steps, too few gate columns, another batch, or a constant
+        # input with too few gate columns (and beside a sequence)
         h0 = c0 = Tensor(np.zeros((2, 3)))
         W_h, b = Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
-        good = (Tensor(np.zeros((2, steps, 12))), h0, c0, W_h, b)
-        bad = (Tensor(np.zeros(xw_shape)), h0, c0, W_h, b)
+        good = (Tensor(np.zeros((2, steps, 4))), Tensor(np.zeros((4, 12))), h0, c0, W_h, b)
+        bad = (Tensor(np.zeros(xw_shape[:-1] + (4,))), Tensor(np.zeros((4, xw_shape[-1]))), h0, c0, W_h, b)
         for directions in ([bad], [good, bad], [bad, good]):
             with pytest.raises(DimensionError):
                 T.lstm_scan(directions, steps)
 
+    @pytest.mark.parametrize("x_shape,w_shape", [((2, 5, 4), (3, 12)), ((2, 4), (3, 12)), ((2,), (2, 12)),
+                                                 ((2, 5, 1, 4), (4, 12))])
+    def test_projection_shapes_checked(self, x_shape, w_shape):
+        # W_x rows other than the input's width, and inputs of rank 1 or 4
+        h0 = c0 = Tensor(np.zeros((2, 3)))
+        bad = (Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), h0, c0, Tensor(np.zeros((3, 12))),
+               Tensor(np.zeros(12)))
+        with pytest.raises(DimensionError):
+            T.lstm_scan([bad], 5)
+
     def test_direction_count_rejected(self, rng):
-        direction = (Tensor(np.zeros((2, 5, 12))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-                     Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
+        direction = (Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((2, 3))),
+                     Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
         for directions in ([], [direction] * 3):
             with pytest.raises(ContractError):
                 T.lstm_scan(directions, 5)

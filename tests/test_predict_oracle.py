@@ -17,7 +17,7 @@ from mafn.data import (
     NormalizationStats,
     normalize_record,
     record_states,
-    select_sensors,
+    sensor_columns,
 )
 from mafn.errors import ContractError
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul, forecast_trajectory, predict_rul
@@ -29,7 +29,8 @@ def reference_prepare(record, bundle):
     """Normalize the full history, left-pad it when short, cut the window."""
     cfg = bundle.config
     if len(record.sensor_ids) == N_RAW_SENSORS:
-        record = select_sensors(record, keep=bundle.stats.sensor_ids)
+        ids = bundle.stats.sensor_ids
+        record = replace(record, sensors=record.sensors[:, sensor_columns(record.sensor_ids, ids)], sensor_ids=ids)
     record = normalize_record(record, bundle.stats)
     if record.length < cfg.window:
         pad = cfg.window - record.length
