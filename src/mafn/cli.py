@@ -36,7 +36,7 @@ from .data import (
     write_cmapss,
 )
 from .errors import ContractError, DataError, MafnError, NumericError
-from .model import forecast_trajectory, min_history, predict_rul
+from .model import forecast_trajectory, min_history
 from .pipeline import fit_pipeline, load_predictor, windows_for_records
 from .svgplot import LineChart
 from .synthetic import SynthSpec, default_synth_spec_text, generate, write_truth
@@ -194,13 +194,8 @@ def cmd_evaluate(args) -> int:
     out = _prepare_out(args.out)
     model, prep = load_predictor(args.checkpoint)
     records = parse_cmapss(args.data)
-    cfg = prep.config
-
-    def predict(rec):
-        return predict_rul(rec, model, prep)
-
     if args.mode == "cutoffs":
-        rows = evaluate_cutoffs(records, predict, min_history(cfg), cfg.rul_cap)
+        rows = evaluate_cutoffs(records, model, prep)
         lines = ["cutoff_pct,rmse,re,score"]
         for pct, r, e, s in rows:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
@@ -211,11 +206,11 @@ def cmd_evaluate(args) -> int:
         if not args.rul:
             raise ContractError("testset mode needs --rul with the ground-truth file")
         rul_truth = parse_rul_file(args.rul)
-        r, s = evaluate_testset(records, rul_truth, predict, cfg.rul_cap)
+        r, s = evaluate_testset(records, rul_truth, model, prep)
         path = out / "evaluation_testset.csv"
         _write_text(path, "rmse,score\n" + f"{r:.6f},{s:.6f}\n")
         data_files = [args.data, args.rul, args.checkpoint]
-    _write_manifest(out, "evaluate", cfg, data_files, [path.name])
+    _write_manifest(out, "evaluate", prep.config, data_files, [path.name])
     print(f"wrote {path}")
     return 0
 

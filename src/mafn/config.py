@@ -79,6 +79,11 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ContractError(f"config field {name} must be positive, got {getattr(self, name)}")
+        if self.horizon < 2:
+            raise ContractError(
+                f"config field horizon must be >= 2, got {self.horizon}: the degradation head's "
+                "loss compares consecutive steps"
+            )
         for name in ("patience", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0")

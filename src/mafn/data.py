@@ -50,14 +50,13 @@ class EngineRecord:
     """One engine's cycle series: settings and sensor channels per cycle."""
 
     unit_id: int
-    cycle_index: np.ndarray        # (L,) int, strictly 1..L
-    op_settings: np.ndarray        # (L, 3)
+    op_settings: np.ndarray        # (L, 3), row i is cycle i + 1
     sensors: np.ndarray            # (L, S)
     sensor_ids: tuple              # 1-based original ids of the sensor columns
 
     @property
     def length(self) -> int:
-        return len(self.cycle_index)
+        return len(self.sensors)
 
 
 @dataclass(frozen=True)
@@ -252,8 +251,7 @@ def parse_cmapss(path) -> list:
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             raise ParseError(f"{path}:{int(rows[bad.argmax(), 0])}: non-finite value")
-        cycles = np.arange(1, len(rows) + 1)
-        wrong = rows[:, 1] != cycles
+        wrong = rows[:, 1] != np.arange(1, len(rows) + 1)
         if wrong.any():
             raise ParseError(
                 f"{path}:{int(rows[wrong.argmax(), 0])}: unit {unit}: "
@@ -262,7 +260,6 @@ def parse_cmapss(path) -> list:
         records.append(
             EngineRecord(
                 unit_id=unit,
-                cycle_index=cycles,
                 op_settings=rows[:, 2 : 2 + N_SETTINGS],
                 sensors=rows[:, 2 + N_SETTINGS :],
                 sensor_ids=tuple(range(1, N_RAW_SENSORS + 1)),
@@ -278,7 +275,7 @@ def write_cmapss(records: Sequence[EngineRecord], path):
             if len(rec.sensor_ids) != N_RAW_SENSORS:
                 raise ContractError("write_cmapss needs all 21 sensor channels")
             for i in range(rec.length):
-                fields = [str(rec.unit_id), str(int(rec.cycle_index[i]))]
+                fields = [str(rec.unit_id), str(i + 1)]
                 fields += [repr(float(v)) for v in rec.op_settings[i]]
                 fields += [repr(float(v)) for v in rec.sensors[i]]
                 fh.write(" ".join(fields) + "\n")
@@ -433,21 +430,16 @@ def pack_windows(datasets: Sequence[WindowDataset]) -> WindowDataset:
 def truncate_at_fraction(record: EngineRecord, pct: float):
     """Keep the first floor(pct * L) cycles; return (truncated, residual life).
 
-    The residual is the raw ``L - floor(pct * L)``; callers cap it when
-    comparing against capped predictions.
+    The truncated record's arrays are views of the record's.  The residual
+    is the raw ``L - floor(pct * L)``; callers cap it when comparing against
+    capped predictions.
     """
     if not 0.0 < pct < 1.0:
         raise ContractError(f"cutoff fraction must be in (0, 1), got {pct}")
     L = record.length
     keep = int(np.floor(pct * L))
-    residual = L - keep
-    truncated = replace(
-        record,
-        cycle_index=record.cycle_index[:keep].copy(),
-        op_settings=record.op_settings[:keep].copy(),
-        sensors=record.sensors[:keep].copy(),
-    )
-    return truncated, residual
+    truncated = replace(record, op_settings=record.op_settings[:keep], sensors=record.sensors[:keep])
+    return truncated, L - keep
 
 
 def split_by_engine(records: Sequence[EngineRecord], val_fraction: float, seed: int):

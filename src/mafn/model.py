@@ -31,7 +31,6 @@ from .cluster import ClusterModel
 from .config import TrainConfig
 from .data import (
     EngineRecord,
-    N_RAW_SENSORS,
     NormalizationStats,
     normalize_values,
     record_states,
@@ -48,7 +47,6 @@ class MafnOutput:
     degradation: Tensor        # (B, H): scalar trend per step
     forecast: Tensor           # (B, H, d_s)
     rul: Tensor                # (B,): normalized (cycles / rul_cap)
-    attention_weights: Tensor  # (B, T_w)
 
 
 class MafnModel:
@@ -167,7 +165,7 @@ class MafnModel:
         the fusion embedding lookup.
         """
         h_steps = self.config.horizon
-        context, weights = self.encode(windows, state_ids)  # (B, 2H), (B, T)
+        context, _ = self.encode(windows, state_ids)       # (B, 2H)
         batch, rul = context.shape[0], self.rul_head(context)
 
         trend_vecs = self._decode(self.trend_cell, self.trend_init, context, h_steps)
@@ -188,7 +186,7 @@ class MafnModel:
         for layer in self.fusion_layers:
             fused = layer(fused)
         forecast = self.fusion_out(fused)                  # (B, H, d_s)
-        return MafnOutput(logits, trend, forecast, rul, weights)
+        return MafnOutput(logits, trend, forecast, rul)
 
 
 # -- inference over raw engine histories -----------------------------------------
@@ -228,14 +226,11 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
             f"history of {record.length} cycles is shorter than the window ({cfg.window})"
             + ("" if cfg.pad_short else "; enable pad_short to left-pad by repeating the first cycle")
         )
-    ids, cols = bundle.stats.sensor_ids, np.arange(len(record.sensor_ids))
-    if len(record.sensor_ids) == N_RAW_SENSORS:
-        cols = sensor_columns(record.sensor_ids, ids)
-    elif record.sensor_ids != ids:
-        raise ContractError(f"record sensors {record.sensor_ids} do not match checkpoint {ids}")
+    ids = bundle.stats.sensor_ids
+    cols = sensor_columns(record.sensor_ids, ids)
     rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
     sensors = normalize_values(record.sensors[rows[:, None], cols], bundle.stats)
-    window = EngineRecord(record.unit_id, np.arange(1, cfg.window + 1), record.op_settings[rows], sensors, ids)
+    window = EngineRecord(record.unit_id, record.op_settings[rows], sensors, ids)
     return sensors, record_states(window, bundle.cluster)
 
 

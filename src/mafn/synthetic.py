@@ -121,7 +121,6 @@ def generate(spec: SynthSpec):
         records.append(
             EngineRecord(
                 unit_id=unit,
-                cycle_index=np.arange(1, life + 1),
                 op_settings=settings,
                 sensors=sensors,
                 sensor_ids=tuple(range(1, N_RAW_SENSORS + 1)),

@@ -19,7 +19,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .data import WindowDataset, truncate_at_fraction
 from .errors import ContractError, NumericError
-from .model import MafnModel, MafnOutput
+from .model import MafnModel, MafnOutput, PreprocessBundle, min_history, predict_rul
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -219,35 +219,26 @@ def format_log_csv(rows: Sequence[dict]) -> str:
 CUTOFF_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
-def evaluate_cutoffs(
-    records,
-    predict_fn: Callable,
-    window: int,
-    rul_cap: float,
-    cutoffs: Sequence[float] = CUTOFF_GRID,
-) -> list:
-    """One ``(cutoff_pct, rmse, re, score)`` row per cutoff: every engine cut
-    there, scored against its capped residual life min(L - cut, rul_cap).
+def evaluate_cutoffs(records, model: MafnModel, bundle: PreprocessBundle) -> list:
+    """One ``(cutoff_pct, rmse, re, score)`` row per cutoff of ``CUTOFF_GRID``:
+    every engine cut there, scored against its capped residual life
+    min(L - cut, rul_cap).
 
-    Truncations shorter than ``window`` are skipped with a warning count; a
-    cutoff where every engine is too short contributes no row.
+    Truncations shorter than ``min_history`` are skipped with a warning
+    count; a cutoff where every engine is too short contributes no row.
     """
+    shortest = min_history(bundle.config)
     rows = []
     skipped = 0
-    for pct in cutoffs:
-        preds, truths = [], []
-        for rec in records:
-            truncated, residual = truncate_at_fraction(rec, pct)
-            if truncated.length < window:
-                skipped += 1
-                continue
-            preds.append(predict_fn(truncated))
-            truths.append(min(float(residual), rul_cap))
-        if not preds:
+    for pct in CUTOFF_GRID:
+        cut = [truncate_at_fraction(rec, pct) for rec in records]
+        kept = [(truncated, residual) for truncated, residual in cut if truncated.length >= shortest]
+        skipped += len(cut) - len(kept)
+        if not kept:
             log.warning("cutoff %g: every truncation shorter than the window; row skipped", pct)
             continue
-        p = np.asarray(preds)
-        t = np.asarray(truths)
+        truncated, residuals = zip(*kept)
+        p, t = _predicted(truncated, residuals, model, bundle)
         rows.append((pct, L.rmse(p, t), L.relative_error(p, t), L.score(p, t)))
     if not rows:
         raise ContractError("no engine long enough at any cutoff")
@@ -256,13 +247,21 @@ def evaluate_cutoffs(
     return rows
 
 
-def evaluate_testset(records, rul_truth: np.ndarray, predict_fn: Callable, rul_cap: float):
-    """Score one prediction per pre-truncated test engine against the RUL
-    file (capped, consistent with capped training targets)."""
+def evaluate_testset(records, rul_truth: np.ndarray, model: MafnModel, bundle: PreprocessBundle):
+    """(rmse, score) of one prediction per pre-truncated test engine against
+    the RUL file (capped, consistent with capped training targets).  An
+    engine shorter than ``min_history`` raises, so no prediction is dropped
+    and each stays paired with its line of the RUL file."""
     if len(records) != len(rul_truth):
         raise ContractError(
             f"test set has {len(records)} engines but RUL file lists {len(rul_truth)}"
         )
-    preds = np.asarray([predict_fn(rec) for rec in records])
-    truths = np.minimum(np.asarray(rul_truth, dtype=np.float64), rul_cap)
-    return L.rmse(preds, truths), L.score(preds, truths)
+    p, t = _predicted(records, rul_truth, model, bundle)
+    return L.rmse(p, t), L.score(p, t)
+
+
+def _predicted(records, truths, model: MafnModel, bundle: PreprocessBundle):
+    """The one scoring loop of both protocols: one ``predict_rul`` per
+    record, and the truths capped at ``rul_cap``, as float64 arrays."""
+    preds = np.asarray([predict_rul(rec, model, bundle) for rec in records])
+    return preds, np.minimum(np.asarray(truths, dtype=np.float64), bundle.config.rul_cap)

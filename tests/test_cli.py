@@ -28,7 +28,7 @@ from mafn.config import (
     model_sizes,
     parse_fields,
 )
-from mafn.data import parse_cmapss, truncate_at_fraction
+from mafn.data import parse_cmapss, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, DataError
 from mafn.model import MafnModel, prepare_window
 from mafn.pipeline import load_predictor
@@ -67,11 +67,12 @@ seed = 11
 """
 
 # each was accepted once: inf trained and scored inf, nan disabled clipping
-# or failed mid-training, beta1 = 1.5 and adam_eps = -1 trained
+# or failed mid-training, beta1 = 1.5 and adam_eps = -1 trained, horizon = 1
+# failed only at the degradation loss, after parsing, clustering and windowing
 BAD_CONFIG_LINES = [
     "rul_cap = inf", "grad_clip = nan", "learning_rate = nan", "lambda_smooth = nan",
     "adam_eps = -inf", "adam_eps = 0", "adam_eps = -1", "beta1 = 1.5", "beta1 = -0.1", "beta2 = 1.0",
-    "seed = -1",
+    "seed = -1", "horizon = 1",
 ]
 
 
@@ -593,6 +594,28 @@ class TestEvaluateCommand:
         lines = (out / "evaluation_testset.csv").read_text().strip().split("\n")
         assert lines[0] == "rmse,score"
         assert len(lines) == 2
+
+    def test_testset_short_engine_fails_whole(self, workspace, tmp_path, capsys):
+        """A test engine shorter than the window fails the run: none is
+        dropped, so every prediction stays paired with its RUL line."""
+        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+        records[2] = replace(records[2], op_settings=records[2].op_settings[:10], sensors=records[2].sensors[:10])
+        data = tmp_path / "test.txt"
+        write_cmapss(records, data)
+        rul_path = tmp_path / "rul.txt"
+        rul_path.write_text("".join("20\n" for _ in records))
+        out = tmp_path / "eval" / "testset"
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(workspace / "run1" / "model.ckpt"), "--data", str(data),
+                "--mode", "testset", "--rul", str(rul_path), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("mafn: error: "), err
+        assert "history of 10 cycles is shorter than the window (12)" in err[0]
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
     def test_testset_non_finite_rul_clean_error(self, workspace, tmp_path, capsys, token):

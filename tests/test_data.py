@@ -22,7 +22,6 @@ def make_record(unit=1, length=10, n_sensors=21, sensor_fn=None, settings=None):
         sensors[:, col] = (sensor_fn or (lambda c, t: float(c + 1)))(col, np.arange(length))
     return D.EngineRecord(
         unit_id=unit,
-        cycle_index=np.arange(1, length + 1),
         op_settings=settings if settings is not None else np.zeros((length, 3)),
         sensors=sensors,
         sensor_ids=tuple(range(1, n_sensors + 1)),
@@ -84,7 +83,6 @@ class TestParse:
         assert len(again) == len(records)
         for a, b in zip(records, again):
             assert a.unit_id == b.unit_id
-            np.testing.assert_array_equal(a.cycle_index, b.cycle_index)
             np.testing.assert_array_equal(a.op_settings, b.op_settings)
             np.testing.assert_array_equal(a.sensors, b.sensors)
 
@@ -460,6 +458,7 @@ class TestTruncate:
         rec = make_record(length=100)
         truncated, residual = D.truncate_at_fraction(rec, 0.5)
         assert truncated.length == 50 and residual == 50
+        assert truncated.sensors.base is rec.sensors and truncated.op_settings.base is rec.op_settings
 
     def test_floor_arithmetic_low(self):
         truncated, residual = D.truncate_at_fraction(make_record(length=137), 0.1)

@@ -43,7 +43,6 @@ class TestForward:
         assert out.degradation.shape == (1, cfg.horizon)
         assert out.forecast.shape == (1, cfg.horizon, 2)
         assert out.rul.shape == (1,)
-        assert out.attention_weights.shape == (1, cfg.window)
         for field in (out.state_logits, out.degradation, out.forecast, out.rul):
             assert np.isfinite(field.data).all()
 
@@ -56,8 +55,9 @@ class TestForward:
 
     def test_attention_weights_sum_to_one(self, rng):
         model, cfg = tiny_model()
-        out = model.forward(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)))
-        assert out.attention_weights.data.sum() == pytest.approx(1.0, abs=1e-12)
+        _, weights = model.encode(rng.random((1, cfg.window, 2)), rng.integers(0, 2, (1, cfg.window)))
+        assert weights.shape == (1, cfg.window)
+        assert weights.data.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_forward_deterministic(self, rng):
         x = rng.random((1, 4, 2))
@@ -150,7 +150,7 @@ class TestPrediction:
     def test_preselected_record_with_other_ids_names_both(self):
         model, cfg = tiny_model()
         rec = make_record(length=10, n_sensors=2)            # sensors (1, 2); the bundle's are (2, 3)
-        with pytest.raises(ContractError, match=r"record sensors \(1, 2\) do not match checkpoint \(2, 3\)"):
+        with pytest.raises(ContractError, match=r"record has no sensor \[3\]; its sensors are \(1, 2\)"):
             predict_rul(rec, model, self._bundle(cfg))
 
     @pytest.mark.parametrize("ids, lacking", [((2, 99), "[99]"), ((0, 3), "[0]")])

@@ -50,8 +50,7 @@ def reference_parse_cmapss(path) -> list:
         bad = ~np.isfinite(rows).all(axis=1)
         if bad.any():
             raise ParseError(f"{path}:{int(rows[bad.argmax(), 0])}: non-finite value")
-        cycles = np.arange(1, len(rows) + 1)
-        wrong = rows[:, 1] != cycles
+        wrong = rows[:, 1] != np.arange(1, len(rows) + 1)
         if wrong.any():
             raise ParseError(
                 f"{path}:{int(rows[wrong.argmax(), 0])}: unit {unit}: "
@@ -60,7 +59,6 @@ def reference_parse_cmapss(path) -> list:
         records.append(
             D.EngineRecord(
                 unit_id=unit,
-                cycle_index=cycles,
                 op_settings=rows[:, 2 : 2 + D.N_SETTINGS],
                 sensors=rows[:, 2 + D.N_SETTINGS :],
                 sensor_ids=tuple(range(1, D.N_RAW_SENSORS + 1)),
@@ -220,7 +218,7 @@ class TestAgainstReference:
         for a, b in zip(want, got):
             assert type(b.unit_id) is int and b.unit_id == a.unit_id
             assert b.sensor_ids == a.sensor_ids
-            for name in ("cycle_index", "op_settings", "sensors"):
+            for name in ("op_settings", "sensors"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 

@@ -36,7 +36,6 @@ def reference_prepare(record, bundle):
         pad = cfg.window - record.length
         record = replace(
             record,
-            cycle_index=np.arange(1, cfg.window + 1),
             sensors=np.concatenate([np.repeat(record.sensors[:1], pad, axis=0), record.sensors]),
             op_settings=np.concatenate([np.repeat(record.op_settings[:1], pad, axis=0), record.op_settings]),
         )
@@ -60,7 +59,7 @@ def cases(draw):
     pad_short = draw(st.booleans())
     feature_spec = draw(st.sampled_from(["settings", "sensors"]))
     cfg = tiny_config(
-        window=window, horizon=draw(st.integers(1, 4)), k_states=draw(st.integers(1, 3)),
+        window=window, horizon=draw(st.integers(2, 4)), k_states=draw(st.integers(1, 3)),
         lstm_hidden=draw(st.integers(2, 4)), pad_short=pad_short, cluster_features=feature_spec,
     )
     seed = draw(st.integers(0, 2**16))
@@ -83,7 +82,6 @@ def cases(draw):
     ids = tuple(range(1, N_RAW_SENSORS + 1)) if raw else sensor_ids
     record = EngineRecord(
         unit_id=1,
-        cycle_index=np.arange(1, length + 1),
         op_settings=g.normal(size=(length, 3)),
         sensors=g.normal(size=(length, len(ids))) * 2.0,
         sensor_ids=ids,

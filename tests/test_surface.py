@@ -1,7 +1,8 @@
 """The library's public surface has a library caller.
 
-Every module-level public function and class in ``src/mafn`` must be named
-somewhere other than its own definition, in ``src/mafn`` or in
+Every module-level public function and class in ``src/mafn``, and every
+public method, property and dataclass field of a public class, must be
+named somewhere other than its own definition, in ``src/mafn`` or in
 ``perfbench/``: a name only the tests use is surface with no caller.  A
 name counts when it appears as a variable, an attribute, an imported name
 or a string (``perfbench`` patches functions by name).  ``mafn.cli.main``
@@ -38,6 +39,26 @@ def names_used(tree) -> list:
     return found
 
 
+def public_definitions(tree):
+    """``(qualified name, node)`` of each public module-level function and
+    class, and of each public method, property and annotated field of a
+    public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", member
+
+
 def orphans() -> list:
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]}
@@ -45,15 +66,14 @@ def orphans() -> list:
     entry = script_targets()
     missing = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        for qualified, node in public_definitions(trees[path]):
+            if (path.stem, qualified) in entry:
                 continue
-            if (path.stem, node.name) in entry:
-                continue
+            name = qualified.rpartition(".")[2]
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (where == path and line in own)
-                       for where, names in used.items() for line, name in names):
-                missing.append(f"{path.stem}.{node.name}")
+            if not any(found == name and not (where == path and line in own)
+                       for where, names in used.items() for line, found in names):
+                missing.append(f"{path.stem}.{qualified}")
     return missing
 
 

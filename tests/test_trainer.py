@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mafn import losses as L
 from mafn import tensor as T
+from mafn import training
 from mafn.pipeline import fit_pipeline, windows_for_records
 from mafn.config import TrainConfig
-from mafn.data import pack_windows, split_by_engine
+from mafn.data import pack_windows, split_by_engine, truncate_at_fraction
 from mafn.errors import ContractError, NumericError
 from mafn.losses import LossWeights
-from mafn.model import MafnModel
+from mafn.model import MafnModel, PreprocessBundle, predict_rul
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import (
+    CUTOFF_GRID,
     Adam,
     _batch_losses,
     clip_gradients,
@@ -186,46 +189,101 @@ class TestBatchSizes:
         assert all(np.isfinite(row[col]) for col in row)
 
 
+def oracle_bundle(window):
+    """A bundle that carries only the config the evaluators read: the
+    predictors below stand in for ``predict_rul``."""
+    return PreprocessBundle(config=small_config(window=window), cluster=None, stats=None)
+
+
 class TestEvaluate:
-    def test_perfect_oracle_zero_metrics(self):
+    def test_perfect_oracle_zero_metrics(self, monkeypatch):
         spec = SynthSpec(engines=6, life_min=60, life_max=90, seed=4)
         records, _ = generate(spec)
         lengths = {r.unit_id: r.length for r in records}
 
-        def oracle(truncated):
+        def oracle(truncated, model, bundle):
             full = lengths[truncated.unit_id]
             return min(float(full - truncated.length), 125.0)
 
-        rows = evaluate_cutoffs(records, oracle, window=6, rul_cap=125.0)
+        monkeypatch.setattr(training, "predict_rul", oracle)
+        rows = evaluate_cutoffs(records, None, oracle_bundle(6))
         assert len(rows) == 9
         for pct, r, e, s in rows:
             assert r == pytest.approx(0.0, abs=1e-12)
             assert s == pytest.approx(0.0, abs=1e-12)
 
-    def test_cutoff_grid_is_nine_rows(self):
+    def test_cutoff_grid_is_nine_rows(self, monkeypatch):
         spec = SynthSpec(engines=3, life_min=80, life_max=90, seed=4)
         records, _ = generate(spec)
-        rows = evaluate_cutoffs(records, lambda rec: 50.0, window=5, rul_cap=125.0)
+        monkeypatch.setattr(training, "predict_rul", lambda rec, model, bundle: 50.0)
+        rows = evaluate_cutoffs(records, None, oracle_bundle(5))
         assert [row[0] for row in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
 
-    def test_short_truncations_counted(self, caplog):
+    def test_short_truncations_counted(self, caplog, monkeypatch):
         spec = SynthSpec(engines=3, life_min=40, life_max=50, seed=4)
         records, _ = generate(spec)
+        monkeypatch.setattr(training, "predict_rul", lambda rec, model, bundle: 10.0)
         with caplog.at_level(logging.WARNING, logger="mafn.training"):
-            evaluate_cutoffs(records, lambda rec: 10.0, window=20, rul_cap=125.0)
+            evaluate_cutoffs(records, None, oracle_bundle(20))
         found = [re.fullmatch(r"evaluate_cutoffs skipped (\d+) short truncations", m) for m in caplog.messages]
         counts = [int(m.group(1)) for m in found if m]
         assert len(counts) == 1 and counts[0] > 0
 
-    def test_testset_schema_and_capping(self):
+    def test_testset_schema_and_capping(self, monkeypatch):
         spec = SynthSpec(engines=4, life_min=60, life_max=70, seed=4)
         records, _ = generate(spec)
         truth = np.array([10.0, 50.0, 130.0, 60.0])   # 130 gets capped to 125
-        rmse, score = evaluate_testset(records, truth, lambda rec: 125.0, rul_cap=125.0)
+        monkeypatch.setattr(training, "predict_rul", lambda rec, model, bundle: 125.0)
+        rmse, score = evaluate_testset(records, truth, None, oracle_bundle(6))
         assert rmse == pytest.approx(np.sqrt(np.mean((125.0 - np.array([10, 50, 125, 60])) ** 2)))
 
-    def test_testset_length_mismatch(self):
+    def test_testset_length_mismatch(self, monkeypatch):
         spec = SynthSpec(engines=4, life_min=60, life_max=70, seed=4)
         records, _ = generate(spec)
+        monkeypatch.setattr(training, "predict_rul", lambda rec, model, bundle: 0.0)
         with pytest.raises(ContractError):
-            evaluate_testset(records, np.array([1.0]), lambda rec: 0.0, rul_cap=125.0)
+            evaluate_testset(records, np.array([1.0]), None, oracle_bundle(6))
+
+
+def reference_cutoff_rows(records, model, bundle):
+    """The cutoff protocol one truncation at a time: cut, skip a history
+    shorter than the window unless ``pad_short``, predict, cap the residual."""
+    cfg = bundle.config
+    rows = []
+    for pct in CUTOFF_GRID:
+        preds, truths = [], []
+        for rec in records:
+            truncated, residual = truncate_at_fraction(rec, pct)
+            if truncated.length < cfg.window and not cfg.pad_short:
+                continue
+            preds.append(predict_rul(truncated, model, bundle))
+            truths.append(min(float(residual), cfg.rul_cap))
+        if preds:
+            p, t = np.asarray(preds), np.asarray(truths)
+            rows.append((pct, L.rmse(p, t), L.relative_error(p, t), L.score(p, t)))
+    return rows
+
+
+class TestEvaluateRealModel:
+    @pytest.mark.parametrize("pad_short", [False, True])
+    def test_cutoff_rows_match_the_reference_loop(self, pad_short):
+        """A trained model's rows hold every bit of the per-truncation
+        reference.  The window is longer than the early truncations, so
+        without ``pad_short`` some are skipped and with it none is; the cap
+        is below the longest residual lives, so some truths are capped."""
+        cfg = small_config(window=8, stride=2, rul_cap=25.0, max_epochs=5, learning_rate=1e-2, pad_short=pad_short)
+        records, _ = generate(SynthSpec(engines=4, life_min=20, life_max=40, seed=6))
+        cluster, stats, normalized = fit_pipeline(records, cfg)
+        tr, vl = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
+        result = train(pack_windows(windows_for_records(tr, cluster, cfg)),
+                       pack_windows(windows_for_records(vl, cluster, cfg)), cfg, len(stats.sensor_ids))
+        model = MafnModel(cfg, len(stats.sensor_ids), np.random.default_rng(cfg.seed))
+        model.load_state(result.params)
+        bundle = PreprocessBundle(config=cfg, cluster=cluster, stats=stats)
+        rows = evaluate_cutoffs(records, model, bundle)
+        want = reference_cutoff_rows(records, model, bundle)
+        assert (len(rows) == 9) == pad_short
+        assert [(pct, *map(float.hex, metrics)) for pct, *metrics in rows] == \
+            [(pct, *map(float.hex, metrics)) for pct, *metrics in want]
+        middle = {predict_rul(truncate_at_fraction(rec, 0.5)[0], model, bundle) for rec in records}
+        assert len(middle) == len(records)          # not every prediction clamped to one bound
