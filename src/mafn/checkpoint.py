@@ -21,22 +21,18 @@ from .cluster import ClusterModel
 from .config import TrainConfig, decode_fields, decoded_value
 from .data import N_RAW_SENSORS, NormalizationStats, atomic_write
 from .errors import ContractError, DataError
+from .model import PreprocessBundle
 
 MAGIC = b"MAFNCKPT"
 FORMAT_VERSION = 2
 _ARRAY_GROUPS = ("cluster.", "stats.", "param.")
 
 
-@dataclass
-class CheckpointBundle:
-    config: TrainConfig
-    params: "OrderedDict[str, np.ndarray]"
-    cluster: ClusterModel
-    stats: NormalizationStats
+@dataclass(frozen=True)
+class CheckpointBundle(PreprocessBundle):
+    """The preprocessing bundle and the trained parameters it feeds."""
 
-    @property
-    def n_sensors(self) -> int:
-        return len(self.stats.sensor_ids)
+    params: "OrderedDict[str, np.ndarray]"
 
 
 def _f64le(arr: np.ndarray) -> bytes:

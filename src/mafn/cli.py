@@ -25,18 +25,18 @@ from .checkpoint import CheckpointBundle, save_checkpoint
 from .config import default_config_text, load_config, read_fields
 from .data import (
     atomic_write,
-    normalize_record,
+    normalize_values,
     pack_windows,
     parse_cmapss,
     parse_rul_file,
     record_states,
-    select_sensors,
+    sensor_columns,
     split_by_engine,
     truncate_at_fraction,
     write_cmapss,
 )
 from .errors import ContractError, DataError, MafnError, NumericError
-from .model import forecast_trajectory, min_history
+from .model import forecast_trajectory
 from .pipeline import fit_pipeline, load_predictor, windows_for_records
 from .svgplot import LineChart
 from .synthetic import SynthSpec, default_synth_spec_text, generate, write_truth
@@ -229,24 +229,23 @@ def cmd_forecast(args) -> int:
         raise DataError(f"sensor {args.sensor} not in selected set {prep.stats.sensor_ids}")
     record = by_unit[args.unit]
     truncated, residual = truncate_at_fraction(record, args.cutoff)
-    if truncated.length < min_history(cfg):
-        raise DataError(f"cutoff {args.cutoff:g} leaves {truncated.length} cycles, fewer than "
-                        + ("1" if cfg.pad_short else f"the window ({cfg.window})"))
-    col = prep.stats.sensor_ids.index(args.sensor)
-    sel = select_sensors(record)
-    normalized_full = normalize_record(sel, prep.stats)
+    try:
+        forecast, _, predicted_rul = forecast_trajectory(truncated, model, prep)
+    except ContractError as e:
+        raise ContractError(f"cutoff {args.cutoff:g}: {e}") from e
     cut = truncated.length
     horizon = cfg.horizon
-    forecast, _, predicted_rul = forecast_trajectory(truncated, model, prep)
-    history = normalized_full.sensors[:cut, col]
-    truth_n = min(horizon, record.length - cut)
-    truth = normalized_full.sensors[cut : cut + truth_n, col]
+    # history and held-out truth in the checkpoint's sensors, as prepare_window reads them
+    cols = sensor_columns(record.sensor_ids, prep.stats.sensor_ids)
+    col = prep.stats.sensor_ids.index(args.sensor)
+    seen = normalize_values(record.sensors[: cut + horizon, cols], prep.stats)[:, col]
+    history, truth = seen[:cut], seen[cut:]
 
     rows = ["cycle,history,forecast,truth"]
     for t in range(cut):
         rows.append(f"{t + 1},{history[t]:.6f},,")
     for h in range(horizon):
-        truth_val = f"{truth[h]:.6f}" if h < truth_n else ""
+        truth_val = f"{truth[h]:.6f}" if h < len(truth) else ""
         rows.append(f"{cut + h + 1},,{forecast[h, col]:.6f},{truth_val}")
     csv_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.csv"
     _write_text(csv_path, "\n".join(rows) + "\n")
@@ -257,10 +256,8 @@ def cmd_forecast(args) -> int:
         ylabel=f"sensor {args.sensor} (normalized)",
     )
     chart.add_series("history", range(1, cut + 1), history, "#1f77b4")
-    chart.add_series(
-        "forecast", range(cut + 1, cut + horizon + 1), forecast[:, col], "#ff7f0e"
-    )
-    chart.add_series("truth", range(cut + 1, cut + truth_n + 1), truth, "#2ca02c")  # dropped when empty
+    chart.add_series("forecast", range(cut + 1, cut + horizon + 1), forecast[:, col], "#ff7f0e")
+    chart.add_series("truth", range(cut + 1, cut + len(truth) + 1), truth, "#2ca02c")  # dropped when empty
     chart.add_vline(cut + predicted_rul, "predicted TTF", "#d62728")
     chart.add_vline(record.length, "true TTF", "#1f77b4")
     svg_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.svg"

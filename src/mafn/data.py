@@ -39,7 +39,7 @@ RAW_COLUMNS = 2 + N_SETTINGS + N_RAW_SENSORS
 
 # informative sensor ids (1-based); the complement is near-constant in FD002
 SELECTED_SENSORS = (2, 3, 4, 7, 8, 11, 12, 15, 17, 20, 21)
-DROPPED_SENSORS = (1, 5, 6, 9, 10, 13, 14, 16, 18, 19)
+DROPPED_SENSORS = tuple(s for s in range(1, N_RAW_SENSORS + 1) if s not in SELECTED_SENSORS)
 
 # bytes a text reader takes from a file at a time; a block holds whole lines
 BLOCK_BYTES = 1 << 16
@@ -282,14 +282,16 @@ def write_cmapss(records: Sequence[EngineRecord], path):
 
 
 def parse_rul_file(path) -> np.ndarray:
-    """RUL ground-truth file: one value per test engine, ordered by unit."""
+    """RUL ground-truth file: one finite value >= 0 per test engine, ordered by unit."""
     values = []
     for numbers, rows in text_rows(path, 1):
-        bad = ~np.isfinite(rows[:, 0])
+        rul = rows[:, 0]
+        bad = ~(np.isfinite(rul) & (rul >= 0.0))
         if bad.any():
             i = bad.argmax()
-            raise ParseError(f"{path}:{numbers[i]}: non-finite value {float(rows[i, 0])!r}")
-        values.append(rows[:, 0])
+            what = "negative" if np.isfinite(rul[i]) else "non-finite"
+            raise ParseError(f"{path}:{numbers[i]}: {what} value {float(rul[i])!r}")
+        values.append(rul)
     if not values:
         raise DataError(f"{path}: empty RUL file")
     return np.concatenate(values)

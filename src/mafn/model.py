@@ -200,6 +200,10 @@ class PreprocessBundle:
     cluster: ClusterModel
     stats: NormalizationStats
 
+    @property
+    def n_sensors(self) -> int:
+        return len(self.stats.sensor_ids)
+
 
 def clamp_rul(raw_cycles: float, cap: float) -> float:
     if not np.isfinite(raw_cycles):
@@ -223,8 +227,9 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     cfg = bundle.config
     if record.length < min_history(cfg):
         raise ContractError(
-            f"history of {record.length} cycles is shorter than the window ({cfg.window})"
-            + ("" if cfg.pad_short else "; enable pad_short to left-pad by repeating the first cycle")
+            f"history of {record.length} cycles; pad_short needs at least 1 cycle" if cfg.pad_short
+            else f"history of {record.length} cycles is shorter than the window ({cfg.window}); "
+            "enable pad_short to left-pad by repeating the first cycle"
         )
     ids = bundle.stats.sensor_ids
     cols = sensor_columns(record.sensor_ids, ids)

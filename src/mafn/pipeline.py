@@ -12,7 +12,7 @@ from .checkpoint import load_checkpoint
 from .cluster import kmeans_fit, relabel_canonical
 from .config import TrainConfig
 from .data import fit_normalization, make_windows, normalize_record, select_sensors, state_features
-from .model import MafnModel, PreprocessBundle
+from .model import MafnModel
 
 
 def fit_pipeline(records, cfg: TrainConfig):
@@ -48,10 +48,9 @@ def windows_for_records(records, cluster_model, cfg: TrainConfig):
 
 
 def load_predictor(path):
-    """The model and preprocessing bundle of the checkpoint at ``path``."""
+    """The model of the checkpoint at ``path``, and the checkpoint as its preprocessing bundle."""
     bundle = load_checkpoint(path)
     cfg = bundle.config
     model = MafnModel(cfg, bundle.n_sensors, np.random.default_rng(cfg.seed))
     model.load_state(bundle.params)
-    prep = PreprocessBundle(config=cfg, cluster=bundle.cluster, stats=bundle.stats)
-    return model, prep
+    return model, bundle

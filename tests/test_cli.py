@@ -28,7 +28,7 @@ from mafn.config import (
     model_sizes,
     parse_fields,
 )
-from mafn.data import parse_cmapss, truncate_at_fraction, write_cmapss
+from mafn.data import NormalizationStats, normalize_values, parse_cmapss, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, DataError
 from mafn.model import MafnModel, prepare_window
 from mafn.pipeline import load_predictor
@@ -633,6 +633,21 @@ class TestEvaluateCommand:
         assert "rul.txt:3: non-finite" in capsys.readouterr().err
         assert not (out / "evaluation_testset.csv").exists()
 
+    def test_testset_negative_rul_clean_error(self, workspace, tmp_path, capsys):
+        rul_path = tmp_path / "rul.txt"
+        rul_path.write_text("20\n20\n-40\n20\n20\n")
+        out = tmp_path / "eval3"
+        code = main(
+            [
+                "evaluate", "--checkpoint", str(workspace / "run1" / "model.ckpt"),
+                "--data", str(workspace / "data" / "synthetic_train.txt"),
+                "--mode", "testset", "--rul", str(rul_path), "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "rul.txt:3: negative value -40.0" in capsys.readouterr().err
+        assert not (out / "evaluation_testset.csv").exists()
+
 
 def rewrite_checkpoint(path, out, edit):
     """The checkpoint at ``path`` with its header and arrays passed through
@@ -880,14 +895,32 @@ class TestForecastCommand:
         assert len(history) == cut and len(forecast) == 3 and len(rows) == cut + 3
         ET.parse(out / "forecast_unit2_sensor7.svg")
 
-    @pytest.mark.parametrize("pad_short, unit, cutoff, sensor", [
+    @staticmethod
+    def _subset_checkpoint(workspace, tmp_path):
+        """run1's checkpoint with its stats cut to sensors (2, 3, 4) and
+        parameters sized for three sensors."""
+        bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
+        keep = [bundle.stats.sensor_ids.index(s) for s in (2, 3, 4)]
+        stats = NormalizationStats((2, 3, 4), bundle.stats.mins[keep], bundle.stats.maxs[keep])
+        params = MafnModel(bundle.config, 3, np.random.default_rng(0)).state_arrays()
+        path = tmp_path / "subset.ckpt"
+        save_checkpoint(replace(bundle, stats=stats, params=params), path)
+        return path
+
+    @pytest.mark.parametrize("checkpoint, unit, cutoff, sensor", [
         (False, 1, 0.5, 2), (False, 3, 0.9, 21), (False, 5, 0.7, 11),
         (True, 2, 0.05, 7), (True, 4, 0.15, 15),   # 2 and 6-8 cycles: shorter than the window
+        ("subset", 2, 0.5, 3),
     ])
-    def test_forecast_column_is_the_model_output(self, workspace, tmp_path, pad_short, unit, cutoff, sensor):
+    def test_forecast_column_is_the_model_output(self, workspace, tmp_path, checkpoint, unit, cutoff, sensor):
         """The CSV's forecast column prints the model's normalized forecast
-        on the window ``prepare_window`` cuts, with no conversion between."""
-        ckpt = self._pad_short_checkpoint(workspace, tmp_path) if pad_short else workspace / "run1" / "model.ckpt"
+        on the window ``prepare_window`` cuts, with no conversion between;
+        its history and truth columns are the record normalized in the
+        checkpoint's own sensors.  ``checkpoint`` is run1's (False), run1's
+        with ``pad_short`` (True), or run1's cut to three sensors."""
+        ckpt = (self._subset_checkpoint(workspace, tmp_path) if checkpoint == "subset"
+                else self._pad_short_checkpoint(workspace, tmp_path) if checkpoint
+                else workspace / "run1" / "model.ckpt")
         data = workspace / "data" / "synthetic_train.txt"
         out = tmp_path / "fc"
         assert main(["forecast", "--checkpoint", str(ckpt), "--data", str(data), "--unit", str(unit),
@@ -895,14 +928,19 @@ class TestForecastCommand:
         model, prep = load_predictor(ckpt)
         record = next(r for r in parse_cmapss(data) if r.unit_id == unit)
         truncated, _ = truncate_at_fraction(record, cutoff)
-        assert (truncated.length < prep.config.window) == pad_short
+        assert (truncated.length < prep.config.window) == prep.config.pad_short
         inputs, states = prepare_window(truncated, prep)
         with T.no_grad():
             forecast = model.forward(inputs[None], states[None]).forecast.data[0]
         col = prep.stats.sensor_ids.index(sensor)
         rows = (out / f"forecast_unit{unit}_sensor{sensor}.csv").read_text().splitlines()[1:]
-        column = [row.split(",")[2] for row in rows if row.split(",")[2]]
+        history, column, truth = ([row.split(",")[i] for row in rows if row.split(",")[i]] for i in (1, 2, 3))
         assert column == [format(v, ".6f") for v in forecast[:, col]]
+        cols = [record.sensor_ids.index(s) for s in prep.stats.sensor_ids]
+        seen = normalize_values(record.sensors[:, cols], prep.stats)[:, col]
+        cut = truncated.length
+        assert history == [format(v, ".6f") for v in seen[:cut]]
+        assert truth == [format(v, ".6f") for v in seen[cut:cut + prep.config.horizon]]
 
     def test_empty_cutoff_rejected_with_pad_short(self, workspace, tmp_path, capsys):
         out = tmp_path / "fc"
@@ -914,7 +952,9 @@ class TestForecastCommand:
             ]
         )
         assert code == 2
-        assert "leaves 0 cycles" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("mafn: error:")
+        assert "cutoff 0.01: history of 0 cycles; pad_short needs at least 1 cycle" in err[0]
         assert not out.exists()
 
 
@@ -936,10 +976,14 @@ class TestClusterCommand:
         assert model["k"] == 2
 
 
-def test_library_modules_do_not_load_the_cli():
+@pytest.mark.parametrize("first", ["mafn.checkpoint", "mafn.model", "mafn.pipeline", "mafn.training"])
+def test_library_modules_do_not_load_the_cli(first):
+    """Imported first in a fresh interpreter, each library module loads
+    the others without an import cycle and without the CLI."""
     src = str(Path(mafn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, mafn.pipeline, mafn.training, mafn.model; print('mafn.cli' in sys.modules)"
+    code = (f"import sys, {first}, mafn.checkpoint, mafn.model, mafn.pipeline, mafn.training; "
+            "print('mafn.cli' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

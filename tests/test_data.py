@@ -159,6 +159,18 @@ class TestParse:
         with pytest.raises(ParseError, match=r"rul\.txt:2: non-finite"):
             D.parse_rul_file(path)
 
+    @pytest.mark.parametrize("token", ["-40", "-0.5", "-1e-300"])
+    def test_rul_file_negative_names_line(self, tmp_path, token):
+        path = tmp_path / "rul.txt"
+        path.write_text(f"0\n{token}\n5\n")
+        with pytest.raises(ParseError, match=rf"rul\.txt:2: negative value {float(token)!r}"):
+            D.parse_rul_file(path)
+
+    def test_rul_file_zero_is_valid(self, tmp_path):
+        path = tmp_path / "rul.txt"
+        path.write_text("0\n-0\n7\n")
+        np.testing.assert_array_equal(D.parse_rul_file(path), [0.0, 0.0, 7.0])
+
 
 class TestAtomicWrite:
     def test_replaces_target(self, tmp_path):

@@ -2,12 +2,13 @@ import json
 import re
 import struct
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from mafn import losses as L
+from mafn import pipeline
 from mafn import tensor as T
 from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from mafn.cluster import ClusterModel
@@ -305,6 +306,18 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(CheckpointBundle(config=cfg, params=model.state_arrays(), cluster=cluster, stats=stats), path)
         return path.read_bytes()
+
+    def test_load_predictor_returns_the_loaded_bundle(self, tmp_path, monkeypatch):
+        """The checkpoint ``load_checkpoint`` builds is, unchanged and frozen,
+        the preprocessing bundle ``load_predictor`` returns."""
+        self._saved(tmp_path)
+        built = []
+        monkeypatch.setattr(pipeline, "load_checkpoint", lambda path: built.append(load_checkpoint(path)) or built[0])
+        model, prep = pipeline.load_predictor(tmp_path / "model.ckpt")
+        assert prep is built[0] and isinstance(prep, PreprocessBundle)
+        assert prep.n_sensors == model.n_sensors == 2
+        with pytest.raises(FrozenInstanceError):
+            prep.stats = None
 
     def test_every_prefix_loads_or_raises_data_error(self, tmp_path):
         blob = self._saved(tmp_path)
