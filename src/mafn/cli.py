@@ -21,26 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointBundle, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import default_config_text, load_config, read_fields
 from .data import (
     atomic_write,
     normalize_values,
-    pack_windows,
     parse_cmapss,
     parse_rul_file,
     record_states,
     sensor_columns,
-    split_by_engine,
     truncate_at_fraction,
     write_cmapss,
 )
 from .errors import ContractError, DataError, MafnError, NumericError
 from .model import forecast_trajectory
-from .pipeline import fit_pipeline, load_predictor, windows_for_records
+from .pipeline import fit_pipeline, load_predictor, train_run
 from .svgplot import LineChart
 from .synthetic import SynthSpec, default_synth_spec_text, generate, write_truth
-from .training import evaluate_cutoffs, evaluate_testset, format_log_csv, train
+from .training import evaluate_cutoffs, evaluate_testset, format_log_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,44 +136,29 @@ def cmd_cluster(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = _prepare_out(args.out)
-    created = []
-    stage = "parse"
     try:
         records = parse_cmapss(args.data)
-        stage = "preprocess"
-        cluster_model, stats, normalized = fit_pipeline(records, cfg)
-        stage = "split"
-        train_recs, val_recs = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
-        stage = "window"
-        train_ds = pack_windows(windows_for_records(train_recs, cluster_model, cfg))
-        val_ds = pack_windows(windows_for_records(val_recs, cluster_model, cfg))
-        if not len(train_ds) or not len(val_ds):
-            raise DataError(
-                f"no usable windows (window={cfg.window}); engines may be too short"
-            )
-        stage = "train"
-        n_sensors = len(stats.sensor_ids)
-        result = train(train_ds, val_ds, cfg, n_sensors, progress=_print_epoch(args))
-        stage = "write"
+    except MafnError as e:
+        raise type(e)(f"[stage parse] {e}") from e
+    bundle, result = train_run(records, cfg, _print_epoch(args))
+    created = []
+    try:
         ckpt_path = out / "model.ckpt"
-        save_checkpoint(
-            CheckpointBundle(config=cfg, params=result.params, cluster=cluster_model, stats=stats),
-            ckpt_path,
-        )
+        save_checkpoint(bundle, ckpt_path)
         created.append(ckpt_path)
         log_path = out / "training_log.csv"
         _write_text(log_path, format_log_csv(result.log_rows))
         created.append(log_path)
         _write_manifest(out, "train", cfg, [args.data], [p.name for p in created])
-        print(
-            f"trained {result.epochs_run} epochs ({result.stop_reason}); "
-            f"best val {result.best_val:.6f} at epoch {result.best_epoch}"
-        )
-        return 0
     except MafnError as e:
         for p in created:
             p.unlink(missing_ok=True)
-        raise type(e)(f"[stage {stage}] {e}") from e
+        raise type(e)(f"[stage write] {e}") from e
+    print(
+        f"trained {result.epochs_run} epochs ({result.stop_reason}); "
+        f"best val {result.best_val:.6f} at epoch {result.best_epoch}"
+    )
+    return 0
 
 
 def _print_epoch(args):

@@ -249,6 +249,7 @@ def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle
     return clamp_rul(rul * bundle.config.rul_cap, bundle.config.rul_cap)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")     # as training._predicted
 def forecast_trajectory(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle):
     """Post-cutoff forecast from one forward: the normalized (H, d_s) sensor
     forecast, H state ids and the RUL in cycles as :func:`predict_rul` gives it."""

@@ -1,18 +1,22 @@
 """The preprocessing pipeline between parsed records and the model.
 
 Fits state clusters and normalization on training records, cuts their
-windows, and rebuilds a ready-to-predict model from a checkpoint.  The CLI,
-the tests and the benchmark share these functions.
+windows, runs the whole training run on parsed records (``train_run``), and
+rebuilds a ready-to-predict model from a checkpoint.  The CLI, the tests and
+the benchmark share these functions.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointBundle, load_checkpoint
 from .cluster import kmeans_fit, relabel_canonical
 from .config import TrainConfig
-from .data import fit_normalization, make_windows, normalize_record, select_sensors, state_features
+from .data import (fit_normalization, make_windows, normalize_record, pack_windows, select_sensors,
+                   split_by_engine, state_features)
+from .errors import DataError, MafnError
 from .model import MafnModel
+from .training import train
 
 
 def fit_pipeline(records, cfg: TrainConfig):
@@ -45,6 +49,25 @@ def windows_for_records(records, cluster_model, cfg: TrainConfig):
         make_windows(rec, cluster_model, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
         for rec in records
     ]
+
+
+def train_run(records, cfg: TrainConfig, progress=None):
+    """The whole training run on parsed records: cluster, normalize, split by engine, window, train.
+    Returns ``(CheckpointBundle, TrainResult)``; an error names its ``[stage preprocess|split|window|train]``."""
+    stage = "preprocess"
+    try:
+        cluster_model, stats, normalized = fit_pipeline(records, cfg)
+        stage = "split"
+        splits = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
+        stage = "window"
+        train_ds, val_ds = (pack_windows(windows_for_records(recs, cluster_model, cfg)) for recs in splits)
+        if not len(train_ds) or not len(val_ds):
+            raise DataError(f"no usable windows (window={cfg.window}); engines may be too short")
+        stage = "train"
+        result = train(train_ds, val_ds, cfg, len(stats.sensor_ids), progress)
+    except MafnError as e:
+        raise type(e)(f"[stage {stage}] {e}") from e
+    return CheckpointBundle(config=cfg, params=result.params, cluster=cluster_model, stats=stats), result
 
 
 def load_predictor(path):

@@ -6,7 +6,7 @@ markup, so identical inputs give identical bytes.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class LineChart:
             f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
             f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="#ffffff"/>',
             f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(self.title)}</text>',
+            f'font-family="sans-serif" font-size="15">{escape(self.title, quote=False)}</text>',
         ]
         # frame
         parts.append(
@@ -117,12 +117,12 @@ class LineChart:
             )
         parts.append(
             f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10:.1f}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">{escape(self.xlabel)}</text>'
+            f'text-anchor="middle" font-family="sans-serif" font-size="12">{escape(self.xlabel, quote=False)}</text>'
         )
         parts.append(
             f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" transform="rotate(-90 16 '
-            f'{_MARGIN_TOP + plot_h / 2:.1f})">{escape(self.ylabel)}</text>'
+            f'{_MARGIN_TOP + plot_h / 2:.1f})">{escape(self.ylabel, quote=False)}</text>'
         )
         for x, label, color in self.vlines:
             sx = px(x)
@@ -133,7 +133,7 @@ class LineChart:
             )
             parts.append(
                 f'<text x="{sx + 4:.2f}" y="{_MARGIN_TOP + 14:.2f}" font-family="sans-serif" '
-                f'font-size="11" fill="{color}">{escape(label)}</text>'
+                f'font-size="11" fill="{color}">{escape(label, quote=False)}</text>'
             )
         for label, xs, ys, color in self.series:
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -151,7 +151,7 @@ class LineChart:
             )
             parts.append(
                 f'<text x="{lx + 24:.1f}" y="{y:.1f}" font-family="sans-serif" '
-                f'font-size="11">{escape(label)}</text>'
+                f'font-size="11">{escape(label, quote=False)}</text>'
             )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"

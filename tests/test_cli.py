@@ -31,8 +31,9 @@ from mafn.config import (
 from mafn.data import NormalizationStats, normalize_values, parse_cmapss, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, DataError
 from mafn.model import MafnModel, prepare_window
-from mafn.pipeline import load_predictor
+from mafn.pipeline import load_predictor, train_run
 from mafn.svgplot import LineChart
+from mafn.training import format_log_csv
 from tests.test_model import with_header
 
 
@@ -501,6 +502,41 @@ class TestTrainCommand:
         assert code == 2
         assert "[stage preprocess] sensor 2:" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+class TestTrainRun:
+    """``pipeline.train_run`` is everything ``mafn train`` does between
+    parsing the data and writing the files."""
+
+    def test_bundle_and_log_are_the_cli_artifacts(self, workspace, tmp_path):
+        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+        bundle, result = train_run(records, load_config(workspace / "smoke.cfg"))
+        save_checkpoint(bundle, tmp_path / "model.ckpt")
+        assert (tmp_path / "model.ckpt").read_bytes() == (workspace / "run1" / "model.ckpt").read_bytes()
+        assert format_log_csv(result.log_rows) == (workspace / "run1" / "training_log.csv").read_text()
+
+    def test_no_usable_windows_names_the_stage(self, workspace):
+        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+        with pytest.raises(DataError) as err:
+            train_run(records, replace(load_config(workspace / "smoke.cfg"), window=200))
+        assert str(err.value).startswith("[stage window] no usable windows (window=200)")
+
+    def test_one_engine_names_the_stage(self, workspace):
+        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+        with pytest.raises(ContractError) as err:
+            train_run(records[:1], load_config(workspace / "smoke.cfg"))
+        assert str(err.value) == "[stage split] need at least 2 engines to split"
+
+    def test_write_failure_removes_written_files(self, workspace, tmp_path, monkeypatch, capsys):
+        def no_manifest(*args):
+            raise DataError("manifest refused")
+
+        monkeypatch.setattr(cli, "_write_manifest", no_manifest)
+        code = main(["train", "--data", str(workspace / "data" / "synthetic_train.txt"),
+                     "--config", str(workspace / "smoke.cfg"), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "[stage write] manifest refused" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvaluateCommand:
@@ -976,17 +1012,37 @@ class TestClusterCommand:
         assert model["k"] == 2
 
 
+def fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this mafn."""
+    src = str(Path(mafn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.parametrize("first", ["mafn.checkpoint", "mafn.model", "mafn.pipeline", "mafn.training"])
 def test_library_modules_do_not_load_the_cli(first):
     """Imported first in a fresh interpreter, each library module loads
     the others without an import cycle and without the CLI."""
-    src = str(Path(mafn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (f"import sys, {first}, mafn.checkpoint, mafn.model, mafn.pipeline, mafn.training; "
             "print('mafn.cli' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert fresh_python(code) == "False"
+
+
+def test_cli_import_loads_no_network_modules():
+    """No command needs either module; ``xml.sax.saxutils``, imported for
+    the SVG labels' ``escape``, pulled both in at every start-up."""
+    code = "import sys, mafn.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]"
+
+
+def test_cli_leaves_the_training_pipeline_to_the_library():
+    """``mafn train`` parses, calls ``pipeline.train_run`` and writes; the
+    steps between are the library's.  ``fit_pipeline`` stays: it is all of
+    ``mafn cluster``'s library work."""
+    names = {"split_by_engine", "pack_windows", "windows_for_records", "train", "CheckpointBundle"}
+    assert fresh_python(f"import mafn.cli; print(sorted({names!r} & set(vars(mafn.cli))))") == "[]"
 
 
 class TestSvgDeterminism:

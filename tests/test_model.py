@@ -192,12 +192,10 @@ class TestForecastTrajectory:
         # offset (within 0.5 raw units, compared in normalized units), and
         # predicted states must match the cluster's labeling of the true
         # future settings
-        from mafn.pipeline import fit_pipeline, windows_for_records
         from mafn.cluster import assign_states
-        from mafn.data import pack_windows, split_by_engine, truncate_at_fraction
+        from mafn.data import truncate_at_fraction
         from mafn.model import forecast_trajectory
         from mafn.synthetic import SynthSpec, generate, sensor_base
-        from mafn.training import train
 
         spec = SynthSpec(
             engines=8, k_states=2, offsets=(-1.0, 1.0), noise_sigma=0.0,
@@ -211,16 +209,10 @@ class TestForecastTrajectory:
             fusion_widths=(10,), rul_widths=(10, 6), batch_size=64,
             max_epochs=50, patience=50, learning_rate=3e-3, seed=2,
         ).validate()
-        cluster, stats, normalized = fit_pipeline(records, cfg)
-        tr, vl = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
-        result = train(
-            pack_windows(windows_for_records(tr, cluster, cfg)),
-            pack_windows(windows_for_records(vl, cluster, cfg)),
-            cfg, 11,
-        )
+        bundle, _ = pipeline.train_run(records, cfg)
+        cluster, stats = bundle.cluster, bundle.stats
         model = MafnModel(cfg, 11, np.random.default_rng(cfg.seed))
-        model.load_state(result.params)
-        bundle = PreprocessBundle(config=cfg, cluster=cluster, stats=stats)
+        model.load_state(bundle.params)
 
         for rec, eng in zip(records, truth["engines"]):
             truncated, _ = truncate_at_fraction(rec, 0.6)

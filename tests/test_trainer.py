@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import logging
 import re
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -12,17 +13,18 @@ from hypothesis import strategies as st
 from mafn import losses as L
 from mafn import tensor as T
 from mafn import training
-from mafn.pipeline import fit_pipeline, windows_for_records
+from mafn.pipeline import fit_pipeline, train_run, windows_for_records
 from mafn.config import TrainConfig
-from mafn.data import pack_windows, split_by_engine, truncate_at_fraction
+from mafn.data import pack_windows, parse_cmapss, split_by_engine, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, NumericError
 from mafn.losses import LossWeights
-from mafn.model import MafnModel, PreprocessBundle, predict_rul
+from mafn.model import MafnModel, PreprocessBundle, forecast_trajectory, predict_rul
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import (
     CUTOFF_GRID,
     Adam,
     _batch_losses,
+    _predicted,
     clip_gradients,
     evaluate_cutoffs,
     evaluate_testset,
@@ -273,13 +275,9 @@ class TestEvaluateRealModel:
         is below the longest residual lives, so some truths are capped."""
         cfg = small_config(window=8, stride=2, rul_cap=25.0, max_epochs=5, learning_rate=1e-2, pad_short=pad_short)
         records, _ = generate(SynthSpec(engines=4, life_min=20, life_max=40, seed=6))
-        cluster, stats, normalized = fit_pipeline(records, cfg)
-        tr, vl = split_by_engine(normalized, cfg.val_fraction, cfg.seed)
-        result = train(pack_windows(windows_for_records(tr, cluster, cfg)),
-                       pack_windows(windows_for_records(vl, cluster, cfg)), cfg, len(stats.sensor_ids))
-        model = MafnModel(cfg, len(stats.sensor_ids), np.random.default_rng(cfg.seed))
-        model.load_state(result.params)
-        bundle = PreprocessBundle(config=cfg, cluster=cluster, stats=stats)
+        bundle, _ = train_run(records, cfg)
+        model = MafnModel(cfg, bundle.n_sensors, np.random.default_rng(cfg.seed))
+        model.load_state(bundle.params)
         rows = evaluate_cutoffs(records, model, bundle)
         want = reference_cutoff_rows(records, model, bundle)
         assert (len(rows) == 9) == pad_short
@@ -287,3 +285,38 @@ class TestEvaluateRealModel:
             [(pct, *map(float.hex, metrics)) for pct, *metrics in want]
         middle = {predict_rul(truncate_at_fraction(rec, 0.5)[0], model, bundle) for rec in records}
         assert len(middle) == len(records)          # not every prediction clamped to one bound
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The walkthrough's engines, read back from the file ``mafn synthesize``
+    writes, and its two-epoch model with the checkpoint bundle."""
+    path = tmp_path_factory.mktemp("walkthrough") / "synthetic_train.txt"
+    write_cmapss(generate(SynthSpec())[0], path)
+    records = parse_cmapss(path)
+    bundle, _ = train_run(records, TrainConfig(max_epochs=2))
+    model = MafnModel(bundle.config, bundle.n_sensors, np.random.default_rng(bundle.config.seed))
+    model.load_state(bundle.params)
+    return records, model, bundle
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("value", [1e6, 1e20])
+    def test_inference_raises_no_numpy_warning(self, walkthrough, value):
+        """One mid-life sensor-7 reading far above the training range
+        overflows exp in the LSTM gates.  Neither protocol scoring nor the
+        forecast warns, and every RUL stays in [0, rul_cap]."""
+        records, model, bundle = walkthrough
+        rec = records[0]
+        sensors = rec.sensors.copy()
+        sensors[int(0.55 * rec.length), rec.sensor_ids.index(7)] = value
+        drifted = dataclasses.replace(rec, sensors=sensors)
+        cut = [truncate_at_fraction(drifted, pct) for pct in (0.6, 0.7, 0.8, 0.9)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = evaluate_cutoffs([drifted], model, bundle)
+            preds, _ = _predicted([t for t, _ in cut], [r for _, r in cut], model, bundle)
+            _, _, rul = forecast_trajectory(cut[0][0], model, bundle)
+        assert np.isfinite([metric for row in rows for metric in row]).all()
+        assert ((preds >= 0) & (preds <= bundle.config.rul_cap)).all()
+        assert 0 <= rul <= bundle.config.rul_cap
