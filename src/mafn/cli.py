@@ -5,15 +5,15 @@ Exit codes: 0 success, 1 usage error, 2 data/contract error, 3 numeric
 failure.  Every command that writes an output directory drops exactly one
 ``manifest.json`` recording the config snapshot, input file hashes, seed,
 and artifact list; re-running with an identical manifest reproduces the
-artifacts byte for byte.  A command that fails removes the output directory
-it made, and the parents it made, while they are empty.
+artifacts byte for byte.  A command that fails removes the files it wrote
+and every directory it made; files it did not write are never touched.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -56,12 +56,45 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_text(path, text: str):
+def _write_text(text: str, path):
     with atomic_write(path) as fh:
         fh.write(text)
 
 
-def _write_manifest(out_dir: Path, command: str, spec, data_files, artifacts):
+class _OutDir:
+    """The ``--out`` directory of one run: the directories the run made and
+    the files it wrote, which the manifest lists and a failed run removes."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.made = []                          # directories this run made, outermost first
+        self.names = []                         # files this run wrote, each once it is in place
+
+    def make(self):
+        """Make the directory and its missing parents, each recorded as it is
+        made, so that ``undo`` removes them after a failure part way."""
+        for path in reversed((self.path, *self.path.parents)):
+            if not path.is_dir():
+                path.mkdir()
+                self.made.append(path)
+
+    def write(self, name: str, content, writer=_write_text) -> Path:
+        """``writer(content, path)`` writes the file ``name``, then it joins the record."""
+        path = self.path / name
+        writer(content, path)
+        self.names.append(name)
+        return path
+
+    def undo(self):
+        for name in self.names:
+            with contextlib.suppress(OSError):
+                (self.path / name).unlink()
+        for path in reversed(self.made):
+            with contextlib.suppress(OSError):  # not empty: it holds files this run did not write
+                path.rmdir()
+
+
+def _write_manifest(out: _OutDir, command: str, spec, data_files):
     """``spec`` is the TrainConfig or SynthSpec the command ran with."""
     manifest = {
         "tool_version": __version__,
@@ -69,19 +102,9 @@ def _write_manifest(out_dir: Path, command: str, spec, data_files, artifacts):
         "seed": spec.seed,
         "config": dataclasses.asdict(spec),
         "data_files": {str(p): _sha256(p) for p in data_files},
-        "artifacts": sorted(str(a) for a in artifacts),
+        "artifacts": sorted(out.names),
     }
-    path = out_dir / "manifest.json"
-    with atomic_write(path) as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
-
-
-def _prepare_out(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    out.write("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -89,7 +112,7 @@ def _prepare_out(path) -> Path:
 
 def _emit_text(text: str, out) -> int:
     if out:
-        _write_text(out, text)
+        _write_text(text, out)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
@@ -102,7 +125,6 @@ def cmd_config(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out = _prepare_out(args.out)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
     labels = np.concatenate([record_states(r, model) for r in normalized])
@@ -111,11 +133,9 @@ def cmd_cluster(args) -> int:
     for j in range(model.k):
         coords = ",".join(format(v, ".12g") for v in model.centroids[j])
         report_lines.append(f"{j},{counts[j]},{coords}")
-    report_path = out / "clusters.csv"
-    _write_text(report_path, "\n".join(report_lines) + "\n")
-    model_path = out / "cluster.json"
-    _write_text(
-        model_path,
+    args.out.write("clusters.csv", "\n".join(report_lines) + "\n")
+    args.out.write(
+        "cluster.json",
         json.dumps(
             {
                 "k": model.k,
@@ -127,7 +147,7 @@ def cmd_cluster(args) -> int:
         )
         + "\n"
     )
-    _write_manifest(out, "cluster", cfg, [args.data], [report_path.name, model_path.name])
+    _write_manifest(args.out, "cluster", cfg, [args.data])
     for j in range(model.k):
         print(f"cluster {j}: {counts[j]} cycles")
     return 0
@@ -135,24 +155,16 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out = _prepare_out(args.out)
     try:
         records = parse_cmapss(args.data)
     except MafnError as e:
         raise type(e)(f"[stage parse] {e}") from e
     bundle, result = train_run(records, cfg, _print_epoch(args))
-    created = []
     try:
-        ckpt_path = out / "model.ckpt"
-        save_checkpoint(bundle, ckpt_path)
-        created.append(ckpt_path)
-        log_path = out / "training_log.csv"
-        _write_text(log_path, format_log_csv(result.log_rows))
-        created.append(log_path)
-        _write_manifest(out, "train", cfg, [args.data], [p.name for p in created])
+        args.out.write("model.ckpt", bundle, save_checkpoint)
+        args.out.write("training_log.csv", format_log_csv(result.log_rows))
+        _write_manifest(args.out, "train", cfg, [args.data])
     except MafnError as e:
-        for p in created:
-            p.unlink(missing_ok=True)
         raise type(e)(f"[stage write] {e}") from e
     print(
         f"trained {result.epochs_run} epochs ({result.stop_reason}); "
@@ -174,7 +186,6 @@ def _print_epoch(args):
 
 
 def cmd_evaluate(args) -> int:
-    out = _prepare_out(args.out)
     model, prep = load_predictor(args.checkpoint)
     records = parse_cmapss(args.data)
     if args.mode == "cutoffs":
@@ -182,24 +193,21 @@ def cmd_evaluate(args) -> int:
         lines = ["cutoff_pct,rmse,re,score"]
         for pct, r, e, s in rows:
             lines.append(f"{pct:g},{r:.6f},{e:.6f},{s:.6f}")
-        path = out / "evaluation_cutoffs.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        path = args.out.write("evaluation_cutoffs.csv", "\n".join(lines) + "\n")
         data_files = [args.data, args.checkpoint]
     else:
         if not args.rul:
             raise ContractError("testset mode needs --rul with the ground-truth file")
         rul_truth = parse_rul_file(args.rul)
         r, s = evaluate_testset(records, rul_truth, model, prep)
-        path = out / "evaluation_testset.csv"
-        _write_text(path, "rmse,score\n" + f"{r:.6f},{s:.6f}\n")
+        path = args.out.write("evaluation_testset.csv", "rmse,score\n" + f"{r:.6f},{s:.6f}\n")
         data_files = [args.data, args.rul, args.checkpoint]
-    _write_manifest(out, "evaluate", prep.config, data_files, [path.name])
+    _write_manifest(args.out, "evaluate", prep.config, data_files)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_forecast(args) -> int:
-    out = _prepare_out(args.out)
     model, prep = load_predictor(args.checkpoint)
     cfg = prep.config
     records = parse_cmapss(args.data)
@@ -230,8 +238,8 @@ def cmd_forecast(args) -> int:
     for h in range(horizon):
         truth_val = f"{truth[h]:.6f}" if h < len(truth) else ""
         rows.append(f"{cut + h + 1},,{forecast[h, col]:.6f},{truth_val}")
-    csv_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.csv"
-    _write_text(csv_path, "\n".join(rows) + "\n")
+    stem = f"forecast_unit{args.unit}_sensor{args.sensor}"
+    args.out.write(f"{stem}.csv", "\n".join(rows) + "\n")
 
     chart = LineChart(
         title=f"Unit {args.unit}, sensor {args.sensor}: cutoff at {args.cutoff:.0%}",
@@ -243,9 +251,8 @@ def cmd_forecast(args) -> int:
     chart.add_series("truth", range(cut + 1, cut + len(truth) + 1), truth, "#2ca02c")  # dropped when empty
     chart.add_vline(cut + predicted_rul, "predicted TTF", "#d62728")
     chart.add_vline(record.length, "true TTF", "#1f77b4")
-    svg_path = out / f"forecast_unit{args.unit}_sensor{args.sensor}.svg"
-    _write_text(svg_path, chart.render())
-    _write_manifest(out, "forecast", cfg, [args.data, args.checkpoint], [csv_path.name, svg_path.name])
+    args.out.write(f"{stem}.svg", chart.render())
+    _write_manifest(args.out, "forecast", cfg, [args.data, args.checkpoint])
     print(f"unit {args.unit}: predicted RUL {predicted_rul:.1f}, true residual {residual}")
     return 0
 
@@ -255,13 +262,9 @@ def cmd_synthesize(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     records, truth = generate(spec)
-    out = _prepare_out(args.out)
-    data_path = out / "synthetic_train.txt"
-    write_cmapss(records, data_path)
-    truth_path = out / "truth.json"
-    write_truth(truth, truth_path)
-    inputs = [args.spec] if args.spec else []
-    _write_manifest(out, "synthesize", spec, inputs, [data_path.name, truth_path.name])
+    data_path = args.out.write("synthetic_train.txt", records, write_cmapss)
+    args.out.write("truth.json", truth, write_truth)
+    _write_manifest(args.out, "synthesize", spec, [args.spec] if args.spec else [])
     print(f"wrote {data_path} ({len(records)} engines)")
     return 0
 
@@ -333,20 +336,15 @@ def cmd_synth_spec(args) -> int:
 OUT_DIR_COMMANDS = ("cluster", "train", "evaluate", "forecast", "synthesize")
 
 
-def _missing_dirs(path) -> list:
-    """``path`` and those of its parents that do not exist yet, deepest first."""
-    path = Path(path)
-    return list(itertools.takewhile(lambda p: not p.exists(), (path, *path.parents)))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    made = []                                   # output directories this run creates
+    out = None                                  # the --out record of a directory command
     code = 1                                    # until a command returns; an escaping error fails
     try:
         args = parser.parse_args(argv)
         if args.command in OUT_DIR_COMMANDS:
-            made = _missing_dirs(args.out)
+            args.out = out = _OutDir(args.out)
+            out.make()
         code = args.func(args)
     except SystemExit as e:
         code = int(e.code or 0)
@@ -357,12 +355,8 @@ def main(argv=None) -> int:
         print(f"mafn: error: {e}", file=sys.stderr)
         code = 2
     finally:
-        if code:                                # a failed run leaves no empty directory of its own
-            for path in made:
-                try:
-                    path.rmdir()
-                except OSError:                 # not empty, or never made
-                    break
+        if code and out is not None:            # a failed run leaves nothing of its own
+            out.undo()
     return code
 
 

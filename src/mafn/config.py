@@ -141,7 +141,7 @@ def model_sizes(cfg: TrainConfig, n_sensors: int = N_RAW_SENSORS):
         + sum(dense(a, b) for a, b in zip(fusion, fusion[1:]))
     )
     per_window = max(
-        cfg.window * max(cfg.kernel_size * (S + m), F, 4 * h),         # conv columns, encoder gates
+        cfg.window * max(cfg.kernel_size * (S + m), F, 8 * h),         # conv columns, both encoder gates
         cfg.horizon * max(4 * h, 4 * d, K, *fusion),                   # decoder gates, heads
         r1, r2,
     )

@@ -6,6 +6,7 @@ markup, so identical inputs give identical bytes.
 """
 from __future__ import annotations
 
+import math
 from html import escape
 
 import numpy as np
@@ -21,19 +22,17 @@ _MARGIN_BOTTOM = 48.0
 
 
 def _nice_ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round-numbered ticks over ``[lo, hi]``, a finite span with ``hi > lo``.
+    Python floats overflow to inf without a warning, which ends the loop.
+    A step is at least a fifth of the span, so there are at most six ticks;
+    the count bound also ends a step too small to move ``t`` off ``lo``."""
     span = hi - lo
-    raw = span / 5
-    mag = 10.0 ** np.floor(np.log10(raw)) if raw > 0 else 1.0
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = np.ceil(lo / step) * step
+    raw = max(span / 5, 1e-300)                 # a subnormal span ticks as a tiny normal one
+    mag = 10.0 ** math.floor(math.log10(raw))
+    step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
     ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
+    t = float(np.ceil(lo / step)) * step       # -0.0 above a negative lo, which prints as -0
+    while t - hi <= 1e-9 * span and len(ticks) < 6:
         ticks.append(round(t, 10))
         t += step
     return ticks
@@ -67,9 +66,13 @@ class LineChart:
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
         if x_hi == x_lo:
-            x_hi = x_lo + 1.0
-        pad = 0.05 * (y_hi - y_lo) or 0.5
-        return x_lo, x_hi, y_lo - pad, y_hi + pad
+            x_hi = x_lo + max(1.0, math.ulp(x_lo))
+        pad = 0.05 * (y_hi - y_lo) or max(0.5, math.ulp(y_lo))
+        if math.isfinite((y_hi + pad) - (y_lo - pad)):     # no padding past the largest float
+            y_lo, y_hi = y_lo - pad, y_hi + pad
+        if not math.isfinite((x_hi - x_lo) + (y_hi - y_lo)):
+            raise ContractError(f"chart span x {x_lo:g}..{x_hi:g}, y {y_lo:g}..{y_hi:g} is not finite")
+        return x_lo, x_hi, y_lo, y_hi
 
     def render(self) -> str:
         x_lo, x_hi, y_lo, y_hi = self._bounds()

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mafn
 from mafn import cli
 from mafn import tensor as T
 from mafn.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from mafn.cli import main
+from mafn.cli import OUT_DIR_COMMANDS, main
 from mafn.config import (
     MAX_ARRAY_VALUES,
     TrainConfig,
@@ -178,7 +178,33 @@ class TestConfig:
 
     def test_default_config_far_below_size_bound(self):
         params, activation = model_sizes(TrainConfig())
-        assert max(params, activation) * 100 < MAX_ARRAY_VALUES
+        assert max(params, activation) * 90 < MAX_ARRAY_VALUES
+
+    def test_activation_bound_covers_the_encoder_scan(self, monkeypatch):
+        """Every buffer ``tensor`` allocates with ``np.empty`` in one training
+        step fits the activation estimate: the encoder scan holds both
+        directions' gates, ``window x 8H`` values per window."""
+        cfg = TrainConfig(window=9, horizon=3, k_states=2, embedding_dim=2, kernel_size=3, n_filters=3,
+                          lstm_hidden=5, trend_dim=2, fusion_widths=(4,), rul_widths=(4, 3),
+                          batch_size=6).validate()
+        sizes = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, *args, **kwargs):
+                sizes.append(int(np.prod(shape)))
+                return np.empty(shape, *args, **kwargs)
+
+        model = MafnModel(cfg, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x, s = rng.random((cfg.batch_size, cfg.window, 2)), rng.integers(0, 2, (cfg.batch_size, cfg.window))
+        monkeypatch.setattr(T, "np", RecordingNumpy())
+        out = model.forward(x, s)
+        (out.rul.sum() + out.degradation.sum() + out.forecast.sum() + out.state_logits.sum()).backward()
+        assert max(sizes) == cfg.batch_size * cfg.window * 8 * cfg.lstm_hidden
+        assert max(sizes) <= model_sizes(cfg, 2)[1]
 
     @pytest.mark.parametrize("n_sensors", [2, 11, 21])
     @pytest.mark.parametrize("fields", [
@@ -282,7 +308,7 @@ PATH_ARGS = {
     "forecast": ("--checkpoint", "--data", "--out"),
     "synthesize": ("--spec", "--out"),
 }
-PATH_KINDS = ("missing", "dir", "file", "bad-data", "good")
+PATH_KINDS = ("missing", "dir", "file", "bad-data", "good", "name-too-long")
 OTHER_ARGS = {
     "train": ["--quiet"],
     "evaluate": ["--mode", "testset"],
@@ -298,11 +324,13 @@ class TestFileBoundaryProperty:
             st.fixed_dictionaries({flag: st.sampled_from(PATH_KINDS) for flag in PATH_ARGS[command]}),
         )
     ))
+    @example(("synthesize", {"--spec": "good", "--out": "name-too-long"}))
     def test_any_path_fails_cleanly(self, workspace, case):
         """Every path argument of every command, given a missing path, a
-        directory, an existing file, a data file with a bad token or a good
-        path: a failure exits 1, 2 or 3 with one ``mafn:`` line on stderr,
-        and leaves no directory it made."""
+        directory, an existing file, a data file with a bad token, a good
+        path or a name too long for the file system under a missing
+        directory: a failure exits 1, 2 or 3 with one ``mafn:`` line on
+        stderr, and leaves no directory it made."""
         command, kinds = case
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -321,7 +349,8 @@ class TestFileBoundaryProperty:
             argv = [command, *OTHER_ARGS.get(command, [])]
             for flag, kind in kinds.items():
                 path = {"missing": tmp / "missing" / "path", "dir": tmp / "a_dir",
-                        "file": tmp / "a_file", "bad-data": tmp / "bad.txt", "good": good[flag]}[kind]
+                        "file": tmp / "a_file", "bad-data": tmp / "bad.txt", "good": good[flag],
+                        "name-too-long": tmp / "missing" / ("x" * 300)}[kind]
                 argv += [flag, str(path)]
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -334,6 +363,56 @@ class TestFileBoundaryProperty:
                 assert not (tmp / "missing").exists() and not (tmp / "out").exists()
             else:
                 assert err == ""
+
+
+def _directory_run(workspace, command, out) -> list:
+    """argv of a run of ``command`` on the workspace that writes into ``out``."""
+    data, ckpt = str(workspace / "data" / "synthetic_train.txt"), str(workspace / "run1" / "model.ckpt")
+    argv = {
+        "cluster": ["--data", data, "--config", str(workspace / "smoke.cfg")],
+        "train": ["--data", data, "--config", str(workspace / "smoke.cfg"), "--quiet"],
+        "evaluate": ["--checkpoint", ckpt, "--data", data, "--mode", "cutoffs"],
+        "forecast": ["--checkpoint", ckpt, "--data", data, "--unit", "1", "--cutoff", "0.5", "--sensor", "7"],
+        "synthesize": ["--spec", str(workspace / "synth.spec")],
+    }[command]
+    return [command, *argv, "--out", str(out)]
+
+
+class TestOutputRecord:
+    """Each directory command records the files it writes: the manifest
+    lists them, and a failed run removes them and the directories it made."""
+
+    @pytest.mark.parametrize("command", OUT_DIR_COMMANDS)
+    def test_manifest_lists_the_other_files(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(_directory_run(workspace, command, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    @pytest.mark.parametrize("command", OUT_DIR_COMMANDS)
+    def test_failed_run_leaves_only_what_was_there(self, workspace, tmp_path, capsys, command):
+        """The manifest cannot be written over a directory of its name: the
+        run exits 2 after writing its other files, and removes them."""
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        (out / "keep.txt").write_text("kept\n")
+        assert main(_directory_run(workspace, command, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mafn: error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "manifest.json"]
+        assert (out / "manifest.json").is_dir() and (out / "keep.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["cluster", "train", "synthesize"])
+    def test_out_checked_before_config_or_spec(self, tmp_path, capsys, command):
+        """An ``--out`` that cannot be a directory fails before the config
+        or spec is read, as it does before ``evaluate`` and ``forecast``
+        read a checkpoint."""
+        a_file = tmp_path / "a_file"
+        a_file.write_text("x\n")
+        source = ["--spec"] if command == "synthesize" else ["--data", str(tmp_path / "no.txt"), "--config"]
+        assert main([command, *source, str(tmp_path / "no.cfg"), "--out", str(a_file / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mafn: error: ") and "a_file" in err and "no.cfg" not in err
 
 
 class TestSynthesizeCommand:
@@ -1054,6 +1133,23 @@ class TestSvgDeterminism:
             return chart.render()
 
         assert build() == build()
+
+    @pytest.mark.parametrize("ys", [[0.0, 1e300, 0.5], [1e300, 1e300, 1e300]])
+    def test_huge_finite_span_renders(self, ys):
+        """A 1e300 span, or none at 1e300, ticks and places points without
+        overflow or an endless tick loop: no RuntimeWarning, no inf or nan
+        coordinate."""
+        chart = LineChart("t", "x", "y")
+        chart.add_series("a", [1, 2, 3], ys, "#000000")
+        text = chart.render()
+        ET.fromstring(text)
+        assert "inf" not in text and "nan" not in text and ">1e+300<" in text
+
+    def test_span_past_the_largest_float_rejected(self):
+        chart = LineChart("t", "x", "y")
+        chart.add_series("a", [1, 2], [-1e308, 1e308], "#000000")
+        with pytest.raises(ContractError, match="span .* is not finite"):
+            chart.render()
 
     def test_escapes_labels(self):
         chart = LineChart("a < b & c", "x", "y")
