@@ -229,7 +229,8 @@ def cmd_forecast(args) -> int:
     # history and held-out truth in the checkpoint's sensors, as prepare_window reads them
     cols = sensor_columns(record.sensor_ids, prep.stats.sensor_ids)
     col = prep.stats.sensor_ids.index(args.sensor)
-    seen = normalize_values(record.sensors[: cut + horizon, cols], prep.stats)[:, col]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # as forecast_trajectory
+        seen = normalize_values(record.sensors[: cut + horizon, cols], prep.stats)[:, col]
     history, truth = seen[:cut], seen[cut:]
 
     rows = ["cycle,history,forecast,truth"]

@@ -8,12 +8,10 @@ parameter values for a given seed.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor
 
 
@@ -22,21 +20,17 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-ACTIVATIONS = {None: lambda y: y, "relu": T.relu, "tanh": T.tanh}
-
-
 class Dense:
-    """y = activation(x @ W + b); activation in {None, "relu", "tanh"}."""
+    """y = x @ W + b, through a ReLU when ``relu``."""
 
-    def __init__(self, rng, n_in: int, n_out: int, activation: Optional[str] = None):
+    def __init__(self, rng, n_in: int, n_out: int, relu: bool = False):
         self.W = T.parameter(glorot_uniform(rng, n_in, n_out, (n_in, n_out)))
         self.b = T.parameter(np.zeros(n_out))
-        if activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {activation!r}")
-        self.activation = activation
+        self.relu = relu
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ACTIVATIONS[self.activation](T.matmul(x, self.W) + self.b)
+        y = T.matmul(x, self.W) + self.b
+        return T.relu(y) if self.relu else y
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]
@@ -56,23 +50,20 @@ class EmbeddingTable:
 
 
 class Conv1d:
-    """Temporal convolution with stride 1 and same (zero) padding.
+    """Temporal convolution with stride 1 and same (zero) padding, then ReLU.
 
     Kernels have shape (kernel, channels, filters); padding is
     floor((kernel-1)/2) on the left and kernel-1-p on the right so the
     output length equals the input length; :func:`mafn.tensor.conv1d` is one node.
     """
 
-    def __init__(self, rng, n_channels: int, n_filters: int, kernel: int, activation: str = "relu"):
+    def __init__(self, rng, n_channels: int, n_filters: int, kernel: int):
         fan_in = kernel * n_channels
         self.W = T.parameter(glorot_uniform(rng, fan_in, n_filters, (kernel, n_channels, n_filters)))
         self.b = T.parameter(np.zeros(n_filters))
-        if activation not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {activation!r}")
-        self.activation = activation
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ACTIVATIONS[self.activation](T.conv1d(x, self.W) + self.b)
+        return T.relu(T.conv1d(x, self.W) + self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]

@@ -54,56 +54,40 @@ class MafnModel:
         self.config = config
         self.n_sensors = n_sensors
         c = config
-        self.embedding = EmbeddingTable(rng, c.k_states, c.embedding_dim)
-        self.conv = Conv1d(rng, n_sensors + c.embedding_dim, c.n_filters, c.kernel_size, "relu")
-        self.enc_fwd = LstmCell(rng, c.n_filters, c.lstm_hidden)
-        self.enc_bwd = LstmCell(rng, c.n_filters, c.lstm_hidden)
+        # (checkpoint prefix, layer) in build order, which fixes the initial
+        # draws and the parameter order; every layer is built through ``add``
+        self._layers = []
+
+        def add(prefix, layer):
+            self._layers.append((prefix, layer))
+            return layer
+
+        self.embedding = add("embedding", EmbeddingTable(rng, c.k_states, c.embedding_dim))
+        self.conv = add("conv", Conv1d(rng, n_sensors + c.embedding_dim, c.n_filters, c.kernel_size))
+        self.enc_fwd = add("encoder.fwd", LstmCell(rng, c.n_filters, c.lstm_hidden))
+        self.enc_bwd = add("encoder.bwd", LstmCell(rng, c.n_filters, c.lstm_hidden))
         enc_out = 2 * c.lstm_hidden
-        self.attention = Attention(rng, enc_out, c.lstm_hidden)
+        self.attention = add("attention", Attention(rng, enc_out, c.lstm_hidden))
         r1, r2 = c.rul_widths
-        self.rul_l1 = Dense(rng, enc_out, r1, "relu")
-        self.rul_l2 = Dense(rng, r1, r2, "relu")
-        self.rul_out = Dense(rng, r2, 1, None)
-        self.trend_init = Dense(rng, enc_out, 2 * c.trend_dim, None)
-        self.trend_cell = LstmCell(rng, enc_out, c.trend_dim)
-        self.trend_proj = Dense(rng, c.trend_dim, 1, None)
-        self.state_init = Dense(rng, enc_out, 2 * c.lstm_hidden, None)
-        self.state_cell = LstmCell(rng, enc_out, c.lstm_hidden)
-        self.state_proj = Dense(rng, c.lstm_hidden, c.k_states, None)
+        self.rul_l1 = add("rul.l1", Dense(rng, enc_out, r1, relu=True))
+        self.rul_l2 = add("rul.l2", Dense(rng, r1, r2, relu=True))
+        self.rul_out = add("rul.out", Dense(rng, r2, 1))
+        self.trend_init = add("trend.init", Dense(rng, enc_out, 2 * c.trend_dim))
+        self.trend_cell = add("trend.cell", LstmCell(rng, enc_out, c.trend_dim))
+        self.trend_proj = add("trend.proj", Dense(rng, c.trend_dim, 1))
+        self.state_init = add("state.init", Dense(rng, enc_out, 2 * c.lstm_hidden))
+        self.state_cell = add("state.cell", LstmCell(rng, enc_out, c.lstm_hidden))
+        self.state_proj = add("state.proj", Dense(rng, c.lstm_hidden, c.k_states))
         self.fusion_layers = []
         width_in = c.trend_dim + c.embedding_dim
-        for width in c.fusion_widths:
-            self.fusion_layers.append(Dense(rng, width_in, width, "relu"))
+        for i, width in enumerate(c.fusion_widths, start=1):
+            self.fusion_layers.append(add(f"fusion.l{i}", Dense(rng, width_in, width, relu=True)))
             width_in = width
-        self.fusion_out = Dense(rng, width_in, n_sensors, None)
-
-    # -- parameter registry ----------------------------------------------------
+        self.fusion_out = add("fusion.out", Dense(rng, width_in, n_sensors))
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
-        groups = [
-            ("embedding", self.embedding),
-            ("conv", self.conv),
-            ("encoder.fwd", self.enc_fwd),
-            ("encoder.bwd", self.enc_bwd),
-            ("attention", self.attention),
-            ("rul.l1", self.rul_l1),
-            ("rul.l2", self.rul_l2),
-            ("rul.out", self.rul_out),
-            ("trend.init", self.trend_init),
-            ("trend.cell", self.trend_cell),
-            ("trend.proj", self.trend_proj),
-            ("state.init", self.state_init),
-            ("state.cell", self.state_cell),
-            ("state.proj", self.state_proj),
-        ]
-        for i, layer in enumerate(self.fusion_layers, start=1):
-            groups.append((f"fusion.l{i}", layer))
-        groups.append(("fusion.out", self.fusion_out))
-        out: "OrderedDict[str, Tensor]" = OrderedDict()
-        for prefix, obj in groups:
-            for name, tensor in obj.parameters():
-                out[f"{prefix}.{name}"] = tensor
-        return out
+        return OrderedDict((f"{prefix}.{name}", tensor)
+                           for prefix, layer in self._layers for name, tensor in layer.parameters())
 
     def load_state(self, params: dict):
         own = self.parameters()

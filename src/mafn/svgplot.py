@@ -51,11 +51,16 @@ class LineChart:
         ys = [float(v) for v in ys]
         if len(xs) != len(ys):
             raise ContractError(f"series {label!r}: {len(xs)} x values vs {len(ys)} y values")
+        if any(map(math.isnan, xs + ys)):
+            raise ContractError(f"series {label!r} has a NaN value")
         if xs:
             self.series.append((label, xs, ys, color))
 
     def add_vline(self, x: float, label: str, color: str):
-        self.vlines.append((float(x), label, color))
+        x = float(x)
+        if math.isnan(x):
+            raise ContractError(f"line {label!r} is at NaN")
+        self.vlines.append((x, label, color))
 
     def _bounds(self):
         xs = [x for _, sx, _, _ in self.series for x in sx]

@@ -148,11 +148,11 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
@@ -260,11 +260,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- pointwise nonlinearities --------------------------------------------------
-
-
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -380,35 +375,19 @@ def _axis_tuple(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor, axis=None) -> Tensor:
     axes = _axis_tuple(axis, x.ndim)
-    out = x.data.sum(axis=axes or None, keepdims=keepdims)
-
-    def grad_fn(g):
-        if not keepdims:
-            shp = list(x.shape)
-            for a in axes:
-                shp[a] = 1
-            g = g.reshape(shp)
-        return (np.broadcast_to(g, x.shape),)
-
-    return _make(out, (x,), grad_fn, "sum")
+    out = x.data.sum(axis=axes or None)
+    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))   # the gradient before it broadcasts
+    return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), x.shape),), "sum")
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis=None) -> Tensor:
     axes = _axis_tuple(axis, x.ndim)
     count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    out = x.data.mean(axis=axes or None, keepdims=keepdims)
-
-    def grad_fn(g):
-        if not keepdims:
-            shp = list(x.shape)
-            for a in axes:
-                shp[a] = 1
-            g = g.reshape(shp)
-        return (np.broadcast_to(g, x.shape) / count,)
-
-    return _make(out, (x,), grad_fn, "mean")
+    out = x.data.mean(axis=axes or None)
+    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), x.shape) / count,), "mean")
 
 
 # -- convolution and attention -----------------------------------------------------

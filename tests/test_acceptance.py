@@ -90,7 +90,7 @@ def test_criterion_1_gradient_suite():
         check_gradients(lambda: T.square(table(ids)).sum(), [table.weights])
 
     for i, g in enumerate(_instance_rngs()):
-        conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3, activation="relu")
+        conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3)
         x = T.parameter(g.normal(size=(1, 5, 2)))
         check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
 
@@ -123,7 +123,7 @@ def test_criterion_1_gradient_suite():
         check_gradients(attn_loss, [h] + [t for _, t in attn.parameters()])
 
     for g in _instance_rngs():
-        layer = nn.Dense(g, 3, 2, "relu")
+        layer = nn.Dense(g, 3, 2, relu=True)
         x = T.parameter(g.normal(size=(2, 3)))
         check_gradients(lambda: T.square(layer(x)).sum(), [x, layer.W, layer.b])
 
@@ -259,7 +259,7 @@ def test_criterion_4_structural_oracles():
     start = time.time()
     rng = np.random.default_rng(7)
     for kernel in (1, 2, 3, 4, 5):
-        conv = nn.Conv1d(rng, 3, 4, kernel, "relu")
+        conv = nn.Conv1d(rng, 3, 4, kernel)
         x = rng.normal(size=(7, 3))
         np.testing.assert_allclose(
             conv(Tensor(x[None])).data[0], naive_conv1d(x, conv.W.data, conv.b.data, kernel), atol=0

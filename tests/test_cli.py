@@ -1057,6 +1057,29 @@ class TestForecastCommand:
         assert history == [format(v, ".6f") for v in seen[:cut]]
         assert truth == [format(v, ".6f") for v in seen[cut:cut + prep.config.horizon]]
 
+    def test_overflowing_truth_fails_with_one_line(self, workspace, tmp_path, capsys):
+        """A finite reading past the window normalizes to inf in the plotted
+        truth: the command exits 2 on the chart span alone, with no numpy
+        warning from the normalization (pytest makes one an exception).
+        Sensor 7's training range is narrowed to 0.5, so 1e308 overflows."""
+        bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
+        j = bundle.stats.sensor_ids.index(7)
+        maxs = bundle.stats.maxs.copy()
+        maxs[j] = bundle.stats.mins[j] + 0.5
+        ckpt = tmp_path / "narrow.ckpt"
+        save_checkpoint(replace(bundle, stats=NormalizationStats(bundle.stats.sensor_ids, bundle.stats.mins, maxs)),
+                        ckpt)
+        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+        record = next(r for r in records if r.unit_id == 1)
+        cut = truncate_at_fraction(record, 0.5)[0].length
+        record.sensors[cut, record.sensor_ids.index(7)] = 1e308     # the first truth cycle
+        data = tmp_path / "huge.txt"
+        write_cmapss(records, data)
+        code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--unit", "1", "--cutoff", "0.5", "--sensor", "7", "--out", str(tmp_path / "fc")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and "chart span" in err[0] and "is not finite" in err[0]
+
     def test_empty_cutoff_rejected_with_pad_short(self, workspace, tmp_path, capsys):
         out = tmp_path / "fc"
         code = main(
@@ -1150,6 +1173,20 @@ class TestSvgDeterminism:
         chart.add_series("a", [1, 2], [-1e308, 1e308], "#000000")
         with pytest.raises(ContractError, match="span .* is not finite"):
             chart.render()
+
+    @pytest.mark.parametrize("xs,ys", [([1, 2, 3], [0.0, np.nan, 1.0]), ([1, np.nan, 3], [0.0, 0.5, 1.0])])
+    def test_nan_in_series_rejected(self, xs, ys):
+        """``min`` and ``max`` pass over a NaN that is not first, so it would
+        reach the markup as a ``nan`` coordinate."""
+        chart = LineChart("t", "x", "y")
+        with pytest.raises(ContractError, match="series 'history' has a NaN value"):
+            chart.add_series("history", xs, ys, "#000000")
+
+    def test_nan_vline_rejected(self):
+        chart = LineChart("t", "x", "y")
+        chart.add_series("a", [1, 2], [0.0, 1.0], "#000000")
+        with pytest.raises(ContractError, match="line 'cutoff' is at NaN"):
+            chart.add_vline(np.nan, "cutoff", "#000000")
 
     def test_escapes_labels(self):
         chart = LineChart("a < b & c", "x", "y")

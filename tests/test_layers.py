@@ -60,14 +60,14 @@ class TestEmbedding:
 
 class TestConv1d:
     def test_identity_kernel(self, rng):
-        conv = nn.Conv1d(rng, 1, 1, 1, "relu")
+        conv = nn.Conv1d(rng, 1, 1, 1)
         conv.W.data[:] = 1.0
         conv.b.data[:] = 0.0
         x = Tensor(np.abs(rng.normal(size=(1, 6, 1))))
         np.testing.assert_allclose(conv(x).data, x.data)
 
     def test_hand_convolution(self, rng):
-        conv = nn.Conv1d(rng, 1, 1, 3, activation=None)
+        conv = nn.Conv1d(rng, 1, 1, 3)
         conv.W.data[:] = 1.0
         conv.b.data[:] = 0.0
         out = conv(Tensor(np.array([[[1.0], [2.0], [3.0], [4.0]]])))
@@ -75,20 +75,20 @@ class TestConv1d:
 
     @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
     def test_matches_naive_loop(self, rng, kernel):
-        conv = nn.Conv1d(rng, 3, 4, kernel, "relu")
+        conv = nn.Conv1d(rng, 3, 4, kernel)
         x = rng.normal(size=(7, 3))
         expected = naive_conv1d(x, conv.W.data, conv.b.data, kernel)
         np.testing.assert_allclose(conv(Tensor(x[None])).data[0], expected, atol=1e-12)
 
     def test_batched_equals_stacked(self, rng):
-        conv = nn.Conv1d(rng, 2, 3, 3, "relu")
+        conv = nn.Conv1d(rng, 2, 3, 3)
         xs = rng.normal(size=(4, 6, 2))
         batched = conv(Tensor(xs)).data
         for i in range(4):
             np.testing.assert_allclose(batched[i], conv(Tensor(xs[i : i + 1])).data[0], atol=1e-14)
 
     def test_degenerate_window(self, rng):
-        conv = nn.Conv1d(rng, 1, 1, 9, "relu")
+        conv = nn.Conv1d(rng, 1, 1, 9)
         with pytest.raises(ContractError):
             conv(Tensor(np.zeros((1, 4, 1))))
 
@@ -103,7 +103,7 @@ class TestConv1d:
             conv(Tensor(np.zeros((5, 3))))
 
     def test_gradients(self, rng):
-        conv = nn.Conv1d(rng, 2, 2, 3, "tanh")
+        conv = nn.Conv1d(rng, 2, 2, 3)
         x = T.parameter(rng.normal(size=(1, 5, 2)))
         check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
 
@@ -620,24 +620,24 @@ class TestAttention:
 
 class TestDense:
     def test_identity(self, rng):
-        layer = nn.Dense(rng, 3, 3, None)
+        layer = nn.Dense(rng, 3, 3)
         layer.W.data = np.eye(3)
         layer.b.data[:] = 0.0
         x = rng.normal(size=(2, 3))
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
     def test_hand_affine(self, rng):
-        layer = nn.Dense(rng, 2, 1, None)
+        layer = nn.Dense(rng, 2, 1)
         layer.W.data = np.array([[1.0], [1.0]])
         layer.b.data = np.array([0.5])
         np.testing.assert_array_equal(layer(Tensor([[1.0, 2.0]])).data, [[3.5]])
 
     def test_relu_clamps_negative(self, rng):
-        layer = nn.Dense(rng, 1, 1, "relu")
+        layer = nn.Dense(rng, 1, 1, relu=True)
         layer.W.data = np.array([[-2.0]])
         np.testing.assert_array_equal(layer(Tensor([[1.0]])).data, [[0.0]])
 
     def test_gradients(self, rng):
-        layer = nn.Dense(rng, 3, 2, "relu")
+        layer = nn.Dense(rng, 3, 2, relu=True)
         x = T.parameter(rng.normal(size=(4, 3)))
         check_gradients(lambda: T.square(layer(x)).sum(), [x, layer.W, layer.b])

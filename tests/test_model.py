@@ -118,6 +118,34 @@ class TestForward:
         assert worst < 1e-3
 
 
+class TestParameterRegistry:
+    """The checkpoint names and the tensors Adam updates come from the layers
+    the model built; the golden checkpoint covers only two fusion layers."""
+
+    def test_names_in_build_order_and_each_layer_tensor_once(self):
+        model, _ = tiny_model(fusion_widths=(8, 6, 4))
+        params = model.parameters()
+        assert list(params) == [
+            "embedding.W", "conv.W", "conv.b",
+            "encoder.fwd.W_x", "encoder.fwd.W_h", "encoder.fwd.b",
+            "encoder.bwd.W_x", "encoder.bwd.W_h", "encoder.bwd.b",
+            "attention.Wh", "attention.Ws", "attention.v", "attention.s",
+            "rul.l1.W", "rul.l1.b", "rul.l2.W", "rul.l2.b", "rul.out.W", "rul.out.b",
+            "trend.init.W", "trend.init.b", "trend.cell.W_x", "trend.cell.W_h", "trend.cell.b",
+            "trend.proj.W", "trend.proj.b",
+            "state.init.W", "state.init.b", "state.cell.W_x", "state.cell.W_h", "state.cell.b",
+            "state.proj.W", "state.proj.b",
+            "fusion.l1.W", "fusion.l1.b", "fusion.l2.W", "fusion.l2.b", "fusion.l3.W", "fusion.l3.b",
+            "fusion.out.W", "fusion.out.b",
+        ]
+        layer_tensors = [tensor for attr, obj in vars(model).items() if not attr.startswith("_")
+                         for layer in (obj if isinstance(obj, list) else [obj]) if hasattr(layer, "parameters")
+                         for _, tensor in layer.parameters()]
+        assert len(layer_tensors) == len(params)
+        for tensor in layer_tensors:
+            assert sum(p is tensor for p in params.values()) == 1
+
+
 class TestPrediction:
     def _bundle(self, cfg):
         cluster = ClusterModel(
