@@ -23,16 +23,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import default_config_text, load_config, read_fields
-from .data import (
-    atomic_write,
-    normalize_values,
-    parse_cmapss,
-    parse_rul_file,
-    record_states,
-    sensor_columns,
-    truncate_at_fraction,
-    write_cmapss,
-)
+from .data import (atomic_write, normalize_record, parse_cmapss, parse_rul_file, record_states,
+                   truncate_at_fraction, write_cmapss)
 from .errors import ContractError, DataError, MafnError, NumericError
 from .model import forecast_trajectory
 from .pipeline import fit_pipeline, load_predictor, train_run
@@ -226,11 +218,9 @@ def cmd_forecast(args) -> int:
         raise ContractError(f"cutoff {args.cutoff:g}: {e}") from e
     cut = truncated.length
     horizon = cfg.horizon
-    # history and held-out truth in the checkpoint's sensors, as prepare_window reads them
-    cols = sensor_columns(record.sensor_ids, prep.stats.sensor_ids)
+    # history and held-out truth read as prepare_window reads the window
     col = prep.stats.sensor_ids.index(args.sensor)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # as forecast_trajectory
-        seen = normalize_values(record.sensors[: cut + horizon, cols], prep.stats)[:, col]
+    seen = normalize_record(record, prep.stats, np.arange(min(cut + horizon, record.length))).sensors[:, col]
     history, truth = seen[:cut], seen[cut:]
 
     rows = ["cycle,history,forecast,truth"]

@@ -349,12 +349,24 @@ def normalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarra
     return np.where(span == 0.0, 0.0, out)
 
 
-def normalize_record(record: EngineRecord, stats: NormalizationStats) -> EngineRecord:
-    if record.sensor_ids != stats.sensor_ids:
-        raise ContractError(
-            f"record sensors {record.sensor_ids} do not match stats {stats.sensor_ids}"
+def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=None) -> EngineRecord:
+    """The record's ``rows`` (every cycle when None) in the sensors of
+    ``stats``, min-max normalized: the one path from raw readings to model
+    input.  One gather takes the rows and the columns of ``stats.sensor_ids``.
+    A reading that normalizes to a value that is not finite raises DataError."""
+    rows = np.arange(record.length) if rows is None else rows
+    cols = sensor_columns(record.sensor_ids, stats.sensor_ids)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sensors = normalize_values(record.sensors[rows[:, None], cols], stats)
+    bad = ~np.isfinite(sensors)
+    if bad.any():
+        i, j = np.unravel_index(bad.argmax(), bad.shape)
+        raise DataError(
+            f"unit {record.unit_id}: sensor {stats.sensor_ids[j]} reads {record.sensors[rows[i], cols[j]]:g} "
+            f"at cycle {rows[i] + 1}, too far outside its training range "
+            f"[{stats.mins[j]:g}, {stats.maxs[j]:g}] to normalize"
         )
-    return replace(record, sensors=normalize_values(record.sensors, stats))
+    return EngineRecord(record.unit_id, record.op_settings[rows], sensors, stats.sensor_ids)
 
 
 def state_features(record: EngineRecord, feature_spec: str) -> np.ndarray:

@@ -29,13 +29,7 @@ import numpy as np
 from . import tensor as T
 from .cluster import ClusterModel
 from .config import TrainConfig
-from .data import (
-    EngineRecord,
-    NormalizationStats,
-    normalize_values,
-    record_states,
-    sensor_columns,
-)
+from .data import EngineRecord, NormalizationStats, normalize_record, record_states
 from .errors import ContractError, DimensionError, NumericError
 from .layers import Attention, Conv1d, Dense, EmbeddingTable, LstmCell, bilstm
 from .tensor import Tensor
@@ -202,12 +196,9 @@ def min_history(cfg: TrainConfig) -> int:
 
 
 def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
-    """The normalized trailing window of a raw history and its state ids.
-
-    One gather takes the window's rows and the checkpoint's sensor columns,
-    before normalization and state assignment; ``pad_short`` left-pads a
-    short history with its first cycle.
-    """
+    """The normalized trailing window of a raw history, read through
+    ``normalize_record``, and its state ids; ``pad_short`` left-pads a short
+    history with its first cycle."""
     cfg = bundle.config
     if record.length < min_history(cfg):
         raise ContractError(
@@ -215,12 +206,9 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
             else f"history of {record.length} cycles is shorter than the window ({cfg.window}); "
             "enable pad_short to left-pad by repeating the first cycle"
         )
-    ids = bundle.stats.sensor_ids
-    cols = sensor_columns(record.sensor_ids, ids)
     rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
-    sensors = normalize_values(record.sensors[rows[:, None], cols], bundle.stats)
-    window = EngineRecord(record.unit_id, record.op_settings[rows], sensors, ids)
-    return sensors, record_states(window, bundle.cluster)
+    window = normalize_record(record, bundle.stats, rows)
+    return window.sensors, record_states(window, bundle.cluster)
 
 
 def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle) -> float:

@@ -618,7 +618,37 @@ class TestTrainRun:
         assert not (tmp_path / "out").exists()
 
 
+def overflowing_case(workspace, tmp_path):
+    """run1's checkpoint with sensor 7's training range narrowed to 0.5, and
+    the walkthrough data with unit 1's sensor 7 at 1e308 in the first cycle
+    after a 0.5 cutoff, which overflows in normalization.  Returns the two
+    paths and that cycle."""
+    bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
+    j = bundle.stats.sensor_ids.index(7)
+    maxs = bundle.stats.maxs.copy()
+    maxs[j] = bundle.stats.mins[j] + 0.5
+    ckpt = tmp_path / "narrow.ckpt"
+    save_checkpoint(replace(bundle, stats=NormalizationStats(bundle.stats.sensor_ids, bundle.stats.mins, maxs)), ckpt)
+    records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
+    record = next(r for r in records if r.unit_id == 1)
+    cut = truncate_at_fraction(record, 0.5)[0].length
+    record.sensors[cut, record.sensor_ids.index(7)] = 1e308
+    data = tmp_path / "huge.txt"
+    write_cmapss(records, data)
+    return ckpt, data, cut + 1
+
+
 class TestEvaluateCommand:
+    def test_overflowing_reading_fails_with_one_line(self, workspace, tmp_path, capsys):
+        """A finite reading that overflows in normalization is a data error
+        where it is read, not a NaN inside the network (exit 3)."""
+        ckpt, data, cycle = overflowing_case(workspace, tmp_path)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--mode", "cutoffs", "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("mafn: error:"), err
+        assert f"unit 1: sensor 7 reads 1e+308 at cycle {cycle}, too far outside its training range" in err[0]
+
     def test_truncated_checkpoint_clean_error(self, workspace, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes((workspace / "run1" / "model.ckpt").read_bytes()[:501])
@@ -1059,26 +1089,13 @@ class TestForecastCommand:
 
     def test_overflowing_truth_fails_with_one_line(self, workspace, tmp_path, capsys):
         """A finite reading past the window normalizes to inf in the plotted
-        truth: the command exits 2 on the chart span alone, with no numpy
-        warning from the normalization (pytest makes one an exception).
-        Sensor 7's training range is narrowed to 0.5, so 1e308 overflows."""
-        bundle = load_checkpoint(workspace / "run1" / "model.ckpt")
-        j = bundle.stats.sensor_ids.index(7)
-        maxs = bundle.stats.maxs.copy()
-        maxs[j] = bundle.stats.mins[j] + 0.5
-        ckpt = tmp_path / "narrow.ckpt"
-        save_checkpoint(replace(bundle, stats=NormalizationStats(bundle.stats.sensor_ids, bundle.stats.mins, maxs)),
-                        ckpt)
-        records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
-        record = next(r for r in records if r.unit_id == 1)
-        cut = truncate_at_fraction(record, 0.5)[0].length
-        record.sensors[cut, record.sensor_ids.index(7)] = 1e308     # the first truth cycle
-        data = tmp_path / "huge.txt"
-        write_cmapss(records, data)
+        truth: the command exits 2 on the reading alone, with no numpy
+        warning from the normalization (pytest makes one an exception)."""
+        ckpt, data, cycle = overflowing_case(workspace, tmp_path)
         code = main(["forecast", "--checkpoint", str(ckpt), "--data", str(data),
                      "--unit", "1", "--cutoff", "0.5", "--sensor", "7", "--out", str(tmp_path / "fc")])
         err = capsys.readouterr().err.strip().splitlines()
-        assert code == 2 and len(err) == 1 and "chart span" in err[0] and "is not finite" in err[0]
+        assert code == 2 and len(err) == 1 and f"unit 1: sensor 7 reads 1e+308 at cycle {cycle}," in err[0]
 
     def test_empty_cutoff_rejected_with_pad_short(self, workspace, tmp_path, capsys):
         out = tmp_path / "fc"
@@ -1144,6 +1161,13 @@ def test_cli_leaves_the_training_pipeline_to_the_library():
     steps between are the library's.  ``fit_pipeline`` stays: it is all of
     ``mafn cluster``'s library work."""
     names = {"split_by_engine", "pack_windows", "windows_for_records", "train", "CheckpointBundle"}
+    assert fresh_python(f"import mafn.cli; print(sorted({names!r} & set(vars(mafn.cli))))") == "[]"
+
+
+def test_cli_reads_records_through_normalize_record():
+    """``mafn forecast`` plots its history and truth as ``normalize_record``
+    gives them, the path that training and scoring read through."""
+    names = {"normalize_values", "sensor_columns"}
     assert fresh_python(f"import mafn.cli; print(sorted({names!r} & set(vars(mafn.cli))))") == "[]"
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -267,6 +268,45 @@ class TestNormalization:
         rec = D.select_sensors(make_record(length=2, sensor_fn=readings))
         with pytest.raises(DataError, match="sensor 7:"):
             D.fit_normalization([rec])
+
+    def test_overflowing_reading_names_unit_sensor_and_cycle(self):
+        stats = D.NormalizationStats(sensor_ids=(3, 7), mins=np.array([0.0, -1.0]), maxs=np.array([1.0, -0.5]))
+        rec = make_record(unit=4, length=5, sensor_fn=lambda c, t: np.where(t == 2, 1e308, 0.0))
+        message = "unit 4: sensor 7 reads 1e+308 at cycle 3, too far outside its training range [-1, -0.5]"
+        with pytest.raises(DataError, match=re.escape(message)):
+            D.normalize_record(rec, stats)
+        assert D.normalize_record(rec, stats, np.array([0, 1, 3])).sensors.shape == (3, 2)
+
+    @given(st.data())
+    def test_one_gather_equals_normalizing_then_indexing(self, data):
+        """``normalize_record`` on a raw record equals normalizing the
+        stats' columns of every cycle, then taking ``rows``, bit for bit;
+        ``rows`` repeats row 0 as ``pad_short`` does."""
+        def readings(n, low=-1e3, high=1e3):
+            return np.array(data.draw(st.lists(st.floats(low, high), min_size=n, max_size=n)))
+
+        length = data.draw(st.integers(1, 30))
+        raw = D.EngineRecord(1, readings(3 * length).reshape(length, 3), readings(21 * length).reshape(length, 21),
+                             tuple(range(1, 22)))
+        ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1))))
+        mins = readings(len(ids), -100, 100)
+        spans = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 7.0, 100.0]),
+                                   min_size=len(ids), max_size=len(ids)))
+        stats = D.NormalizationStats(ids, mins, mins + spans)
+        window = data.draw(st.integers(1, length + 10))
+        rows = np.maximum(np.arange(length - window, length), 0)
+        cols = [i - 1 for i in ids]
+
+        got = D.normalize_record(raw, stats, rows)
+        want = D.normalize_values(raw.sensors[:, cols], stats)[rows]
+        assert got.sensors.shape == want.shape and got.sensors.tobytes() == want.tobytes()
+        assert got.op_settings.tobytes() == raw.op_settings[rows].tobytes()
+        assert got.sensor_ids == ids and got.unit_id == raw.unit_id
+
+        chosen = dataclasses.replace(raw, sensors=raw.sensors[:, cols], sensor_ids=ids)
+        whole = D.normalize_record(chosen, stats)
+        assert whole.sensors.tobytes() == D.normalize_values(chosen.sensors, stats).tobytes()
+        assert whole.op_settings.tobytes() == raw.op_settings.tobytes()
 
 
 def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):
