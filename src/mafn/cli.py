@@ -220,7 +220,7 @@ def cmd_forecast(args) -> int:
     horizon = cfg.horizon
     # history and held-out truth read as prepare_window reads the window
     col = prep.stats.sensor_ids.index(args.sensor)
-    seen = normalize_record(record, prep.stats, np.arange(min(cut + horizon, record.length))).sensors[:, col]
+    seen = normalize_record(record, prep.stats, slice(cut + horizon)).sensors[:, col]
     history, truth = seen[:cut], seen[cut:]
 
     rows = ["cycle,history,forecast,truth"]

@@ -305,25 +305,19 @@ def sensor_columns(sensor_ids: tuple, keep: Sequence[int]) -> list:
     return [sensor_ids.index(s) for s in keep]
 
 
-def select_sensors(record: EngineRecord) -> EngineRecord:
-    """Keep only the informative sensor channels, in ascending original order."""
-    if len(record.sensor_ids) != N_RAW_SENSORS:
-        raise ContractError(f"expected {N_RAW_SENSORS} sensor channels, got {len(record.sensor_ids)}")
-    cols = sensor_columns(record.sensor_ids, SELECTED_SENSORS)
-    return replace(record, sensors=record.sensors[:, cols], sensor_ids=SELECTED_SENSORS)
-
-
 def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:
-    """Per-sensor min/max over every cycle of every training engine.
+    """Per-sensor min/max of the ``SELECTED_SENSORS`` over every cycle of
+    every training engine: the one choice of the sensors the model reads.
+    Each record may hold the raw 21 sensors or any set that includes them.
 
     A sensor whose span ``max - min`` is not a finite float64 (``-1e308``
     and ``1e308``) raises DataError naming it: it would normalize to NaN.
     """
     if not train:
         raise ContractError("fit_normalization needs at least one engine")
-    stacked = np.concatenate([rec.sensors for rec in train], axis=0)
+    stacked = np.concatenate([rec.sensors[:, sensor_columns(rec.sensor_ids, SELECTED_SENSORS)] for rec in train])
     stats = NormalizationStats(
-        sensor_ids=train[0].sensor_ids,
+        sensor_ids=SELECTED_SENSORS,
         mins=stacked.min(axis=0),
         maxs=stacked.max(axis=0),
     )
@@ -349,21 +343,22 @@ def normalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarra
     return np.where(span == 0.0, 0.0, out)
 
 
-def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=None) -> EngineRecord:
-    """The record's ``rows`` (every cycle when None) in the sensors of
+def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=slice(None)) -> EngineRecord:
+    """The record's ``rows``, a slice or an index array, in the sensors of
     ``stats``, min-max normalized: the one path from raw readings to model
-    input.  One gather takes the rows and the columns of ``stats.sensor_ids``.
-    A reading that normalizes to a value that is not finite raises DataError."""
-    rows = np.arange(record.length) if rows is None else rows
+    input.  A slice takes the rows' settings as a view; the sensors are one
+    gather of the columns of ``stats.sensor_ids``.  A reading that
+    normalizes to a value that is not finite raises DataError."""
     cols = sensor_columns(record.sensor_ids, stats.sensor_ids)
+    raw = record.sensors[rows][:, cols]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sensors = normalize_values(record.sensors[rows[:, None], cols], stats)
+        sensors = normalize_values(raw, stats)
     bad = ~np.isfinite(sensors)
     if bad.any():
         i, j = np.unravel_index(bad.argmax(), bad.shape)
         raise DataError(
-            f"unit {record.unit_id}: sensor {stats.sensor_ids[j]} reads {record.sensors[rows[i], cols[j]]:g} "
-            f"at cycle {rows[i] + 1}, too far outside its training range "
+            f"unit {record.unit_id}: sensor {stats.sensor_ids[j]} reads {raw[i, j]:g} "
+            f"at cycle {np.arange(record.length)[rows][i] + 1}, too far outside its training range "
             f"[{stats.mins[j]:g}, {stats.maxs[j]:g}] to normalize"
         )
     return EngineRecord(record.unit_id, record.op_settings[rows], sensors, stats.sensor_ids)

@@ -202,9 +202,10 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     cfg = bundle.config
     if record.length < min_history(cfg):
         raise ContractError(
-            f"history of {record.length} cycles; pad_short needs at least 1 cycle" if cfg.pad_short
-            else f"history of {record.length} cycles is shorter than the window ({cfg.window}); "
-            "enable pad_short to left-pad by repeating the first cycle"
+            f"unit {record.unit_id}: history of {record.length} cycles"
+            + ("; pad_short needs at least 1 cycle" if cfg.pad_short
+               else f" is shorter than the window ({cfg.window}); enable pad_short to left-pad by repeating "
+               "the first cycle")
         )
     rows = np.maximum(np.arange(record.length - cfg.window, record.length), 0)
     window = normalize_record(record, bundle.stats, rows)

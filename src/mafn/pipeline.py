@@ -12,23 +12,22 @@ import numpy as np
 from .checkpoint import CheckpointBundle, load_checkpoint
 from .cluster import kmeans_fit, relabel_canonical
 from .config import TrainConfig
-from .data import (fit_normalization, make_windows, normalize_record, pack_windows, select_sensors,
-                   split_by_engine, state_features)
+from .data import fit_normalization, make_windows, normalize_record, pack_windows, split_by_engine, state_features
 from .errors import DataError, MafnError
 from .model import MafnModel
 from .training import train
 
 
 def fit_pipeline(records, cfg: TrainConfig):
-    """Cluster, select, and normalize training records.
+    """Normalize raw training records in the sensors that ``fit_normalization``
+    chooses, and cluster them.
 
     Returns (cluster_model, stats, processed_records).  Clustering runs on
     the raw operational settings, or on the normalized selected sensors when
     ``cluster_features = sensors``.
     """
-    selected = [select_sensors(r) for r in records]
-    stats = fit_normalization(selected)
-    normalized = [normalize_record(r, stats) for r in selected]
+    stats = fit_normalization(records)
+    normalized = [normalize_record(r, stats) for r in records]
     points = np.concatenate([state_features(r, cfg.cluster_features) for r in normalized], axis=0)
     model = kmeans_fit(
         points,

@@ -31,7 +31,7 @@ def _nice_ticks(lo: float, hi: float):
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next((m * mag for m in (1.0, 2.0, 5.0) if raw <= m * mag), 10.0 * mag)
     ticks = []
-    t = float(np.ceil(lo / step)) * step       # -0.0 above a negative lo, which prints as -0
+    t = float(np.ceil(lo / step)) * step + 0.0     # + 0.0 turns ceil's -0.0 into 0.0, not a "-0" label
     while t - hi <= 1e-9 * span and len(ticks) < 6:
         ticks.append(round(t, 10))
         t += step

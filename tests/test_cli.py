@@ -32,7 +32,7 @@ from mafn.data import NormalizationStats, normalize_values, parse_cmapss, trunca
 from mafn.errors import ContractError, DataError
 from mafn.model import MafnModel, prepare_window
 from mafn.pipeline import load_predictor, train_run
-from mafn.svgplot import LineChart
+from mafn.svgplot import LineChart, _nice_ticks
 from mafn.training import format_log_csv
 from tests.test_model import with_header
 
@@ -759,7 +759,7 @@ class TestEvaluateCommand:
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("mafn: error: "), err
-        assert "history of 10 cycles is shorter than the window (12)" in err[0]
+        assert f"unit {records[2].unit_id}: history of 10 cycles is shorter than the window (12)" in err[0]
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
@@ -1109,7 +1109,7 @@ class TestForecastCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("mafn: error:")
-        assert "cutoff 0.01: history of 0 cycles; pad_short needs at least 1 cycle" in err[0]
+        assert "cutoff 0.01: unit 2: history of 0 cycles; pad_short needs at least 1 cycle" in err[0]
         assert not out.exists()
 
 
@@ -1211,6 +1211,17 @@ class TestSvgDeterminism:
         chart.add_series("a", [1, 2], [0.0, 1.0], "#000000")
         with pytest.raises(ContractError, match="line 'cutoff' is at NaN"):
             chart.add_vline(np.nan, "cutoff", "#000000")
+
+    @given(lo=st.floats(-1e6, -1e-6), hi=st.floats(1e-6, 1e6))
+    @example(lo=-0.1, hi=1.0)
+    def test_no_negative_zero_tick(self, lo, hi):
+        """A span across zero ticks 0 as ``0``: ``np.ceil`` of a small negative
+        quotient is -0.0, which ``:g`` prints as ``-0``."""
+        ticks = _nice_ticks(lo, hi)
+        assert not any(t == 0 and np.signbit(t) for t in ticks), ticks
+        chart = LineChart("t", "x", "y")
+        chart.add_series("a", [1, 2], [lo, hi], "#000000")
+        assert ">-0<" not in chart.render()
 
     def test_escapes_labels(self):
         chart = LineChart("a < b & c", "x", "y")

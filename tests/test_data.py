@@ -206,10 +206,16 @@ class TestAtomicWrite:
 
 
 class TestSelectSensors:
+    """``fit_normalization`` chooses the sensors: its stats hold the 11
+    ``SELECTED_SENSORS`` in ascending order, and ``normalize_record`` reads
+    those columns from a raw 21-sensor record."""
+
     def test_channel_count(self):
-        reduced = D.select_sensors(make_record())
-        assert reduced.sensors.shape[1] == 11
-        assert reduced.sensor_ids == D.SELECTED_SENSORS
+        stats = D.fit_normalization([make_record(sensor_fn=lambda c, t: np.sin(0.3 * t + c))])
+        assert stats.sensor_ids == D.SELECTED_SENSORS == tuple(sorted(D.SELECTED_SENSORS))
+        assert len(stats.sensor_ids) == len(stats.mins) == 11
+        normalized = D.normalize_record(make_record(), stats)
+        assert normalized.sensors.shape == (10, 11) and normalized.sensor_ids == D.SELECTED_SENSORS
 
     def test_dropped_set(self):
         kept = set(D.SELECTED_SENSORS)
@@ -218,32 +224,47 @@ class TestSelectSensors:
         assert kept & dropped == set()
 
     def test_sensor2_lands_in_channel0(self):
-        rec = make_record(sensor_fn=lambda c, t: 7.7 if c == 1 else 0.0)
-        reduced = D.select_sensors(rec)
-        assert (reduced.sensors[:, 0] == 7.7).all()
+        stats = D.fit_normalization([make_record(sensor_fn=lambda c, t: 7.7 if c == 1 else 0.0)])
+        assert stats.mins[0] == stats.maxs[0] == 7.7 and not stats.mins[1:].any()
 
     def test_constant_channels_by_hand(self):
+        """Sensor ``s`` reads ``s`` in every cycle; stats fitted on it, and
+        a record normalized against hand stats, hold the selected ids in order."""
         rec = make_record(sensor_fn=lambda c, t: float(c + 1))
-        reduced = D.select_sensors(rec)
-        np.testing.assert_array_equal(reduced.sensors[0], list(D.SELECTED_SENSORS))
+        np.testing.assert_array_equal(D.fit_normalization([rec]).maxs, D.SELECTED_SENSORS)
+        hand = D.NormalizationStats(D.SELECTED_SENSORS, np.zeros(11), np.full(11, 100.0))
+        np.testing.assert_array_equal(D.normalize_record(rec, hand).sensors[0], np.array(D.SELECTED_SENSORS) / 100.0)
+
+    def test_raw_record_fits_as_its_selected_columns(self):
+        rec = make_record(length=12, sensor_fn=lambda c, t: np.cos(0.7 * t * (c + 1)) * (c + 1))
+        cols = [s - 1 for s in D.SELECTED_SENSORS]
+        chosen = dataclasses.replace(rec, sensors=rec.sensors[:, cols], sensor_ids=D.SELECTED_SENSORS)
+        raw, selected = D.fit_normalization([rec]), D.fit_normalization([chosen])
+        assert raw.sensor_ids == selected.sensor_ids
+        assert raw.mins.tobytes() == selected.mins.tobytes() and raw.maxs.tobytes() == selected.maxs.tobytes()
+
+    def test_whole_record_settings_are_a_view(self):
+        rec = make_record(settings=np.arange(30.0).reshape(10, 3))
+        normalized = D.normalize_record(rec, D.fit_normalization([rec]))
+        assert np.shares_memory(normalized.op_settings, rec.op_settings)
+        assert normalized.op_settings.tobytes() == rec.op_settings.tobytes()
 
 
 class TestNormalization:
     def test_min_max_definition(self):
         rec = make_record(length=3, n_sensors=21, sensor_fn=lambda c, t: np.array([2.0, 4.0, 10.0]))
-        sel = D.select_sensors(rec)
-        stats = D.fit_normalization([sel])
+        stats = D.fit_normalization([rec])
         assert stats.mins[0] == 2.0 and stats.maxs[0] == 10.0
 
     def test_degenerate_flagged(self):
-        rec = D.select_sensors(make_record(length=3, sensor_fn=lambda c, t: 5.0))
+        rec = make_record(length=3, sensor_fn=lambda c, t: 5.0)
         stats = D.fit_normalization([rec])
         assert stats.degenerate.all()
         np.testing.assert_array_equal(D.normalize_values(np.full(11, 5.0), stats), np.zeros(11))
 
     def test_union_of_two_engines(self):
-        r1 = D.select_sensors(make_record(unit=1, length=4, sensor_fn=lambda c, t: 1.0 + t))
-        r2 = D.select_sensors(make_record(unit=2, length=4, sensor_fn=lambda c, t: 10.0 + t))
+        r1 = make_record(unit=1, length=4, sensor_fn=lambda c, t: 1.0 + t)
+        r2 = make_record(unit=2, length=4, sensor_fn=lambda c, t: 10.0 + t)
         stats = D.fit_normalization([r1, r2])
         assert stats.mins[0] == 1.0 and stats.maxs[0] == 13.0
 
@@ -265,7 +286,7 @@ class TestNormalization:
         def readings(col, t):                # sensor 7 reads 1e308, then -1e308
             return np.where(t == 0, 1e308, -1e308) if col == 6 else np.zeros(len(t))
 
-        rec = D.select_sensors(make_record(length=2, sensor_fn=readings))
+        rec = make_record(length=2, sensor_fn=readings)
         with pytest.raises(DataError, match="sensor 7:"):
             D.fit_normalization([rec])
 
@@ -275,6 +296,8 @@ class TestNormalization:
         message = "unit 4: sensor 7 reads 1e+308 at cycle 3, too far outside its training range [-1, -0.5]"
         with pytest.raises(DataError, match=re.escape(message)):
             D.normalize_record(rec, stats)
+        with pytest.raises(DataError, match=re.escape("1e+308 at cycle 3,")):
+            D.normalize_record(rec, stats, slice(2, None))
         assert D.normalize_record(rec, stats, np.array([0, 1, 3])).sensors.shape == (3, 2)
 
     @given(st.data())
@@ -338,14 +361,14 @@ def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):
 
 
 def reference_case(length, phase=0):
-    """A selected-sensor record whose sensors vary per cycle and channel, and
+    """An 11-sensor record whose sensors vary per cycle and channel, and
     a three-state cluster model under which its states cycle 0, 1, 2."""
     t = np.arange(length)
     settings = np.zeros((length, 3))
     settings[:, 0] = 2.0 * ((t * 7 + phase) % 3)   # centroid j sits at 2j: states 0, 1, 2, 0, ...
-    rec = D.select_sensors(make_record(
-        length=length, sensor_fn=lambda c, t: np.sin(0.37 * t + c + phase) - 0.5, settings=settings,
-    ))
+    rec = make_record(
+        length=length, n_sensors=11, sensor_fn=lambda c, t: np.sin(0.37 * t + c + phase) - 0.5, settings=settings,
+    )
     cluster = ClusterModel(k=3, centroids=np.array([[0.0, 0, 0], [2.0, 0, 0], [4.0, 0, 0]]),
                            inertia=0.0, feature_spec="settings")
     return rec, cluster
@@ -353,19 +376,19 @@ def reference_case(length, phase=0):
 
 class TestWindows:
     def test_count_formula(self):
-        rec = D.select_sensors(make_record(length=200))
+        rec = make_record(length=200, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, stride=1)
         assert len(ds) == 171
 
     def test_rul_capping(self):
-        rec = D.select_sensors(make_record(length=220))
+        rec = make_record(length=220, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, rul_cap=125)
         # stride 1: window i ends at cycle 30 + i
         assert ds.rul[100 - 30] == 120.0
         assert ds.rul[50 - 30] == 125.0
 
     def test_mask_prefix_structure(self):
-        rec = D.select_sensors(make_record(length=40))
+        rec = make_record(length=40, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=8)
         assert len(ds) == 11
         for m in ds.mask:
@@ -373,7 +396,7 @@ class TestWindows:
             assert (m[:first_zero] == 1).all() and (m[first_zero:] == 0).all()
 
     def test_short_record_empty(self):
-        rec = D.select_sensors(make_record(length=5))
+        rec = make_record(length=5, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5)
         assert len(ds) == 0
         batch = ds.batch(np.arange(len(ds)))
@@ -382,7 +405,7 @@ class TestWindows:
         assert batch["mask"].shape == (0, 5) and ds.inputs.shape == (0, 30, 11)
 
     def test_targets_are_true_future_values(self):
-        rec = D.select_sensors(make_record(length=50, sensor_fn=lambda c, t: t.astype(float)))
+        rec = make_record(length=50, n_sensors=11, sensor_fn=lambda c, t: t.astype(float))
         ds = D.make_windows(rec, single_state_cluster(), window=10, horizon=3)
         # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
         np.testing.assert_array_equal(ds.batch([0])["future_sensors"][0, :, 0], [10.0, 11.0, 12.0])
@@ -394,13 +417,13 @@ class TestWindows:
         stride=st.integers(1, 7),
     )
     def test_count_property(self, length, window, stride):
-        rec = D.select_sensors(make_record(length=length))
+        rec = make_record(length=length, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=window, horizon=4, stride=stride)
         expected = 0 if length < window else (length - window) // stride + 1
         assert len(ds) == expected
 
     def test_rul_bounds_invariant(self):
-        rec = D.select_sensors(make_record(length=150))
+        rec = make_record(length=150, n_sensors=11)
         ds = D.make_windows(rec, single_state_cluster(), window=20, horizon=5, rul_cap=125)
         assert ((ds.rul >= 0.0) & (ds.rul <= 125.0)).all()
 
@@ -445,7 +468,7 @@ class TestWindows:
             assert got.tobytes() == want.tobytes(), name
 
     def test_pack_concatenates_records_into_fresh_arrays(self):
-        recs = [D.select_sensors(make_record(unit=u, length=20 + u)) for u in (1, 2)]
+        recs = [make_record(unit=u, length=20 + u, n_sensors=11) for u in (1, 2)]
         parts = [D.make_windows(r, single_state_cluster(), window=10, horizon=3) for r in recs]
         ds = D.pack_windows(parts)
         assert len(ds) == len(parts[0]) + len(parts[1]) == 12 + 13
@@ -464,7 +487,7 @@ class TestWindows:
         assert (recs[0].sensors >= 0).all() and (parts[1].sensors >= 0).all()
 
     def test_batches_are_fresh_arrays(self):
-        rec = D.select_sensors(make_record(length=25))
+        rec = make_record(length=25, n_sensors=11)
         ds = D.pack_windows([D.make_windows(rec, single_state_cluster(), window=10, horizon=3)])
         batch = ds.batch(np.array([3, 0, 3]))
         for name, got in batch.items():
@@ -479,7 +502,7 @@ class TestWindows:
             D.pack_windows([])
 
     def test_pack_rejects_mixed_window_lengths(self):
-        rec = D.select_sensors(make_record(length=20))
+        rec = make_record(length=20, n_sensors=11)
         parts = [D.make_windows(rec, single_state_cluster(), window=w, horizon=3) for w in (5, 6)]
         with pytest.raises(ContractError, match="different window"):
             D.pack_windows(parts)
