@@ -339,6 +339,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except SystemExit as e:
         code = int(e.code or 0)
+    except KeyboardInterrupt:
+        print("mafn: interrupted", file=sys.stderr)
+        code = 130
     except NumericError as e:
         print(f"mafn: numeric failure: {e}", file=sys.stderr)
         code = 3

@@ -1,10 +1,12 @@
 """C-MAPSS-format parsing, preprocessing, and sliding-window sample generation.
 
 File layout: whitespace-separated text, 26 columns per row (unit id, cycle
-index, 3 operational settings, 21 sensor readings).  Preprocessing keeps the
-11 informative sensors, min-max normalizes each against training-set
-statistics, caps RUL targets, and cuts fixed-length windows that carry the
-forecasting, state, and RUL targets for every head.
+index, 3 operational settings, 21 sensor readings).  A raw record keeps the
+readings in that order, sensor j + 1 in column j; where a raw record is read,
+one of any other width raises ContractError naming its unit and width.
+Preprocessing keeps the 11 informative sensors, min-max normalizes each
+against training-set statistics, caps RUL targets, and cuts fixed-length
+windows that carry the forecasting, state, and RUL targets for every head.
 
 Every text file (data, RUL, config, synthesis spec) is read by one reader,
 ``text_blocks``, in blocks of whole lines, and numeric rows have one
@@ -47,12 +49,16 @@ BLOCK_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class EngineRecord:
-    """One engine's cycle series: settings and sensor channels per cycle."""
+    """One engine's cycle series: settings and sensor channels per cycle.
+
+    A raw record, as parsed or generated, holds the 21 channels in id order:
+    column j is sensor j + 1.  A normalized record holds the sensors of the
+    stats it was normalized with, in their order.
+    """
 
     unit_id: int
     op_settings: np.ndarray        # (L, 3), row i is cycle i + 1
-    sensors: np.ndarray            # (L, S)
-    sensor_ids: tuple              # 1-based original ids of the sensor columns
+    sensors: np.ndarray            # (L, 21) raw, or (L, S) normalized
 
     @property
     def length(self) -> int:
@@ -257,14 +263,7 @@ def parse_cmapss(path) -> list:
                 f"{path}:{int(rows[wrong.argmax(), 0])}: unit {unit}: "
                 "cycle index must increase by 1 from 1"
             )
-        records.append(
-            EngineRecord(
-                unit_id=unit,
-                op_settings=rows[:, 2 : 2 + N_SETTINGS],
-                sensors=rows[:, 2 + N_SETTINGS :],
-                sensor_ids=tuple(range(1, N_RAW_SENSORS + 1)),
-            )
-        )
+        records.append(EngineRecord(unit, rows[:, 2 : 2 + N_SETTINGS], rows[:, 2 + N_SETTINGS :]))
     return records
 
 
@@ -272,12 +271,11 @@ def write_cmapss(records: Sequence[EngineRecord], path):
     """Serialize records back to the 26-column text format (round-trip exact)."""
     with atomic_write(path) as fh:
         for rec in records:
-            if len(rec.sensor_ids) != N_RAW_SENSORS:
-                raise ContractError("write_cmapss needs all 21 sensor channels")
+            sensors = _raw_sensors(rec)
             for i in range(rec.length):
                 fields = [str(rec.unit_id), str(i + 1)]
                 fields += [repr(float(v)) for v in rec.op_settings[i]]
-                fields += [repr(float(v)) for v in rec.sensors[i]]
+                fields += [repr(float(v)) for v in sensors[i]]
                 fh.write(" ".join(fields) + "\n")
 
 
@@ -297,25 +295,27 @@ def parse_rul_file(path) -> np.ndarray:
     return np.concatenate(values)
 
 
-def sensor_columns(sensor_ids: tuple, keep: Sequence[int]) -> list:
-    """The column of each id in ``keep``, in its order, among ``sensor_ids``."""
-    lacking = [s for s in keep if s not in sensor_ids]
-    if lacking:
-        raise ContractError(f"record has no sensor {lacking}; its sensors are {sensor_ids}")
-    return [sensor_ids.index(s) for s in keep]
+def _raw_sensors(record: EngineRecord) -> np.ndarray:
+    """The sensors of a raw record, whose column j is sensor j + 1.  A record
+    of any other width, such as a normalized one, raises ContractError."""
+    width = record.sensors.shape[1]
+    if width != N_RAW_SENSORS:
+        raise ContractError(f"unit {record.unit_id}: record holds {width} sensor channels, not the raw 21")
+    return record.sensors
 
 
 def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:
     """Per-sensor min/max of the ``SELECTED_SENSORS`` over every cycle of
     every training engine: the one choice of the sensors the model reads.
-    Each record may hold the raw 21 sensors or any set that includes them.
+    Each record must hold the 21 raw channels.
 
     A sensor whose span ``max - min`` is not a finite float64 (``-1e308``
     and ``1e308``) raises DataError naming it: it would normalize to NaN.
     """
     if not train:
         raise ContractError("fit_normalization needs at least one engine")
-    stacked = np.concatenate([rec.sensors[:, sensor_columns(rec.sensor_ids, SELECTED_SENSORS)] for rec in train])
+    cols = np.subtract(SELECTED_SENSORS, 1)
+    stacked = np.concatenate([_raw_sensors(rec)[:, cols] for rec in train])
     stats = NormalizationStats(
         sensor_ids=SELECTED_SENSORS,
         mins=stacked.min(axis=0),
@@ -344,13 +344,14 @@ def normalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarra
 
 
 def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=slice(None)) -> EngineRecord:
-    """The record's ``rows``, a slice or an index array, in the sensors of
-    ``stats``, min-max normalized: the one path from raw readings to model
-    input.  A slice takes the rows' settings as a view; the sensors are one
-    gather of the columns of ``stats.sensor_ids``.  A reading that
-    normalizes to a value that is not finite raises DataError."""
-    cols = sensor_columns(record.sensor_ids, stats.sensor_ids)
-    raw = record.sensors[rows][:, cols]
+    """The raw record's ``rows``, a slice or an index array, in the sensors
+    of ``stats``, min-max normalized: the one path from raw readings to
+    model input.  A slice takes the rows' settings as a view; the sensors
+    are one gather of the columns ``stats.sensor_ids - 1``.  A record that
+    does not hold the 21 raw channels, such as a normalized one, raises
+    ContractError, and a reading that normalizes to a value that is not
+    finite raises DataError."""
+    raw = _raw_sensors(record)[rows][:, np.subtract(stats.sensor_ids, 1)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sensors = normalize_values(raw, stats)
     bad = ~np.isfinite(sensors)
@@ -361,7 +362,7 @@ def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=slice
             f"at cycle {np.arange(record.length)[rows][i] + 1}, too far outside its training range "
             f"[{stats.mins[j]:g}, {stats.maxs[j]:g}] to normalize"
         )
-    return EngineRecord(record.unit_id, record.op_settings[rows], sensors, stats.sensor_ids)
+    return EngineRecord(record.unit_id, record.op_settings[rows], sensors)
 
 
 def state_features(record: EngineRecord, feature_spec: str) -> np.ndarray:

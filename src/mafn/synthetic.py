@@ -118,14 +118,7 @@ def generate(spec: SynthSpec):
             else:
                 noise = rng.normal(0.0, spec.noise_sigma, size=life) if spec.noise_sigma else 0.0
                 sensors[:, col] = sensor_base(sid) + trend + offsets[states] + noise
-        records.append(
-            EngineRecord(
-                unit_id=unit,
-                op_settings=settings,
-                sensors=sensors,
-                sensor_ids=tuple(range(1, N_RAW_SENSORS + 1)),
-            )
-        )
+        records.append(EngineRecord(unit, settings, sensors))
         truth_engines.append(
             {
                 "unit_id": unit,

@@ -19,15 +19,17 @@ from mafn import losses as L
 from mafn import tensor as T
 from mafn.cli import main
 from mafn.pipeline import fit_pipeline, windows_for_records
-from mafn.cluster import fit_single_restart, kmeans_fit
+from mafn.cluster import assign_states, fit_single_restart, kmeans_fit
 from mafn.config import TrainConfig
 from mafn.data import (
     SELECTED_SENSORS,
     make_windows,
+    normalize_record,
     pack_windows,
     parse_cmapss,
     split_by_engine,
 )
+from mafn.errors import ContractError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul
 from mafn.synthetic import SynthSpec, generate
@@ -311,6 +313,35 @@ def test_criterion_5_fd002_preprocessing():
     points = np.concatenate([r.op_settings for r in train_records], axis=0)
     from mafn.cluster import assign_states
 
+    counts = np.bincount(assign_states(points, cluster_model), minlength=6)
+    assert cluster_model.k == 6 and (counts > 0).all()
+    assert time.time() - start < 60.0
+
+
+# FD002's shape: 260 engines, six operating states, lives of 128-378 cycles
+FD002_SHAPED = SynthSpec(seed=5, engines=260, k_states=6, offsets=(-1.5, -1.0, -0.5, 0.5, 1.0, 1.5),
+                         life_min=128, life_max=378)
+
+
+@criterion(5, "FD002-shaped synthetic preprocessing conformance (sensors, caps, clusters)")
+def test_criterion_5_fd002_shaped_preprocessing():
+    """Criterion 5's checks, except the file's engine counts, on synthetic
+    data of FD002's shape; and a normalized record is never read as raw."""
+    start = time.time()
+    train_records, _ = generate(FD002_SHAPED)
+
+    cfg = TrainConfig()
+    cluster_model, stats, normalized = fit_pipeline(train_records, cfg)
+    assert stats.sensor_ids == (2, 3, 4, 7, 8, 11, 12, 15, 17, 20, 21)
+    for rec in normalized:
+        assert rec.sensors.min() >= 0.0 and rec.sensors.max() <= 1.0
+        with pytest.raises(ContractError, match=f"unit {rec.unit_id}: record holds 11 sensor channels, not the raw 21"):
+            normalize_record(rec, stats)
+
+    windows = make_windows(normalized[0], cluster_model, cfg.window, cfg.horizon, 1, 125.0)
+    assert len(windows) > 0 and ((windows.rul >= 0.0) & (windows.rul <= 125.0)).all()
+
+    points = np.concatenate([r.op_settings for r in train_records], axis=0)
     counts = np.bincount(assign_states(points, cluster_model), minlength=6)
     assert cluster_model.k == 6 and (counts > 0).all()
     assert time.time() - start < 60.0

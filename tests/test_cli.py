@@ -617,6 +617,23 @@ class TestTrainRun:
         assert "[stage write] manifest refused" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_interrupt_prints_one_line_and_removes_out(self, workspace, tmp_path, monkeypatch, capsys):
+        """Ctrl-C in training (here a KeyboardInterrupt from the epoch
+        callback once the first epoch ends) exits 130 with one stderr line
+        and leaves nothing of the run's ``--out``."""
+        epochs = []
+
+        def interrupt(row):
+            epochs.append(row["epoch"])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_print_epoch", lambda args: interrupt)
+        code = main(["train", "--data", str(workspace / "data" / "synthetic_train.txt"),
+                     "--config", str(workspace / "smoke.cfg"), "--out", str(tmp_path / "new" / "out")])
+        assert code == 130 and epochs == [1]
+        assert capsys.readouterr().err == "mafn: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 def overflowing_case(workspace, tmp_path):
     """run1's checkpoint with sensor 7's training range narrowed to 0.5, and
@@ -632,7 +649,7 @@ def overflowing_case(workspace, tmp_path):
     records = parse_cmapss(workspace / "data" / "synthetic_train.txt")
     record = next(r for r in records if r.unit_id == 1)
     cut = truncate_at_fraction(record, 0.5)[0].length
-    record.sensors[cut, record.sensor_ids.index(7)] = 1e308
+    record.sensors[cut, 6] = 1e308                 # column j is sensor j + 1
     data = tmp_path / "huge.txt"
     write_cmapss(records, data)
     return ckpt, data, cut + 1
@@ -1081,7 +1098,7 @@ class TestForecastCommand:
         rows = (out / f"forecast_unit{unit}_sensor{sensor}.csv").read_text().splitlines()[1:]
         history, column, truth = ([row.split(",")[i] for row in rows if row.split(",")[i]] for i in (1, 2, 3))
         assert column == [format(v, ".6f") for v in forecast[:, col]]
-        cols = [record.sensor_ids.index(s) for s in prep.stats.sensor_ids]
+        cols = [s - 1 for s in prep.stats.sensor_ids]
         seen = normalize_values(record.sensors[:, cols], prep.stats)[:, col]
         cut = truncated.length
         assert history == [format(v, ".6f") for v in seen[:cut]]
@@ -1167,7 +1184,7 @@ def test_cli_leaves_the_training_pipeline_to_the_library():
 def test_cli_reads_records_through_normalize_record():
     """``mafn forecast`` plots its history and truth as ``normalize_record``
     gives them, the path that training and scoring read through."""
-    names = {"normalize_values", "sensor_columns"}
+    names = {"normalize_values"}
     assert fresh_python(f"import mafn.cli; print(sorted({names!r} & set(vars(mafn.cli))))") == "[]"
 
 

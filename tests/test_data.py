@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafn import data as D
 from mafn.cluster import ClusterModel
 from mafn.config import TrainConfig
 from mafn.errors import ContractError, DataError, ParseError
+from mafn.model import MafnModel, PreprocessBundle, predict_rul
 from mafn.pipeline import fit_pipeline, windows_for_records
 from mafn.synthetic import SynthSpec, generate
 
@@ -25,7 +26,6 @@ def make_record(unit=1, length=10, n_sensors=21, sensor_fn=None, settings=None):
         unit_id=unit,
         op_settings=settings if settings is not None else np.zeros((length, 3)),
         sensors=sensors,
-        sensor_ids=tuple(range(1, n_sensors + 1)),
     )
 
 
@@ -108,7 +108,8 @@ class TestParse:
                 assert not isinstance(value, list), f.name
                 if isinstance(value, np.ndarray):
                     assert value.dtype.kind in "fi", f.name
-            assert isinstance(rec.sensor_ids, tuple) and all(type(i) is int for i in rec.sensor_ids)
+            assert [f.name for f in dataclasses.fields(rec)] == ["unit_id", "op_settings", "sensors"]
+            assert type(rec.unit_id) is int and rec.sensors.shape[1] == D.N_RAW_SENSORS
             # settings and sensors view one (L, 26) float64 block of the unit's rows
             assert np.may_share_memory(rec.op_settings, rec.sensors)
 
@@ -205,6 +206,9 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == []
 
 
+WIDTH_ERROR = "unit {unit}: record holds {width} sensor channels, not the raw 21"
+
+
 class TestSelectSensors:
     """``fit_normalization`` chooses the sensors: its stats hold the 11
     ``SELECTED_SENSORS`` in ascending order, and ``normalize_record`` reads
@@ -215,7 +219,7 @@ class TestSelectSensors:
         assert stats.sensor_ids == D.SELECTED_SENSORS == tuple(sorted(D.SELECTED_SENSORS))
         assert len(stats.sensor_ids) == len(stats.mins) == 11
         normalized = D.normalize_record(make_record(), stats)
-        assert normalized.sensors.shape == (10, 11) and normalized.sensor_ids == D.SELECTED_SENSORS
+        assert normalized.sensors.shape == (10, 11)
 
     def test_dropped_set(self):
         kept = set(D.SELECTED_SENSORS)
@@ -236,12 +240,15 @@ class TestSelectSensors:
         np.testing.assert_array_equal(D.normalize_record(rec, hand).sensors[0], np.array(D.SELECTED_SENSORS) / 100.0)
 
     def test_raw_record_fits_as_its_selected_columns(self):
-        rec = make_record(length=12, sensor_fn=lambda c, t: np.cos(0.7 * t * (c + 1)) * (c + 1))
-        cols = [s - 1 for s in D.SELECTED_SENSORS]
-        chosen = dataclasses.replace(rec, sensors=rec.sensors[:, cols], sensor_ids=D.SELECTED_SENSORS)
-        raw, selected = D.fit_normalization([rec]), D.fit_normalization([chosen])
-        assert raw.sensor_ids == selected.sensor_ids
-        assert raw.mins.tobytes() == selected.mins.tobytes() and raw.maxs.tobytes() == selected.maxs.tobytes()
+        """Column j of a raw record is sensor j + 1; a record of only the
+        selected columns is not raw and is refused."""
+        rec = make_record(unit=5, length=12, sensor_fn=lambda c, t: np.cos(0.7 * t * (c + 1)) * (c + 1))
+        chosen = rec.sensors[:, [s - 1 for s in D.SELECTED_SENSORS]]
+        raw = D.fit_normalization([rec])
+        assert raw.mins.tobytes() == chosen.min(axis=0).tobytes()
+        assert raw.maxs.tobytes() == chosen.max(axis=0).tobytes()
+        with pytest.raises(ContractError, match=re.escape(WIDTH_ERROR.format(unit=5, width=11))):
+            D.fit_normalization([rec, dataclasses.replace(rec, sensors=chosen)])
 
     def test_whole_record_settings_are_a_view(self):
         rec = make_record(settings=np.arange(30.0).reshape(10, 3))
@@ -309,8 +316,7 @@ class TestNormalization:
             return np.array(data.draw(st.lists(st.floats(low, high), min_size=n, max_size=n)))
 
         length = data.draw(st.integers(1, 30))
-        raw = D.EngineRecord(1, readings(3 * length).reshape(length, 3), readings(21 * length).reshape(length, 21),
-                             tuple(range(1, 22)))
+        raw = D.EngineRecord(1, readings(3 * length).reshape(length, 3), readings(21 * length).reshape(length, 21))
         ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1))))
         mins = readings(len(ids), -100, 100)
         spans = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 7.0, 100.0]),
@@ -324,12 +330,52 @@ class TestNormalization:
         want = D.normalize_values(raw.sensors[:, cols], stats)[rows]
         assert got.sensors.shape == want.shape and got.sensors.tobytes() == want.tobytes()
         assert got.op_settings.tobytes() == raw.op_settings[rows].tobytes()
-        assert got.sensor_ids == ids and got.unit_id == raw.unit_id
+        assert got.unit_id == raw.unit_id
 
-        chosen = dataclasses.replace(raw, sensors=raw.sensors[:, cols], sensor_ids=ids)
-        whole = D.normalize_record(chosen, stats)
-        assert whole.sensors.tobytes() == D.normalize_values(chosen.sensors, stats).tobytes()
+        whole = D.normalize_record(raw, stats)
+        assert whole.sensors.tobytes() == D.normalize_values(raw.sensors[:, cols], stats).tobytes()
         assert whole.op_settings.tobytes() == raw.op_settings.tobytes()
+
+
+class TestNormalizedRecordRefused:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_normalized_record_is_refused(self, data):
+        """A record that ``normalize_record`` returns, whatever its rows (a
+        slice, an index array or a ``pad_short`` row index), holds the
+        stats' sensors, not the raw 21: reading it again as a raw record
+        raises the width error from ``normalize_record``,
+        ``fit_normalization`` and ``predict_rul``.  Stats of all 21 sensors
+        would give a record of the raw width, so they are not drawn."""
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        unit, length = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 30))
+        raw = D.EngineRecord(unit, g.normal(size=(length, 3)), g.normal(size=(length, 21)))
+        ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1, max_size=20))))
+        mins = g.normal(size=len(ids))
+        stats = D.NormalizationStats(ids, mins - 3.0, mins + 3.0)
+        kind = data.draw(st.sampled_from(["slice", "index", "pad_short"]))
+        if kind == "slice":
+            start = data.draw(st.integers(0, length - 1))
+            rows = slice(start, data.draw(st.integers(start + 1, length)), data.draw(st.integers(1, 3)))
+        elif kind == "index":
+            rows = g.integers(0, length, size=data.draw(st.integers(1, 2 * length)))
+        else:
+            rows = np.maximum(np.arange(length - data.draw(st.integers(1, length + 10)), length), 0)
+        normalized = D.normalize_record(raw, stats, rows)
+        assert normalized.sensors.shape[1] == len(ids)
+
+        cfg = TrainConfig(window=4, horizon=2, k_states=1, embedding_dim=2, kernel_size=3, n_filters=2,
+                          lstm_hidden=2, trend_dim=2, fusion_widths=(2,), rul_widths=(2, 2),
+                          pad_short=True).validate()
+        bundle = PreprocessBundle(config=cfg, cluster=single_state_cluster(), stats=stats)
+        model = MafnModel(cfg, len(ids), np.random.default_rng(0))
+        message = re.escape(WIDTH_ERROR.format(unit=unit, width=len(ids)))
+        for refuse in (lambda: D.normalize_record(normalized, stats),
+                       lambda: D.normalize_record(normalized, stats, slice(0, 1)),
+                       lambda: D.fit_normalization([normalized]),
+                       lambda: predict_rul(normalized, model, bundle)):
+            with pytest.raises(ContractError, match=message):
+                refuse()
 
 
 def reference_windows(record, cluster_model, window, horizon, stride, rul_cap):

@@ -11,7 +11,7 @@ from mafn import losses as L
 from mafn import pipeline
 from mafn import tensor as T
 from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
-from mafn.cluster import ClusterModel
+from mafn.cluster import ClusterModel, assign_states
 from mafn.config import TrainConfig
 from mafn.data import NormalizationStats
 from mafn.errors import ContractError, DataError, DimensionError, NumericError
@@ -177,26 +177,40 @@ class TestPrediction:
         assert 0.0 <= value <= cfg.rul_cap
 
     def test_preselected_record_with_other_ids_names_both(self):
+        """A record of two sensor columns is not raw, whichever ids they
+        held: the error names the record's unit and width."""
         model, cfg = tiny_model()
-        rec = make_record(length=10, n_sensors=2)            # sensors (1, 2); the bundle's are (2, 3)
-        with pytest.raises(ContractError, match=r"record has no sensor \[3\]; its sensors are \(1, 2\)"):
+        rec = make_record(unit=3, length=10, n_sensors=2)
+        with pytest.raises(ContractError, match=re.escape("unit 3: record holds 2 sensor channels, not the raw 21")):
             predict_rul(rec, model, self._bundle(cfg))
 
     @pytest.mark.parametrize("ids, lacking", [((2, 99), "[99]"), ((0, 3), "[0]")])
-    def test_raw_record_lacking_a_checkpoint_id(self, ids, lacking):
+    def test_raw_record_lacking_a_checkpoint_id(self, tmp_path, ids, lacking):
+        """A raw record holds every id in 1..21, so only stats that name an
+        id outside it could ask for a sensor the record lacks; the loader
+        refuses such a checkpoint, naming the id, before any record is read."""
         model, cfg = tiny_model()
-        bundle = self._bundle(cfg)
-        bundle = replace(bundle, stats=NormalizationStats(sensor_ids=ids, mins=np.zeros(2), maxs=np.ones(2)))
-        with pytest.raises(ContractError, match=re.escape(f"record has no sensor {lacking}")):
-            predict_rul(make_record(length=10), model, bundle)
+        stats = NormalizationStats(sensor_ids=ids, mins=np.zeros(2), maxs=np.ones(2))
+        path = tmp_path / "model.ckpt"
+        cluster = self._bundle(cfg).cluster
+        save_checkpoint(CheckpointBundle(config=cfg, cluster=cluster, stats=stats, params=model.state_arrays()), path)
+        with pytest.raises(DataError, match=rf"sensor_ids \[.*{lacking[1:-1]}.*\] are not distinct ids in 1\.\.21"):
+            load_checkpoint(path)
 
     def test_raw_record_window_equals_the_preselected_one(self, rng):
-        rec = make_record(length=10, sensor_fn=lambda c, t: rng.random(len(t)))
-        chosen = replace(rec, sensors=rec.sensors[:, [1, 2]], sensor_ids=(2, 3))
+        """The window of a raw record is its columns ``id - 1``, here under
+        stats of [0, 1] that leave each value as it is; a record of those
+        columns alone is not raw and is refused."""
+        rec = make_record(unit=7, length=10, sensor_fn=lambda c, t: rng.random(len(t)))
+        chosen = replace(rec, sensors=rec.sensors[:, [1, 2]])        # sensors 2 and 3
         for cfg in (tiny_config(), tiny_config(window=12, pad_short=True)):
             bundle = self._bundle(cfg)
-            for got, want in zip(prepare_window(rec, bundle), prepare_window(chosen, bundle)):
-                np.testing.assert_array_equal(got, want)
+            rows = np.maximum(np.arange(rec.length - cfg.window, rec.length), 0)
+            sensors, states = prepare_window(rec, bundle)
+            assert sensors.tobytes() == chosen.sensors[rows].tobytes()
+            np.testing.assert_array_equal(states, assign_states(rec.op_settings[rows], bundle.cluster))
+            with pytest.raises(ContractError, match="unit 7: record holds 2 sensor channels"):
+                prepare_window(chosen, bundle)
 
     def test_short_history_raises_with_policy_hint(self):
         model, cfg = tiny_model()

@@ -61,7 +61,6 @@ def reference_parse_cmapss(path) -> list:
                 unit_id=unit,
                 op_settings=rows[:, 2 : 2 + D.N_SETTINGS],
                 sensors=rows[:, 2 + D.N_SETTINGS :],
-                sensor_ids=tuple(range(1, D.N_RAW_SENSORS + 1)),
             )
         )
     return records
@@ -217,7 +216,6 @@ class TestAgainstReference:
         assert len(got) == len(want)
         for a, b in zip(want, got):
             assert type(b.unit_id) is int and b.unit_id == a.unit_id
-            assert b.sensor_ids == a.sensor_ids
             for name in ("op_settings", "sensors"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name

@@ -2,6 +2,7 @@
 normalization; the reference below is the path it replaced: normalize the
 whole history, cut its trailing window, run the full ``forward`` and clamp
 the RUL.  Both must give the same bits."""
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,8 @@ from mafn.data import (
     N_RAW_SENSORS,
     EngineRecord,
     NormalizationStats,
-    normalize_record,
+    normalize_values,
     record_states,
-    sensor_columns,
 )
 from mafn.errors import ContractError
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul, forecast_trajectory, predict_rul
@@ -26,12 +26,11 @@ from tests.test_model import tiny_config, tiny_model
 
 
 def reference_prepare(record, bundle):
-    """Normalize the full history, left-pad it when short, cut the window."""
+    """Normalize the full history, left-pad it when short, cut the window.
+    A raw record's column j is sensor j + 1."""
     cfg = bundle.config
-    if len(record.sensor_ids) == N_RAW_SENSORS:
-        ids = bundle.stats.sensor_ids
-        record = replace(record, sensors=record.sensors[:, sensor_columns(record.sensor_ids, ids)], sensor_ids=ids)
-    record = normalize_record(record, bundle.stats)
+    cols = [s - 1 for s in bundle.stats.sensor_ids]
+    record = replace(record, sensors=normalize_values(record.sensors[:, cols], bundle.stats))
     if record.length < cfg.window:
         pad = cfg.window - record.length
         record = replace(
@@ -79,12 +78,10 @@ def cases(draw):
 
     length = draw(st.integers(1, 3 * window))
     raw = draw(st.booleans())
-    ids = tuple(range(1, N_RAW_SENSORS + 1)) if raw else sensor_ids
     record = EngineRecord(
         unit_id=1,
         op_settings=g.normal(size=(length, 3)),
-        sensors=g.normal(size=(length, len(ids))) * 2.0,
-        sensor_ids=ids,
+        sensors=g.normal(size=(length, N_RAW_SENSORS if raw else n)) * 2.0,
     )
     model = MafnModel(cfg, n, np.random.default_rng(seed + 1))
     return record, model, bundle
@@ -98,6 +95,12 @@ class TestPredictOracle:
         if record.length < bundle.config.window and not bundle.config.pad_short:
             with pytest.raises(ContractError, match="pad_short"):
                 predict_rul(record, model, bundle)
+            return
+        if record.sensors.shape[1] != N_RAW_SENSORS:       # a record of the stats' sensors only
+            message = re.escape(f"unit 1: record holds {record.sensors.shape[1]} sensor channels, not the raw 21")
+            for run in (predict_rul, forecast_trajectory):
+                with pytest.raises(ContractError, match=message):
+                    run(record, model, bundle)
             return
         rul, forecast, states = reference_forward(record, model, bundle)
         got = predict_rul(record, model, bundle)

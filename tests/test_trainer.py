@@ -309,7 +309,7 @@ class TestOutOfRangeInput:
         records, model, bundle = walkthrough
         rec = records[0]
         sensors = rec.sensors.copy()
-        sensors[int(0.55 * rec.length), rec.sensor_ids.index(7)] = value
+        sensors[int(0.55 * rec.length), 6] = value          # column j is sensor j + 1
         drifted = dataclasses.replace(rec, sensors=sensors)
         cut = [truncate_at_fraction(drifted, pct) for pct in (0.6, 0.7, 0.8, 0.9)]
         with warnings.catch_warnings():
