@@ -19,7 +19,7 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .config import TrainConfig, decode_fields, decoded_value
-from .data import N_RAW_SENSORS, NormalizationStats, atomic_write
+from .data import NormalizationStats, atomic_write
 from .errors import ContractError, DataError
 from .model import PreprocessBundle
 
@@ -129,13 +129,8 @@ def load_checkpoint(path) -> CheckpointBundle:
                 inertia=decoded_value(header["cluster"]["inertia"], 0.0, where, "cluster.inertia"),
                 feature_spec=decoded_value(header["cluster"]["feature_spec"], "", where, "cluster.feature_spec"),
             )
-            sensor_ids = decoded_value(header["sensor_ids"], (0,), where, "sensor_ids")
-            if list(sensor_ids) != sorted(set(sensor_ids) & set(range(1, N_RAW_SENSORS + 1))):
-                raise DataError(
-                    f"{where}: sensor_ids {list(sensor_ids)} are not distinct ids in 1..{N_RAW_SENSORS}, ascending"
-                )
             stats = NormalizationStats(
-                sensor_ids=sensor_ids,
+                sensor_ids=decoded_value(header["sensor_ids"], (0,), where, "sensor_ids"),
                 mins=arrays.pop("stats.mins"),
                 maxs=arrays.pop("stats.maxs"),
             )

@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -331,6 +332,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     out = None                                  # the --out record of a directory command
     code = 1                                    # until a command returns; an escaping error fails
+    def terminate(signum, frame):               # SIGTERM takes Ctrl-C's path, exit code 128 + signum
+        raise KeyboardInterrupt(128 + signum)
+    previous = signal.signal(signal.SIGTERM, terminate)
     try:
         args = parser.parse_args(argv)
         if args.command in OUT_DIR_COMMANDS:
@@ -339,9 +343,9 @@ def main(argv=None) -> int:
         code = args.func(args)
     except SystemExit as e:
         code = int(e.code or 0)
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as e:
         print("mafn: interrupted", file=sys.stderr)
-        code = 130
+        code = e.args[0] if e.args else 130
     except NumericError as e:
         print(f"mafn: numeric failure: {e}", file=sys.stderr)
         code = 3
@@ -351,6 +355,7 @@ def main(argv=None) -> int:
     finally:
         if code and out is not None:            # a failed run leaves nothing of its own
             out.undo()
+        signal.signal(signal.SIGTERM, previous)
     return code
 
 

@@ -26,6 +26,7 @@ import logging
 import os
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,12 +73,18 @@ class NormalizationStats:
     maxs: np.ndarray               # (S,)
 
     def __post_init__(self):
+        if list(self.sensor_ids) != sorted(set(self.sensor_ids) & set(range(1, N_RAW_SENSORS + 1))):
+            raise ContractError(f"sensor_ids {list(self.sensor_ids)} are not distinct ids in 1..{N_RAW_SENSORS}, ascending")
         if not np.shape(self.mins) == np.shape(self.maxs) == (len(self.sensor_ids),):
             raise ContractError("mins and maxs must hold one value per sensor id")
 
-    @property
+    @cached_property
     def degenerate(self) -> np.ndarray:
         return self.maxs == self.mins
+
+    @cached_property
+    def safe_span(self) -> np.ndarray:
+        return np.where(self.degenerate, 1.0, self.maxs - self.mins)    # max - min; 1 where degenerate
 
 
 @dataclass(frozen=True)
@@ -337,10 +344,7 @@ def fit_normalization(train: Sequence[EngineRecord]) -> NormalizationStats:
 
 def normalize_values(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """(v - min) / (max - min); degenerate channels map to 0; no clipping."""
-    span = stats.maxs - stats.mins
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (values - stats.mins) / safe
-    return np.where(span == 0.0, 0.0, out)
+    return np.where(stats.degenerate, 0.0, (values - stats.mins) / stats.safe_span)
 
 
 def normalize_record(record: EngineRecord, stats: NormalizationStats, rows=slice(None)) -> EngineRecord:

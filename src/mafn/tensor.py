@@ -476,7 +476,8 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     ``c = f * c + i * g`` and ``h = o * tanh(c)``.  The directions share one
     time loop, so each step is one set of numpy calls; with the tape off it
     reuses one gate, cell and tanh(c) slot, its views made once.  The backward
-    pass is backpropagation through time in numpy.
+    is backpropagation through time in numpy over gate-major factors, each
+    step's block rewritten in place as (dirs, B, 4H) rows for its matmuls.
     """
     dirs = len(directions)
     if dirs not in (1, 2):
@@ -537,10 +538,9 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
         gs = np.stack([_scan_order(by_dir[d], d) for d in range(dirs)], axis=1)
         # d(loss)/d(pre-activation) is dc times these for i, f, g and dh for
         # o, built in place as g·i(1-i), c_prev·f(1-f), i(1-g²) and
-        # tanh(c)·o(1-o); the loop scales them in place.  Direction-major, so
-        # each direction's tail below reads one contiguous block.
-        dz = np.empty((dirs, steps, B, 4, n))
-        s_i, s_f, s_g, s_o = dz.transpose(3, 1, 0, 2, 4)
+        # tanh(c)·o(1-o) in the gates' own gate-major layout
+        dz = np.empty((steps, 4, dirs, B, n))
+        s_i, s_f, s_g, s_o = dz.transpose(1, 0, 2, 3, 4)
         subtract, multiply = np.subtract, np.multiply
         multiply(g, multiply(i, subtract(1.0, i, s_i), s_i), s_i)
         multiply(f, subtract(1.0, f, s_f), s_f)
@@ -553,28 +553,34 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
         dh = np.zeros((dirs, B, n))
         dc = np.zeros((dirs, B, n))
         W_hT = W_h.transpose(0, 2, 1)
+        # step k's (4, dirs, B, H) block is contiguous: the loop scales it, then
+        # rewrites the same memory as (dirs, B, 4H) rows for the recurrent matmul
+        rows = dz.reshape(steps, dirs, B, 4 * n)
         for k in range(steps - 1, -1, -1):
             dh += gs[k]
             dc += dh * dc_dh[k]
-            dz[:, k, ..., :3, :] *= dc[..., None, :]
-            dz[:, k, ..., 3, :] *= dh
+            dz[k, :3] *= dc
+            dz[k, 3] *= dh
             dc *= f[k]
-            dh = dz[:, k].reshape(dirs, B, 4 * n) @ W_hT
+            rows[k] = dz[k].transpose(1, 2, 0, 3).reshape(dirs, B, 4 * n)  # the reshape copies
+            dh = rows[k] @ W_hT
         del gs, dc_dh                        # free before the tail allocates
         grads = []
         for d, (x, W_x, *_) in enumerate(directions):
-            dz_d = dz[d].reshape(steps, B, 4 * n)
+            dz_d = np.ascontiguousarray(rows[:, d])  # no copy with one direction
             h_prev = np.concatenate([h0[d][None], hidden[:-1, d]])
+            dW_h, db = h_prev.reshape(-1, n).T @ dz_d.reshape(-1, 4 * n), dz_d.sum(axis=(0, 1))
             if const:
                 dxw = dz_d.sum(axis=0)
             else:
-                # BLAS reads each batch's (steps, 4H) block in place only at a
-                # positive row stride, so the right-to-left direction copies
-                dxw = _scan_order(dz_d, d).transpose(1, 0, 2)
-                dxw = np.ascontiguousarray(dxw) if d else dxw
+                # BLAS reads each batch's (steps, 4H) block in place only at a positive
+                # row stride, so the right-to-left direction's steps are swapped in place
+                for j in range(steps // 2 if d else 0):
+                    dz_d[[j, -1 - j]] = dz_d[[-1 - j, j]]
+                dxw = dz_d.transpose(1, 0, 2)
             dW_x = _unbroadcast(np.swapaxes(x.data, -1, -2) @ dxw, W_x.shape)
-            dW_h = h_prev.reshape(-1, n).T @ dz_d.reshape(-1, 4 * n)
-            grads += [dxw @ W_x.data.T, dW_x, dh[d], dc[d], dW_h, dz_d.sum(axis=(0, 1))]
+            grads += [dxw @ W_x.data.T, dW_x, dh[d], dc[d], dW_h, db]
+            del dz_d, dxw                    # before the next direction's copy
         return grads
 
     out = np.concatenate([_scan_order(hidden[:, d], d).transpose(1, 0, 2) for d in range(dirs)], axis=2)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -633,6 +634,37 @@ class TestTrainRun:
         assert code == 130 and epochs == [1]
         assert capsys.readouterr().err == "mafn: interrupted\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_sigterm_prints_one_line_and_removes_out(self, workspace, tmp_path):
+        """SIGTERM, sent once the first epoch line is out, takes Ctrl-C's
+        path: exit 143, one stderr line, and nothing left of ``--out`` or of
+        the parent directory the run made for it."""
+        config = tmp_path / "long.cfg"
+        config.write_text(SMOKE_CONFIG + "max_epochs = 10000\npatience = 10000\n")
+        src = str(Path(mafn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   PYTHONUNBUFFERED="1")
+        run = tmp_path / "run"
+        run.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mafn.cli", "train", "--data", str(workspace / "data" / "synthetic_train.txt"),
+             "--config", str(config), "--out", str(run / "new" / "out")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("epoch    1 ")
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 143
+        assert err == "mafn: interrupted\n"
+        assert list(run.iterdir()) == []
+
+    def test_sigterm_handler_restored(self, tmp_path):
+        previous = signal.getsignal(signal.SIGTERM)
+        assert main(["config", "init", "--out", str(tmp_path / "mafn.cfg")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def overflowing_case(workspace, tmp_path):

@@ -281,6 +281,24 @@ class TestNormalization:
         assert D.normalize_values(np.array([10.0]), stats)[0] == 1.0
         assert D.normalize_values(np.array([6.0]), stats)[0] == 0.5
 
+    @pytest.mark.parametrize("ids", [(0,), (22,), (99,), (2, 2), (3, 2), (2, 3, 3)])
+    def test_sensor_ids_are_distinct_raw_ids_ascending(self, ids):
+        # stats built in code with an id of 0 read sensor 21, and 99 raised a bare IndexError
+        with pytest.raises(ContractError, match=r"sensor_ids \[.*\] are not distinct ids in 1\.\.21, ascending"):
+            D.NormalizationStats(sensor_ids=ids, mins=np.zeros(len(ids)), maxs=np.ones(len(ids)))
+
+    def test_bits_match_the_span_formula(self, rng):
+        # the stats hold the safe span once; the values are those of building it per call
+        mins = rng.normal(size=6)
+        maxs = mins + rng.exponential(size=6)
+        maxs[[1, 4]] = mins[[1, 4]]
+        stats = D.NormalizationStats(sensor_ids=(2, 3, 4, 7, 8, 11), mins=mins, maxs=maxs)
+        values = rng.normal(size=(30, 6)) * 3.0
+        span = maxs - mins
+        expected = np.where(span == 0.0, 0.0, (values - mins) / np.where(span == 0.0, 1.0, span))
+        assert D.normalize_values(values, stats).tobytes() == expected.tobytes()
+        assert stats.safe_span is stats.safe_span
+
     def test_no_clipping_outside_train_range(self):
         stats = D.NormalizationStats(sensor_ids=(2,), mins=np.array([0.0]), maxs=np.array([1.0]))
         assert D.normalize_values(np.array([2.0]), stats)[0] == 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -409,6 +410,35 @@ def default_batch_peak(taped):
         tracemalloc.stop()
 
 
+def scan_backward_peak():
+    """tracemalloc peak, in bytes, of the encoder-sized scan's backward alone:
+    B=64, 30 steps, 16 inputs, H=24, two directions."""
+    directions, weight = scan_problem(np.random.default_rng(0), 64, 30, True, False, n=24, n_in=16)
+    out = T.lstm_scan(directions, 30)
+    tracemalloc.start()
+    try:
+        out._grad_fn(weight)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def default_gradient_digest():
+    """sha256 of every parameter gradient, in registration order, of a
+    default-config model (seed 0) after one backward of its four summed heads
+    at batch 1, 7 and 64, each batch on a fresh model and data seed 1."""
+    digest, cfg = hashlib.sha256(), TrainConfig()
+    for batch in (1, 7, 64):
+        model = MafnModel(cfg, len(SELECTED_SENSORS), np.random.default_rng(0))
+        data = np.random.default_rng(1)
+        out = model.forward(data.normal(size=(batch, cfg.window, len(SELECTED_SENSORS))),
+                            data.integers(0, cfg.k_states, size=(batch, cfg.window)))
+        (out.state_logits.sum() + out.degradation.sum() + out.forecast.sum() + out.rul.sum()).backward()
+        for p in model.parameters().values():
+            digest.update(p.grad.tobytes())
+    return digest.hexdigest()
+
+
 class TestLstmScan:
     @pytest.mark.parametrize("batch,steps,two,constant", SCAN_CASES)
     def test_gradients(self, rng, batch, steps, two, constant):
@@ -435,6 +465,14 @@ class TestLstmScan:
         # the encoder's sizes (16 filters in) and the decoders' (a 48-wide context)
         directions, weight = scan_problem(rng, batch, 30, two, constant, n=24, n_in=48 if constant else 16)
         assert_matches_reference(directions, 30, weight)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_bit_equal_on_short_two_direction_sequences(self, rng, batch, steps):
+        # the backward swaps the right-to-left direction's steps in pairs, in
+        # place: no pair, one pair, one pair around a middle step, two pairs
+        directions, weight = scan_problem(rng, batch, steps, True, False, n=24, n_in=16)
+        assert_matches_reference(directions, steps, weight)
 
     @settings(max_examples=60, deadline=None)
     @given(scan_cases())
@@ -469,6 +507,19 @@ class TestLstmScan:
         # the backward built its BPTT factors from temporaries
         peak = default_batch_peak(taped=True)
         assert peak < 17.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_backward_holds_one_factor_buffer(self):
+        # 5.65 MiB while the factors were direction-major; 7.07 MiB when the
+        # right-to-left direction is reversed by a copy, 6.64 MiB when one
+        # direction's rows outlive the next one's, and 8.48 MiB when the rows
+        # are a second buffer instead of the factors' own memory
+        peak = scan_backward_peak()
+        assert peak < 6.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_default_model_gradient_bits(self):
+        # every parameter gradient, bit for bit: a change to the scan's sum
+        # order shows here before it reaches the golden checkpoint hashes
+        assert default_gradient_digest() == "c0eccfff11c8588da451f2a80d99b212b879e83a5427e2488cb3d5a077cb0d35"
 
     def test_one_tape_node(self, rng):
         fwd, bwd = random_cell(rng, 3, 4), random_cell(rng, 3, 4)

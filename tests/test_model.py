@@ -188,12 +188,14 @@ class TestPrediction:
     def test_raw_record_lacking_a_checkpoint_id(self, tmp_path, ids, lacking):
         """A raw record holds every id in 1..21, so only stats that name an
         id outside it could ask for a sensor the record lacks; the loader
-        refuses such a checkpoint, naming the id, before any record is read."""
+        refuses such a checkpoint, naming the id, before any record is read.
+        Stats refuse the ids when built, so the header is rewritten."""
         model, cfg = tiny_model()
-        stats = NormalizationStats(sensor_ids=ids, mins=np.zeros(2), maxs=np.ones(2))
         path = tmp_path / "model.ckpt"
-        cluster = self._bundle(cfg).cluster
-        save_checkpoint(CheckpointBundle(config=cfg, cluster=cluster, stats=stats, params=model.state_arrays()), path)
+        bundle = self._bundle(cfg)
+        save_checkpoint(CheckpointBundle(config=cfg, cluster=bundle.cluster, stats=bundle.stats,
+                                         params=model.state_arrays()), path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: h.update(sensor_ids=list(ids))))
         with pytest.raises(DataError, match=rf"sensor_ids \[.*{lacking[1:-1]}.*\] are not distinct ids in 1\.\.21"):
             load_checkpoint(path)
 
