@@ -19,7 +19,7 @@ import numpy as np
 
 from .cluster import ClusterModel
 from .config import TrainConfig, decode_fields, decoded_value
-from .data import NormalizationStats, atomic_write
+from .data import N_SETTINGS, NormalizationStats, atomic_write
 from .errors import ContractError, DataError
 from .model import PreprocessBundle
 
@@ -98,10 +98,11 @@ def load_checkpoint(path) -> CheckpointBundle:
     """Read a checkpoint; a truncated or corrupt file, bytes after the last
     array, an array holding NaN or inf, named twice or outside ``cluster.*``,
     ``stats.*`` and ``param.*``, sensor ids that are not distinct raw ids in
-    ascending order, a header value not of its field's type, or a config
-    that fails ``TrainConfig.validate`` raises DataError.  The header length
-    and every array's size are checked against the bytes left in the file
-    before anything is read."""
+    ascending order, a header value not of its field's type, a config
+    that fails ``TrainConfig.validate``, or a cluster whose ``k``,
+    ``feature_spec`` or centroid width is not the config's raises
+    DataError.  The header length and every array's size are checked
+    against the bytes left in the file before anything is read."""
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -134,6 +135,12 @@ def load_checkpoint(path) -> CheckpointBundle:
                 mins=arrays.pop("stats.mins"),
                 maxs=arrays.pop("stats.maxs"),
             )
+            width = N_SETTINGS if config.cluster_features == "settings" else len(stats.sensor_ids)
+            for what, found, wanted in (("k", cluster.k, config.k_states),
+                                        ("feature_spec", cluster.feature_spec, config.cluster_features),
+                                        ("centroid width", cluster.centroids.shape[1], width)):
+                if found != wanted:
+                    raise DataError(f"{where}: cluster {what} {found!r} does not match the config's {wanted!r}")
         except (ValueError, KeyError, TypeError, AttributeError, ContractError) as e:
             raise DataError(f"{path}: corrupt checkpoint header: {e!r}") from None
     params = OrderedDict(

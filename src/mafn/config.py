@@ -18,7 +18,6 @@ from typing import Tuple
 
 from .data import N_RAW_SENSORS, text_blocks
 from .errors import ContractError, DataError
-from .losses import LossWeights
 
 ENV_PREFIX = "MAFN_"
 # the most values (2**25 float64, 256 MiB) the network's parameters, or one
@@ -94,7 +93,15 @@ class TrainConfig:
                 raise ContractError(f"config field {name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ContractError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
-        LossWeights.from_config(self)      # the one check of the loss weights
+        weights = (self.w_state, self.w_degradation, self.w_forecast, self.w_rul)
+        if min(weights) < 0:
+            raise ContractError("loss weights must be nonnegative")
+        if min(self.lambda_smooth, self.lambda_late, self.lambda_early) < 0:
+            raise ContractError("loss multipliers must be nonnegative")
+        if not self.lambda_late > self.lambda_early:
+            raise ContractError(f"lambda_late ({self.lambda_late}) must exceed lambda_early ({self.lambda_early})")
+        if max(weights) == 0:
+            raise ContractError("at least one loss weight must be positive")
         if self.cluster_features not in ("settings", "sensors"):
             raise ContractError(f"cluster_features must be 'settings' or 'sensors', got {self.cluster_features!r}")
         if not all(w > 0 for w in self.fusion_widths) or not self.fusion_widths:

@@ -75,6 +75,8 @@ class NormalizationStats:
     def __post_init__(self):
         if list(self.sensor_ids) != sorted(set(self.sensor_ids) & set(range(1, N_RAW_SENSORS + 1))):
             raise ContractError(f"sensor_ids {list(self.sensor_ids)} are not distinct ids in 1..{N_RAW_SENSORS}, ascending")
+        if len(self.sensor_ids) == N_RAW_SENSORS:     # a normalized record then reads as a raw one
+            raise ContractError(f"sensor_ids hold all {N_RAW_SENSORS} raw ids: a normalized record would be as wide as a raw one")
         if not np.shape(self.mins) == np.shape(self.maxs) == (len(self.sensor_ids),):
             raise ContractError("mins and maxs must hold one value per sensor id")
 

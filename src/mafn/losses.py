@@ -7,41 +7,25 @@ cannot change the result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import TrainConfig
 from .errors import ContractError, NumericError
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class LossWeights:
-    w_state: float = 0.5
-    w_degradation: float = 0.3
-    w_forecast: float = 1.0
-    w_rul: float = 1.0
-    lambda_smooth: float = 0.1
-    lambda_late: float = 2.0
-    lambda_early: float = 1.0
+    """The head weights :func:`total_loss` reads, by default the config's;
+    ``TrainConfig.validate`` checks them."""
 
-    def __post_init__(self):
-        if min(self.w_state, self.w_degradation, self.w_forecast, self.w_rul) < 0:
-            raise ContractError("loss weights must be nonnegative")
-        if min(self.lambda_smooth, self.lambda_late, self.lambda_early) < 0:
-            raise ContractError("loss multipliers must be nonnegative")
-        if not self.lambda_late > self.lambda_early:
-            raise ContractError(
-                f"lambda_late ({self.lambda_late}) must exceed lambda_early ({self.lambda_early})"
-            )
-        if max(self.w_state, self.w_degradation, self.w_forecast, self.w_rul) == 0:
-            raise ContractError("at least one loss weight must be positive")
-
-    @classmethod
-    def from_config(cls, cfg) -> "LossWeights":
-        """The weights and multipliers of a config, which shares their field names."""
-        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
+    w_state: float = TrainConfig.w_state
+    w_degradation: float = TrainConfig.w_degradation
+    w_forecast: float = TrainConfig.w_forecast
+    w_rul: float = TrainConfig.w_rul
 
 
 def state_loss(logits: Tensor, targets, mask) -> Tensor:
@@ -114,8 +98,9 @@ def rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> T
     return (lambda_late * late + lambda_early * early).mean()
 
 
-def total_loss(components: dict, weights: LossWeights) -> Tensor:
-    """w_state*L_state + w_degradation*L_degradation + w_forecast*L_forecast + w_rul*L_rul.
+def total_loss(components: dict, weights) -> Tensor:
+    """w_state*L_state + w_degradation*L_degradation + w_forecast*L_forecast + w_rul*L_rul,
+    the weights read from ``weights``, a ``LossWeights`` or a ``TrainConfig``.
 
     Raises NumericError when a component or the weighted sum (0 * inf) is NaN.
     """

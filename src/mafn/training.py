@@ -30,8 +30,8 @@ LOG_COLUMNS = ("epoch", "L_state", "L_degradation", "L_forecast", "L_RUL", "L_to
 class Adam:
     """Bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: "OrderedDict[str, Tensor]", lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: "OrderedDict[str, Tensor]", lr: float, beta1: float = TrainConfig.beta1,
+                 beta2: float = TrainConfig.beta2, eps: float = TrainConfig.adam_eps):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
@@ -84,29 +84,27 @@ class TrainResult:
     stop_reason: str
 
 
-def _batch_losses(
-    model: MafnModel, ds: WindowDataset, idx: np.ndarray, cfg: TrainConfig, weights: L.LossWeights
-) -> dict:
+def _batch_losses(model: MafnModel, ds: WindowDataset, idx: np.ndarray, cfg: TrainConfig) -> dict:
     b = ds.batch(idx)
     out: MafnOutput = model.forward(b["inputs"], b["states"], future_states=b["future_states"])
     components = {
         "state": L.state_loss(out.state_logits, b["future_states"], b["mask"]),
         "forecast": L.forecast_loss(out.forecast, b["future_sensors"], b["mask"]),
-        "degradation": L.degradation_loss(out.degradation, weights.lambda_smooth),
-        "rul": L.rul_loss(out.rul, b["rul"] / cfg.rul_cap, weights.lambda_late, weights.lambda_early),
+        "degradation": L.degradation_loss(out.degradation, cfg.lambda_smooth),
+        "rul": L.rul_loss(out.rul, b["rul"] / cfg.rul_cap, cfg.lambda_late, cfg.lambda_early),
     }
-    components["total"] = L.total_loss(components, weights)
+    components["total"] = L.total_loss(components, cfg)
     return components
 
 
-def _dataset_loss(model: MafnModel, ds: WindowDataset, cfg: TrainConfig, weights: L.LossWeights) -> float:
+def _dataset_loss(model: MafnModel, ds: WindowDataset, cfg: TrainConfig) -> float:
     """Mean total loss over a dataset (no gradient tracking)."""
     total = 0.0
     n = 0
     with T.no_grad():
         for start in range(0, len(ds), cfg.batch_size):
             idx = np.arange(start, min(start + cfg.batch_size, len(ds)))
-            components = _batch_losses(model, ds, idx, cfg, weights)
+            components = _batch_losses(model, ds, idx, cfg)
             total += components["total"].item() * len(idx)
             n += len(idx)
     return total / max(n, 1)
@@ -131,7 +129,6 @@ def train(
     if len(train_ds) < 1 or len(val_ds) < 1:
         raise ContractError("training needs at least one train and one validation window")
     config.validate()
-    weights = L.LossWeights.from_config(config)
     model = MafnModel(config, n_sensors, np.random.default_rng(config.seed))
     params = model.parameters()
     opt = Adam(params, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
@@ -153,7 +150,7 @@ def train(
             idx = order[start : start + config.batch_size]
             opt.zero_grad()
             try:
-                components = _batch_losses(model, train_ds, idx, config, weights)
+                components = _batch_losses(model, train_ds, idx, config)
             except NumericError as e:
                 raise NumericError(f"{e} (epoch {epoch}, batch {b})") from None
             components["total"].backward()
@@ -167,7 +164,7 @@ def train(
         if clipped:
             log.debug("epoch %d: clipped gradients on %d batches", epoch, clipped)
 
-        val_total = _dataset_loss(model, val_ds, config, weights)
+        val_total = _dataset_loss(model, val_ds, config)
         row = {
             "epoch": epoch,
             "L_state": sums["state"] / seen,

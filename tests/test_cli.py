@@ -1015,6 +1015,63 @@ class TestNonFiniteCheckpoint:
         assert not out.exists()
 
 
+def _cluster_edits():
+    """Each edit of run1's settings cluster (k 2, three columns) and config,
+    and what the loader names.  Each loaded once: a third centroid that no
+    point is nearest to scored, one that state 0's points are nearest to
+    failed in ``gather_rows``, and the rest failed in ``assign_states`` or
+    ``state_features``, all after the data was parsed."""
+    def extra_centroid(where):
+        def edit(bundle):
+            c = bundle.cluster.centroids
+            far = c[:1] + 1e6
+            rows = [c, far] if where == "unused" else [far, c[1:], c[:1]]
+            return replace(bundle, cluster=replace(bundle.cluster, k=3, centroids=np.vstack(rows)))
+        return edit
+
+    def cluster(**fields):
+        return lambda bundle: replace(bundle, cluster=replace(bundle.cluster, **fields))
+
+    def widened(bundle):
+        c = bundle.cluster.centroids
+        return replace(bundle, cluster=replace(bundle.cluster, centroids=np.hstack([c, c[:, :1]])))
+
+    def sensors_config(bundle):
+        return replace(bundle, config=replace(bundle.config, cluster_features="sensors"),
+                       cluster=replace(bundle.cluster, feature_spec="sensors"))
+
+    return {
+        "unused third centroid": (extra_centroid("unused"), "cluster k 3 does not match the config's 2"),
+        "third centroid on a state": (extra_centroid("state"), "cluster k 3 does not match the config's 2"),
+        "sensors on a settings cluster": (cluster(feature_spec="sensors"),
+                                          "cluster feature_spec 'sensors' does not match the config's 'settings'"),
+        "unknown feature_spec": (cluster(feature_spec="bogus"),
+                                 "cluster feature_spec 'bogus' does not match the config's 'settings'"),
+        "four settings columns": (widened, "cluster centroid width 4 does not match the config's 3"),
+        "settings columns under sensors": (sensors_config, "cluster centroid width 3 does not match the config's 11"),
+    }
+
+
+class TestCheckpointClusterAgreesWithConfig:
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("case", sorted(_cluster_edits()))
+    def test_refused_before_the_data_is_read(self, workspace, tmp_path, capsys, command, case):
+        """The loader refuses the checkpoint with exit 2, naming the file,
+        before it opens the data: the data path here does not exist."""
+        edit, message = _cluster_edits()[case]
+        ckpt = tmp_path / "edited.ckpt"
+        save_checkpoint(edit(load_checkpoint(workspace / "run1" / "model.ckpt")), ckpt)
+        extra = (["--mode", "cutoffs"] if command == "evaluate"
+                 else ["--unit", "2", "--cutoff", "0.7", "--sensor", "7"])
+        out = tmp_path / "out"
+        code = main([command, "--checkpoint", str(ckpt), "--data", str(tmp_path / "absent.txt"),
+                     *extra, "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith(f"mafn: error: {ckpt}: checkpoint header: ") and message in err[0]
+        assert not out.exists()
+
+
 class TestForecastCommand:
     def test_svg_and_csv(self, workspace, tmp_path):
         out = tmp_path / "fc"
@@ -1202,6 +1259,13 @@ def test_cli_import_loads_no_network_modules():
     """No command needs either module; ``xml.sax.saxutils``, imported for
     the SVG labels' ``escape``, pulled both in at every start-up."""
     code = "import sys, mafn.cli; print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]"
+
+
+def test_config_import_loads_no_autodiff():
+    """``TrainConfig.validate`` checks the loss settings itself, so reading
+    a config loads neither the losses nor the tensor tape."""
+    code = "import sys, mafn.config; print(sorted({'mafn.losses', 'mafn.tensor'} & set(sys.modules)))"
     assert fresh_python(code) == "[]"
 
 

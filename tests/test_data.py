@@ -287,6 +287,12 @@ class TestNormalization:
         with pytest.raises(ContractError, match=r"sensor_ids \[.*\] are not distinct ids in 1\.\.21, ascending"):
             D.NormalizationStats(sensor_ids=ids, mins=np.zeros(len(ids)), maxs=np.ones(len(ids)))
 
+    def test_stats_of_every_raw_id_refused(self):
+        # a record they normalize holds 21 channels and would normalize again as a raw one
+        ids = tuple(range(1, 22))
+        with pytest.raises(ContractError, match="sensor_ids hold all 21 raw ids: a normalized record would be as wide"):
+            D.NormalizationStats(sensor_ids=ids, mins=np.zeros(21), maxs=np.full(21, 100.0))
+
     def test_bits_match_the_span_formula(self, rng):
         # the stats hold the safe span once; the values are those of building it per call
         mins = rng.normal(size=6)
@@ -335,7 +341,7 @@ class TestNormalization:
 
         length = data.draw(st.integers(1, 30))
         raw = D.EngineRecord(1, readings(3 * length).reshape(length, 3), readings(21 * length).reshape(length, 21))
-        ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1))))
+        ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1, max_size=20))))
         mins = readings(len(ids), -100, 100)
         spans = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5, 7.0, 100.0]),
                                    min_size=len(ids), max_size=len(ids)))
@@ -364,12 +370,17 @@ class TestNormalizedRecordRefused:
         stats' sensors, not the raw 21: reading it again as a raw record
         raises the width error from ``normalize_record``,
         ``fit_normalization`` and ``predict_rul``.  Stats of all 21 sensors
-        would give a record of the raw width, so they are not drawn."""
+        would give a record of the raw width, so the stats refuse them."""
         g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         unit, length = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 30))
         raw = D.EngineRecord(unit, g.normal(size=(length, 3)), g.normal(size=(length, 21)))
-        ids = tuple(sorted(data.draw(st.sets(st.integers(1, 21), min_size=1, max_size=20))))
+        n_ids = data.draw(st.integers(1, 21))
+        ids = tuple(int(i) for i in sorted(g.choice(np.arange(1, 22), size=n_ids, replace=False)))
         mins = g.normal(size=len(ids))
+        if len(ids) == 21:
+            with pytest.raises(ContractError, match="sensor_ids hold all 21 raw ids"):
+                D.NormalizationStats(ids, mins - 3.0, mins + 3.0)
+            return
         stats = D.NormalizationStats(ids, mins - 3.0, mins + 3.0)
         kind = data.draw(st.sampled_from(["slice", "index", "pad_short"]))
         if kind == "slice":

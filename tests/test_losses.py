@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mafn import losses as L
 from mafn import tensor as T
+from mafn.config import TrainConfig
 from mafn.errors import ContractError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.tensor import Tensor
@@ -174,7 +175,32 @@ class TestTotalLoss:
 
     def test_weight_condition_enforced(self):
         with pytest.raises(ContractError):
-            L.LossWeights(lambda_late=1.0, lambda_early=1.0)
+            TrainConfig(lambda_late=1.0, lambda_early=1.0).validate()
+
+    def test_default_weights_are_the_configs(self):
+        cfg = TrainConfig()
+        assert L.LossWeights() == L.LossWeights(cfg.w_state, cfg.w_degradation, cfg.w_forecast, cfg.w_rul)
+
+
+class TestLossSettings:
+    """``TrainConfig.validate`` is the one check of the seven loss settings."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"w_state": -0.1}, "loss weights must be nonnegative"),
+        ({"w_rul": -1.0}, "loss weights must be nonnegative"),
+        ({"lambda_smooth": -0.1}, "loss multipliers must be nonnegative"),
+        ({"lambda_late": -0.5, "lambda_early": -1.0}, "loss multipliers must be nonnegative"),
+        ({"lambda_late": 1.0, "lambda_early": 1.0}, r"lambda_late \(1.0\) must exceed lambda_early \(1.0\)"),
+        ({"lambda_late": 0.5}, r"lambda_late \(0.5\) must exceed lambda_early \(1.0\)"),
+        ({"w_state": 0.0, "w_degradation": 0.0, "w_forecast": 0.0, "w_rul": 0.0},
+         "at least one loss weight must be positive"),
+    ])
+    def test_each_rule_refused(self, fields, message):
+        with pytest.raises(ContractError, match=message):
+            TrainConfig(**fields).validate()
+
+    def test_zero_weights_and_smoothing_accepted(self):
+        TrainConfig(w_state=0.0, w_degradation=0.0, w_forecast=0.0, lambda_smooth=0.0, lambda_early=0.0).validate()
 
 
 class TestMetrics:

@@ -17,7 +17,6 @@ from mafn.pipeline import fit_pipeline, train_run, windows_for_records
 from mafn.config import TrainConfig
 from mafn.data import pack_windows, parse_cmapss, split_by_engine, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, NumericError
-from mafn.losses import LossWeights
 from mafn.model import MafnModel, PreprocessBundle, forecast_trajectory, predict_rul
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import (
@@ -138,7 +137,7 @@ class TestTrainLoop:
         losses = []
         for _ in range(5):
             opt.zero_grad()
-            comps = _batch_losses(model, train_ds, idx, cfg, LossWeights.from_config(cfg))
+            comps = _batch_losses(model, train_ds, idx, cfg)
             losses.append(comps["total"].item())
             comps["total"].backward()
             opt.step()
