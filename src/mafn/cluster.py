@@ -18,6 +18,17 @@ the row-major einsum it replaced, over column blocks of at most ``BLOCK_BYTES``
 of distances in buffers reused from block to block: a pass stays in L2 and
 builds no (k, n) temporary.  No bit moves, as every distance is elementwise, a
 minimum is exact and the seeding potentials still sum over whole rows.
+
+On points that span more than one block, each Lloyd pass after the first
+computes every own-centroid distance exactly and keeps a label without the
+other rows when the triangle inequality proves it: the distance is under half
+the gap to the nearest other centroid (Elkan), or under the point's bound on
+all others, the second smallest at its last full pass less each later pass's
+largest centroid move (Hamerly).  A bound shrinks by ``_MARGIN`` (1e-9,
+relative) and ``_FLOOR`` whenever made or moved, far past rounding and
+underflow, so a proven label is the full kernel's strict minimum and no bit
+moves.  A pass that moves no label ends Lloyd without summing again; the polish
+returns before its (k, n) pass when the centroid gaps prove no move can pay.
 """
 from __future__ import annotations
 
@@ -29,6 +40,7 @@ from .errors import ContractError, DimensionError
 
 # bytes of one (k, w) block of distances; a block's three buffers stay in L2
 BLOCK_BYTES = 1 << 18
+_MARGIN, _FLOOR, _MAX = 1e-9, 1e-140, np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -54,15 +66,16 @@ def _lane_features(d: int):
     return evens, [i + 1 for i in evens if i + 1 < d]
 
 
-def _block_dists(cols: np.ndarray, centroids: np.ndarray):
-    """Yield (column slice, (k, w) squared distances) per block of the points
-    ``cols`` (d, n) against the centroid rows, adding feature columns in
-    :func:`_lane_features` order into buffers that the next block reuses."""
-    (d, n), k = cols.shape, len(centroids)
+def _block_dists(cols: np.ndarray, centroids: np.ndarray, idx=None):
+    """Yield (slice, (k, w) squared distances) per block of the points ``cols``
+    (d, n) or of its columns ``idx`` against the centroid rows, adding feature
+    columns in :func:`_lane_features` order into buffers reused block to block."""
+    d, n, k = cols.shape[0], cols.shape[1] if idx is None else len(idx), len(centroids)
     w = max(1, BLOCK_BYTES // (8 * k))
-    lanes = np.empty((3, k, min(w, n)))
+    lanes, taken = np.empty((3, k, min(w, n))), None if idx is None else np.empty((d, min(w, n)))
     for start in range(0, n, w):
-        x = cols[:, start:start + w]
+        at = slice(start, start + w)
+        x = cols[:, at] if idx is None else np.take(cols, idx[at], axis=1, out=taken[:, :min(w, n - start)], mode="clip")
         even, odd, term = lanes[:, :, :x.shape[1]]
         for lane, features in zip((even, odd), _lane_features(d)):
             for pos, i in enumerate(features):
@@ -71,7 +84,7 @@ def _block_dists(cols: np.ndarray, centroids: np.ndarray):
                 np.multiply(dst, dst, out=dst)
                 if pos:
                     np.add(lane, term, out=lane)
-        yield slice(start, start + x.shape[1]), np.add(even, odd, out=even) if d > 1 else even
+        yield at, np.add(even, odd, out=even) if d > 1 else even
 
 
 def _sq_dists(cols: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
@@ -84,18 +97,68 @@ def _sq_dists(cols: np.ndarray, centroids: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _nearest(cols: np.ndarray, centroids: np.ndarray):
-    """Each point's nearest centroid index and squared distance, block by
-    block; only a strictly smaller distance takes over, so ties go low."""
-    n = cols.shape[1]
+def _own_blocks(cols: np.ndarray, centroids: np.ndarray, labels: np.ndarray):
+    """Yield (slice, own, spare) per block of the points ``cols`` (d, n): the
+    squared distances to their own centroid rows, added as in ``_block_dists``."""
+    (d, n), rows = cols.shape, np.ascontiguousarray(centroids.T)
+    w = max(1, BLOCK_BYTES // (8 * (d + 1)))
+    terms, (evens, odds) = np.empty((d + 1, min(w, n))), _lane_features(d)
+    for start in range(0, n, w):
+        at = slice(start, min(start + w, n))
+        t = np.take(rows, labels[at], axis=1, out=terms[:d, :at.stop - start], mode="clip")
+        np.subtract(cols[:, at], t, out=t)
+        np.multiply(t, t, out=t)
+        for lane in (evens, odds):
+            for i in lane[1:]:
+                np.add(t[lane[0]], t[i], out=t[lane[0]])
+        yield at, np.add(t[evens[0]], t[odds[0]], out=t[evens[0]]) if d > 1 else t[0], terms[d, :at.stop - start]
+
+
+def _nearest(cols: np.ndarray, centroids: np.ndarray, idx=None, bounds=False):
+    """Each point's (of the columns ``idx``, if given) nearest centroid index
+    and squared distance, block by block; only a strictly smaller distance
+    takes over, so ties go low.  ``bounds`` adds its bound on the others."""
+    n = cols.shape[1] if idx is None else len(idx)
     labels, best, closer = np.zeros(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
-    for at, d2 in _block_dists(cols, centroids):
+    second = np.full(n, np.inf) if bounds else None
+    for at, d2 in _block_dists(cols, centroids, idx):
         label, low, less = labels[at], best[at], closer[at]
         low[:] = d2[0]
         for j in range(1, len(d2)):
             np.putmask(label, np.less(d2[j], low, out=less), j)
+            if bounds:                  # the larger of the old minimum and row j, into spent row j - 1
+                np.minimum(second[at], np.maximum(low, d2[j], out=d2[j - 1]), out=second[at])
             np.minimum(low, d2[j], out=low)
-    return labels, best
+    if bounds:                          # an overflowed square says only that the distance passes sqrt(_MAX)
+        np.sqrt(np.minimum(second, _MAX, out=second), out=second)
+        np.subtract(np.multiply(second, 1.0 - _MARGIN, out=second), _FLOOR, out=second)
+    return labels, best, second
+
+
+def _center_gaps(centroids: np.ndarray) -> np.ndarray:
+    """(k, k) distances between the centroid rows (sqrt(_MAX) where a square
+    overflows, a lower bound), +inf on the diagonal."""
+    return np.sqrt(np.minimum(((centroids[:, None] - centroids) ** 2).sum(axis=2), _MAX)) + np.diag([np.inf] * len(centroids))
+
+
+def _assign_pass(cols, centroids, shift, labels, assigned, lower, bounds):
+    """Lloyd's assignment to ``centroids``, none of which moved more than
+    ``shift`` since the pass that left ``labels``, ``assigned`` and ``lower``,
+    by the full kernel on the points the bounds leave open (all if ``lower`` is
+    None).  Returns whether no label moved, and the new (labels, assigned, lower)."""
+    if lower is None:
+        state = _nearest(cols, centroids, bounds=bounds)
+        return np.array_equal(state[0], labels), state
+    half, open_ = 0.5 * (1.0 - _MARGIN) * _center_gaps(centroids).min(axis=1) - _FLOOR, []
+    for at, own, bound in _own_blocks(cols, centroids, labels):
+        assigned[at], low = own, lower[at]
+        np.multiply(np.subtract(low, shift * (1.0 + _MARGIN), out=low), 1.0 - _MARGIN, out=low)   # Hamerly
+        np.maximum(np.take(half, labels[at], out=bound, mode="clip"), low, out=bound)
+        open_.append(at.start + np.flatnonzero(~(np.sqrt(own, out=own) < bound)))   # NaN proves nothing
+    open_ = np.concatenate(open_)
+    new, assigned[open_], lower[open_] = _nearest(cols, centroids, open_, bounds=True)
+    unmoved, labels[open_] = np.array_equal(new, labels[open_]), new
+    return unmoved, (labels, assigned, lower)
 
 
 def _cluster_sums(cols: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -109,7 +172,8 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     n_candidates = min(n, 2 + int(np.log(k))) if k > 1 else 1
     centroids = np.empty((k, cols.shape[0]))
     centroids[0] = cols[:, rng.integers(n)]
-    closest, reach = _sq_dists(cols, centroids[:1])[0], np.empty((n_candidates, n))
+    rows = np.empty((1 + n_candidates, n))      # one block, a restart's largest: glibc trims only past twice that
+    closest, reach = _sq_dists(cols, centroids[:1], out=rows[:1])[0], rows[1:]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -120,6 +184,7 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
         candidates = np.minimum(np.searchsorted(np.cumsum(closest), draws), n - 1)
         for at, d2 in _block_dists(cols, cols[:, candidates].T):
             np.minimum(closest[at], d2, out=reach[:, at])
+        del d2                  # a block is a view: it would hold its buffers into the next step's
         best = int(np.argmin(reach.sum(axis=1)))
         centroids[j] = cols[:, candidates[best]]
         np.copyto(closest, reach[best])
@@ -140,6 +205,15 @@ def _single_point_moves(cols: np.ndarray, labels: np.ndarray, k: int, max_moves:
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     sums = _cluster_sums(cols, labels, k)
     centroids = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+    if counts.all():                    # else an empty cluster takes any point
+        # x of cluster a lies within r_a (its farthest member) of mu_a, so at least |mu_a - mu_b| - r_a from
+        # mu_b, and moving it to b pays only if sqrt(n_b/(n_b+1)) d(x, mu_b) < sqrt(n_a/(n_a-1)) d(x, mu_a)
+        grow, shrink = np.sqrt(counts / (counts + 1.0)), np.sqrt(counts / np.maximum(counts - 1.0, 1.0))
+        limit = ((1.0 - _MARGIN) * grow * _center_gaps(centroids) / (grow + shrink[:, None])).min(axis=1) ** 2
+        checks = (own < limit[labels[cut][part]] for cut in (slice(0, 256), slice(None))   # 256 points refute most
+                  for part, own, _ in _own_blocks(cols[:, cut], centroids, labels[cut]))
+        if all(check.all() for check in checks):
+            return centroids, 0
     d2 = _sq_dists(cols, centroids)
     w = max(1, BLOCK_BYTES // (8 * k))
     delta, best = np.empty((k, min(w, n))), np.empty(n)   # a block of deltas, each point's best
@@ -198,14 +272,17 @@ def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol
     the history holds the objective after every assignment step.
     """
     k = centroids.shape[0]
-    history = []
-    labels, unmoved = None, False
+    bounds = cols.shape[1] > BLOCK_BYTES // (8 * k)      # one block's pass is call overhead, which bounds do not cut
+    history, shift, unmoved, labels, assigned, lower = [], 0.0, False, None, None, None
     for _ in range(max_iter):
-        new_labels, assigned = _nearest(cols, centroids)
+        converged, (labels, assigned, lower) = _assign_pass(cols, centroids, shift, labels, assigned, lower, bounds)
         inertia = float(assigned.sum())
         history.append(inertia)
-        counts = np.bincount(new_labels, minlength=k)[:, None]
-        sums = _cluster_sums(cols, new_labels, k)
+        counts = np.bincount(labels, minlength=k)[:, None]
+        if converged and counts.all():
+            unmoved = True                       # the same labels give the same means
+            break
+        sums = _cluster_sums(cols, labels, k)
         updated = np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
         for j in np.flatnonzero(counts == 0):
             # deterministic repair: move to the point farthest from its centroid
@@ -213,19 +290,19 @@ def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol
             updated[j] = cols[:, far]
             assigned[far] = -1.0                 # keep later repairs off this point
         shift = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1).max()))
-        converged = labels is not None and np.array_equal(labels, new_labels)
         # no repair and not a bit moved: this pass already holds the final assignment
         unmoved = counts.all() and updated.tobytes() == centroids.tobytes()
-        centroids, labels = updated, new_labels
+        centroids = updated
         if converged or shift < tol:
             break
     if not unmoved:
-        labels, assigned = _nearest(cols, centroids)
+        _, (labels, assigned, lower) = _assign_pass(cols, centroids, shift, labels, assigned, lower, bounds)
     inertia = float(assigned.sum())
     history.append(inertia)
     return centroids, labels, inertia, history
 
 
+@np.errstate(over="ignore", invalid="ignore")      # an overflowed distance is +inf, and a NaN bound proves nothing
 def kmeans_fit(
     points: np.ndarray,
     k: int,
@@ -264,6 +341,7 @@ def assign_states(points: np.ndarray, model: ClusterModel) -> np.ndarray:
     return _nearest(np.ascontiguousarray(points.T), model.centroids)[0]
 
 
+@np.errstate(over="ignore")                       # as kmeans_fit
 def relabel_canonical(model: ClusterModel, train_points: np.ndarray) -> ClusterModel:
     """Permute cluster ids into a canonical order.
 

@@ -1236,6 +1236,30 @@ class TestClusterCommand:
         model = json.loads((out / "cluster.json").read_text())
         assert model["k"] == 2
 
+    def test_far_out_setting_prints_no_raw_warning(self, workspace, tmp_path):
+        """One operational setting at 1e200 squares to +inf in every distance
+        to it.  Both commands fit it as its own one-cycle cluster and exit 0,
+        with nothing from numpy on stderr; each printed ``cluster.py:71:
+        RuntimeWarning: overflow encountered in multiply`` before."""
+        rows = (workspace / "data" / "synthetic_train.txt").read_text().splitlines()
+        fields = rows[30].split()
+        fields[2] = "1e200"
+        rows[30] = " ".join(fields)
+        data = tmp_path / "far.txt"
+        data.write_text("\n".join(rows) + "\n")
+        src = str(Path(mafn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for command in ("cluster", "train"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mafn.cli", command, "--data", str(data),
+                 "--config", str(workspace / "smoke.cfg"), "--out", str(tmp_path / command)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Warning" not in proc.stderr, proc.stderr
+        counts = [int(line.split(",")[1]) for line in (tmp_path / "cluster" / "clusters.csv").read_text().split()[1:]]
+        assert sorted(counts) == [1, len(rows) - 1]
+
 
 def fresh_python(code: str) -> str:
     """What ``code`` prints in a fresh interpreter that imports this mafn."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import mafn.cluster
 from mafn.cluster import (
     ClusterModel,
+    _assign_pass,
     _single_point_moves,
     _sq_dists,
     assign_states,
@@ -390,6 +391,133 @@ class TestBlocks:
         kmeans_fit(points, 6, seed=0)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 2_000, f"{faults} minor page faults in one fit of {len(points)} points"
+
+
+class TestBounds:
+    """Lloyd passes after the first keep a label without its other distances
+    only when the triangle inequality proves it; every result stays bit-equal
+    to the row-major references.  The bounds run only on points of more than
+    one block, so most tests shrink ``BLOCK_BYTES``."""
+
+    def test_tight_bound_on_a_tie_proves_nothing(self):
+        """x = 1 lies on the half-gap of c0 = 0 and its own c1 = 2, and its
+        lower bound decays to exactly its own distance 1: only a strict test
+        leaves it open, and the full kernel gives ``_nearest``'s tie-low 0."""
+        labels, assigned = np.array([1]), np.array([1.0])
+        lower = np.array([1.000000001])           # times (1 - 1e-9), exactly 1.0
+        unmoved, _ = _assign_pass(np.array([[1.0]]), np.array([[0.0], [2.0]]), 0.0, labels, assigned, lower, True)
+        assert not unmoved and labels.tolist() == [0] and assigned.tolist() == [1.0]
+
+    def test_coincident_centroids_prove_nothing(self, monkeypatch):
+        """Centroids 0 and 1 coincide, so their half-gap is no bound, and a
+        zero lower bound is none either, even for a point at distance 0:
+        their points are opened and go to the lower index, while the points
+        of the distant centroid 2 stay proven."""
+        cols = np.array([[0.0, 0.5, 9.0, 10.0], [0.0, 0.0, 9.0, 10.0]])
+        centroids = np.array([[0.0, 0.0], [0.0, 0.0], [9.5, 9.5]])
+        labels, assigned, lower = np.array([1, 1, 2, 2]), np.zeros(4), np.zeros(4)
+        opened = []
+        nearest = mafn.cluster._nearest
+        monkeypatch.setattr(mafn.cluster, "_nearest", lambda c, m, idx=None, **kw: opened.append(idx) or nearest(c, m, idx, **kw))
+        unmoved, _ = _assign_pass(cols, centroids, 0.0, labels, assigned, lower, True)
+        assert not unmoved and [o.tolist() for o in opened] == [[0, 1]]
+        assert labels.tolist() == [0, 0, 2, 2]
+        assert assigned.tobytes() == reference_sq_dists(cols.T, centroids).min(axis=1).tobytes()
+
+    def test_empty_cluster_repaired_mid_run(self, monkeypatch):
+        """The third assignment leaves a cluster empty, in a bounded pass."""
+        monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", 8 * 3 * 2)       # blocks of two points
+        points = np.array([[1.5, 0.0], [0.5, 1.5], [-1.0, 2.0], [-1.0, 1.5], [1.0, 0.0], [1.5, -1.5]])
+        init = np.array([[0.0, 1.0], [0.0, -1.5], [0.5, 1.5]])
+        after_two = reference_lloyd(points, init.copy(), 2, 0.0)[0]
+        assert len(np.unique(reference_sq_dists(points, after_two).argmin(axis=1))) == 2
+        got = lloyd_iterations(np.ascontiguousarray(points.T), init.copy(), 20, 0.0)
+        want = reference_lloyd(points, init.copy(), 20, 0.0)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2:] == want[2:] and len(got[3]) > 4
+
+    def test_k1_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", 1 << 12)
+        records, _ = generate(SynthSpec(seed=11, engines=20, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        centroids, inertia, _ = reference_fit(points, 1, 11, restarts=2)
+        model = kmeans_fit(points, 1, seed=11, restarts=2)
+        assert model.centroids.tobytes() == centroids.tobytes() and model.inertia == inertia
+
+    def test_far_out_point_matches_reference(self, monkeypatch):
+        """A setting at 1e200 squares to +inf against every other centroid,
+        and inf - inf bounds are NaN: the fit still equals the reference bit
+        for bit, and warns of nothing."""
+        monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", 1 << 12)
+        records, _ = generate(SynthSpec(seed=11, engines=20, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        points[7, 0] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            centroids, inertia, _ = reference_fit(points, 6, 11)
+        model = kmeans_fit(points, 6, seed=11)
+        assert model.centroids.tobytes() == centroids.tobytes() and model.inertia == inertia
+        assert (model.centroids[:, 0] == 1e200).sum() == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_squares_match_reference(self, seed, monkeypatch):
+        """Points ~1e154 apart square to +inf.  An overflowed gap or second
+        distance says only that the distance passes sqrt(max float), not that
+        it is infinite, so Lloyd keeps the reference's bits, inf inertia too."""
+        monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", 8 * 2 * 4)
+        points = np.random.default_rng(seed).normal(size=(40, 2)) * 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lloyd_iterations(np.ascontiguousarray(points.T), points[:2].copy(), 30, 0.0)
+            want = reference_lloyd(points, points[:2].copy(), 30, 0.0)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        d=st.integers(1, 12),
+        k=st.integers(1, 6),
+        grid=st.sampled_from([None, 4.0, 10.0]),
+        nudge=st.sampled_from([0.0, 1e-6, 1e-2]),
+        width=st.integers(1, 7),
+    )
+    @example(seed=4, n=60, d=1, k=6, grid=4.0, nudge=0.0, width=3)
+    @example(seed=5, n=57, d=11, k=6, grid=None, nudge=1e-2, width=7)
+    def test_converged_start_matches_reference(self, seed, n, d, k, grid, nudge, width):
+        """Lloyd from centroids that the reference already converged, nudged
+        or not: the bounds prove most labels, and centroids, labels, inertia
+        and history keep the reference's bits.  One-feature points lie on the
+        1/4 grid, where every cluster sum is exact."""
+        rng = np.random.default_rng(seed)
+        grid = 4.0 if d == 1 else grid
+        points, init = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        if grid:
+            points = np.round(points * grid) / grid
+        start = reference_lloyd(points, init, 50, 0.0)[0] + nudge * rng.normal(size=(k, d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mafn.cluster, "BLOCK_BYTES", 8 * k * width)
+            got = lloyd_iterations(np.ascontiguousarray(points.T), start.copy(), 50, 0.0)
+        want = reference_lloyd(points, start.copy(), 50, 0.0)
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_idle_polish_builds_no_distance_matrix(self, seed, monkeypatch):
+        """On well-separated FD002-shaped settings the centroid gaps prove
+        that no single-point move pays, so the polish returns before its
+        (k, n) distance pass: the seeding's one-row pass is the only caller."""
+        records, _ = generate(SynthSpec(seed=seed, engines=20, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        rows = []
+        sq_dists = mafn.cluster._sq_dists
+        monkeypatch.setattr(mafn.cluster, "_sq_dists", lambda c, m, out=None: rows.append(len(m)) or sq_dists(c, m, out))
+        model = kmeans_fit(points, 6, seed=seed)
+        assert rows == [1] * 10                   # one per restart, from the seeding
+        centroids, inertia, _ = reference_fit(points, 6, seed)
+        assert model.centroids.tobytes() == centroids.tobytes() and model.inertia == inertia
 
 
 class TestRelabel:
