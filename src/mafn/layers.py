@@ -1,5 +1,5 @@
 """Differentiable layers: embedding, same-padded 1-D convolution, LSTM,
-bidirectional LSTM, additive attention, dense.
+bidirectional LSTM, additive attention, dense (one tape node each).
 
 Layers are immutable parameter containers during inference; training mutates
 their gradients and must be serialized per model instance.  Initialization
@@ -21,7 +21,8 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 
 
 class Dense:
-    """y = x @ W + b, through a ReLU when ``relu``."""
+    """y = x @ W + b, through a ReLU when ``relu``: one
+    :func:`mafn.tensor.dense` node."""
 
     def __init__(self, rng, n_in: int, n_out: int, relu: bool = False):
         self.W = T.parameter(glorot_uniform(rng, n_in, n_out, (n_in, n_out)))
@@ -29,8 +30,7 @@ class Dense:
         self.relu = relu
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.W) + self.b
-        return T.relu(y) if self.relu else y
+        return T.dense(x, self.W, self.b, self.relu)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]

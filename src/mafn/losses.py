@@ -1,9 +1,13 @@
 """The four head losses, their weighted total, and the evaluation metrics.
 
-All losses run through the autodiff tape and are therefore usable as
-training objectives; the metrics operate on plain numpy arrays.  Masked
-losses ignore padded horizon positions entirely: garbage at masked slots
-cannot change the result.
+Each head loss is one tape node, usable as a training objective: its
+forward and backward run in numpy the expressions of the taped graph it
+replaced, in the same order (a division as a product with the reciprocal,
+a negation as a product with -1, reductions over explicit axes), so values
+and gradients are bit-equal to that graph's, whose ``_unbroadcast`` calls
+were identities.  The metrics operate on plain numpy arrays.  Masked losses
+ignore padded horizon positions entirely: garbage at masked slots cannot
+change the result.
 """
 from __future__ import annotations
 
@@ -38,16 +42,24 @@ def state_loss(logits: Tensor, targets, mask) -> Tensor:
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
-    k = logits.shape[-1]
     if targets.shape != logits.shape[:-1] or mask.shape != targets.shape:
         raise ContractError(
             f"state_loss shapes disagree: logits {logits.shape}, targets {targets.shape}, mask {mask.shape}"
         )
+    if np.isnan(logits.data).any():
+        raise NumericError("log_softmax input contains NaN")
     onehot = np.zeros(logits.shape)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-    lp = T.log_softmax(logits, axis=-1)
-    picked = (lp * Tensor(onehot)).sum(axis=-1)
-    return -(picked * Tensor(mask)).sum() / max(float(mask.sum()), 1.0)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    scale = 1.0 / max(float(mask.sum()), 1.0)
+    picked = (lp * onehot).sum(axis=-1)
+
+    def grad_fn(g):
+        g = (((g * scale) * -1.0) * mask)[..., None] * onehot
+        return (g - np.exp(lp) * g.sum(axis=-1, keepdims=True),)
+
+    return T._make(((picked * mask).sum(axis=_all(mask)) * -1.0) * scale, (logits,), grad_fn, "state_loss")
 
 
 def degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
@@ -59,11 +71,19 @@ def degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
     h = trend.shape[-1]
     if h < 2:
         raise ContractError(f"degradation_loss needs a horizon >= 2, got {h}")
-    diffs = trend[..., 1:] - trend[..., :-1]
-    mono = T.relu(-diffs).sum(axis=-1)
-    smooth = T.square(diffs).sum(axis=-1)
-    per_sample = (mono + lambda_smooth * smooth) / float(h - 1)
-    return per_sample.mean() if per_sample.ndim else per_sample
+    diffs = trend.data[..., 1:] - trend.data[..., :-1]
+    falls = diffs * -1.0
+    scale = 1.0 / float(h - 1)
+    per_sample = (np.maximum(falls, 0.0).sum(axis=-1) + lambda_smooth * (diffs * diffs).sum(axis=-1)) * scale
+
+    def grad_fn(g):
+        g = ((g / per_sample.size) * scale)[..., None]
+        g = (g * (falls > 0.0)) * -1.0 + ((g * lambda_smooth) * 2.0) * diffs
+        later, earlier = np.zeros_like(trend.data), np.zeros_like(trend.data)
+        later[..., 1:], earlier[..., :-1] = g, -g
+        return (later + earlier,)
+
+    return T._make(per_sample.mean(axis=_all(per_sample)), (trend,), grad_fn, "degradation_loss")
 
 
 def forecast_loss(pred: Tensor, target, mask) -> Tensor:
@@ -78,8 +98,13 @@ def forecast_loss(pred: Tensor, target, mask) -> Tensor:
         raise ContractError(
             f"forecast_loss shapes disagree: pred {pred.shape}, target {target.shape}, mask {mask.shape}"
         )
-    sq = T.square(pred - Tensor(target)).sum(axis=-1)
-    return (sq * Tensor(mask)).sum() / max(float(mask.sum()), 1.0)
+    diff = pred.data - target
+    scale = 1.0 / max(float(mask.sum()), 1.0)
+
+    def grad_fn(g):
+        return ((((g * scale) * mask)[..., None] * 2.0) * diff,)
+
+    return T._make(((diff * diff).sum(axis=-1) * mask).sum(axis=_all(mask)) * scale, (pred,), grad_fn, "forecast_loss")
 
 
 def rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> Tensor:
@@ -92,10 +117,18 @@ def rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> T
         raise ContractError("rul_loss needs a nonempty batch")
     if pred.shape != target.shape:
         raise ContractError(f"rul_loss shapes disagree: pred {pred.shape}, target {target.shape}")
-    diff = pred - Tensor(target)
-    late = T.square(T.relu(diff))
-    early = T.square(T.relu(-diff))
-    return (lambda_late * late + lambda_early * early).mean()
+    diff = pred.data - target
+    rises = diff * -1.0
+    late, early = np.maximum(diff, 0.0), np.maximum(rises, 0.0)
+
+    def grad_fn(g):
+        g = g / diff.size
+        d_late = ((g * lambda_late) * 2.0 * late) * (diff > 0.0)
+        d_early = (((g * lambda_early) * 2.0 * early) * (rises > 0.0)) * -1.0
+        return (d_late + d_early,)
+
+    per_sample = lambda_late * (late * late) + lambda_early * (early * early)
+    return T._make(per_sample.mean(axis=_all(per_sample)), (pred,), grad_fn, "rul_loss")
 
 
 def total_loss(components: dict, weights) -> Tensor:
@@ -125,6 +158,11 @@ def total_loss(components: dict, weights) -> Tensor:
     if np.isnan(out.data).any():
         raise NumericError("weighted total loss is NaN")
     return out
+
+
+def _all(a: np.ndarray) -> tuple:
+    """Every axis of ``a``: the taped graph reduced over this tuple, not None."""
+    return tuple(range(a.ndim))
 
 
 # -- evaluation metrics ---------------------------------------------------------

@@ -4,7 +4,10 @@ Every forward operation records a node on a dynamic tape (parent links plus
 a closure computing parent gradients from the output gradient).  Calling
 ``backward()`` on a scalar tensor topologically sorts the tape and pushes
 gradients back, accumulating additively into the leaves' ``.grad`` so
-repeated backward passes without zeroing sum their contributions.
+repeated backward passes without zeroing sum their contributions.  A layer
+or a head loss records one node (``dense``, ``conv1d``, ``additive_attention``,
+``lstm_scan``, and the losses through ``_make``) whose backward repeats the
+arithmetic of the graph of small ops it replaced, bit for bit.
 
 All data is float64: the finite-difference checks this package leans on
 need double precision.  Broadcasting follows numpy rules; shapes that do
@@ -77,10 +80,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __repr__(self):
-        tag = f" op={self._op}" if self._op else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
     # -- gradient bookkeeping ------------------------------------------------
 
     def zero_grad(self):
@@ -119,31 +118,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, as_tensor(1.0 / float(other)))
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -241,22 +223,43 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _product(a: Tensor, b: Tensor) -> np.ndarray:
+    """``a.data @ b.data``; operands that do not multiply raise DimensionError."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        out = a.data @ b.data
+        return a.data @ b.data
     except ValueError:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}") from None
 
-    def grad_fn(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
 
-    return _make(out, (a, b), grad_fn, "matmul")
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return _make(_product(a, b), (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
+
+
+def dense(x: Tensor, W: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``x @ W + b`` for a (n_out,) bias, through a ReLU when ``relu``, as
+    one tape node.  The backward repeats the taped matmul, add and ReLU:
+    the mask product, the bias gradient summed down to ``b``, then the
+    matmul's two products."""
+    if b.shape != W.shape[-1:]:
+        raise DimensionError(f"dense bias {b.shape} does not fit weights {W.shape}")
+    y = _product(x, W) + b.data
+
+    def grad_fn(g):
+        if relu:
+            g = g * (y > 0.0)
+        return (*_matmul_grads(g, x, W), _unbroadcast(g, b.shape))
+
+    return _make(np.maximum(y, 0.0) if relu else y, (x, W, b), grad_fn, "dense")
 
 
 # -- pointwise nonlinearities --------------------------------------------------
@@ -266,27 +269,6 @@ def relu(x: Tensor) -> Tensor:
     # subgradient at exactly 0 is 0
     out = np.maximum(x.data, 0.0)
     return _make(out, (x,), lambda g: (g * (x.data > 0.0),), "relu")
-
-
-def square(x: Tensor) -> Tensor:
-    out = x.data * x.data
-    return _make(out, (x,), lambda g: (g * 2.0 * x.data,), "square")
-
-
-# -- normalizers ----------------------------------------------------------------
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.isnan(x.data).any():
-        raise NumericError("log_softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def grad_fn(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, (x,), grad_fn, "log_softmax")
 
 
 # -- shape surgery ---------------------------------------------------------------

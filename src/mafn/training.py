@@ -1,5 +1,5 @@
-"""Mini-batch training: Adam, loss weighting, gradient clipping, early
-stopping, and seeded reproducibility.
+"""Mini-batch training: Adam over flat moment arrays, loss weighting,
+gradient clipping, early stopping, and seeded reproducibility.
 
 Given (seed, config, data) the produced parameters are bit-for-bit
 deterministic: initialization, shuffling, and every update draw from
@@ -28,7 +28,11 @@ LOG_COLUMNS = ("epoch", "L_state", "L_degradation", "L_forecast", "L_RUL", "L_to
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict.  The moments are two
+    flat float64 arrays in parameter order; each step gathers the gradients
+    and the parameters with one concatenate each, updates them with in-place
+    ufuncs in the per-parameter expression order, and rebinds each
+    parameter's ``data`` to its view of the updated array."""
 
     def __init__(self, params: "OrderedDict[str, Tensor]", lr: float, beta1: float = TrainConfig.beta1,
                  beta2: float = TrainConfig.beta2, eps: float = TrainConfig.adam_eps):
@@ -38,25 +42,43 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        sizes = [p.data.size for p in params.values()]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+        self._offsets = np.cumsum(sizes)[:-1]
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
+        """One update; a parameter without a gradient raises before any
+        moment, parameter or the step count changes."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"adam step: parameter {name!r} has no gradient")
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / (1.0 - self.beta1 ** t)
-            v_hat = self.v[name] / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.step_count += 1
+        t, m, v = self.step_count, self.m, self.v
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params.values()])
+        data = np.concatenate([p.data.reshape(-1) for p in self.params.values()])
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + ((1 - b2) * g) * g
+        update = np.multiply(g, 1.0 - self.beta1)
+        m *= self.beta1
+        m += update
+        np.multiply(g, 1.0 - self.beta2, out=update)
+        update *= g
+        v *= self.beta2
+        v += update
+        # data - lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1.0 - self.beta1 ** t, out=update)
+        update *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        update /= g
+        data -= update
+        for p, view in zip(self.params.values(), np.split(data, self._offsets)):
+            p.data = view.reshape(p.data.shape)
 
 
 def clip_gradients(params: "OrderedDict[str, Tensor]", max_norm: float) -> float:

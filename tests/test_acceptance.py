@@ -35,6 +35,7 @@ from mafn.model import MafnModel, PreprocessBundle, clamp_rul
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import evaluate_cutoffs, train
 from mafn.tensor import Tensor
+from tests.test_fused_ops import sum_of_squares
 from tests.test_layers import naive_conv1d
 
 
@@ -88,12 +89,12 @@ def test_criterion_1_gradient_suite():
     for g in _instance_rngs():
         table = nn.EmbeddingTable(g, 3, 2)
         ids = g.integers(0, 3, size=4)
-        check_gradients(lambda: T.square(table(ids)).sum(), [table.weights])
+        check_gradients(lambda: sum_of_squares(table(ids)), [table.weights])
 
     for i, g in enumerate(_instance_rngs()):
         conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3)
         x = T.parameter(g.normal(size=(1, 5, 2)))
-        check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
+        check_gradients(lambda: sum_of_squares(conv(x)), [x, conv.W, conv.b])
 
     for g in _instance_rngs():
         cell = nn.LstmCell(g, 2, 2)
@@ -103,7 +104,7 @@ def test_criterion_1_gradient_suite():
         def scan_loss():
             # two steps of a constant input: the second step's h reads the first step's c
             h = T.lstm_scan([(x, cell.W_x, h0, c0, cell.W_h, cell.b)], 2)
-            return T.square(h).sum()
+            return sum_of_squares(h)
 
         check_gradients(scan_loss, [x] + [t for _, t in cell.parameters()])
 
@@ -111,7 +112,7 @@ def test_criterion_1_gradient_suite():
         fwd, bwd = nn.LstmCell(g, 2, 2), nn.LstmCell(g, 2, 2)
         x = T.parameter(g.normal(size=(1, 3, 2)))
         params = [t for _, t in fwd.parameters()] + [t for _, t in bwd.parameters()]
-        check_gradients(lambda: T.square(nn.bilstm(x, fwd, bwd)).sum(), [x] + params)
+        check_gradients(lambda: sum_of_squares(nn.bilstm(x, fwd, bwd)), [x] + params)
 
     for g in _instance_rngs():
         attn = nn.Attention(g, 4, 3)
@@ -119,14 +120,14 @@ def test_criterion_1_gradient_suite():
 
         def attn_loss():
             context, _ = attn(h)
-            return T.square(context).sum()
+            return sum_of_squares(context)
 
         check_gradients(attn_loss, [h] + [t for _, t in attn.parameters()])
 
     for g in _instance_rngs():
         layer = nn.Dense(g, 3, 2, relu=True)
         x = T.parameter(g.normal(size=(2, 3)))
-        check_gradients(lambda: T.square(layer(x)).sum(), [x, layer.W, layer.b])
+        check_gradients(lambda: sum_of_squares(layer(x)), [x, layer.W, layer.b])
 
     for g in _instance_rngs():
         logits = T.parameter(g.normal(size=(4, 3)))

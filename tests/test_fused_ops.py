@@ -1,10 +1,12 @@
-"""``tensor.conv1d`` and ``tensor.additive_attention`` against the taped
-graphs they replace.
+"""``tensor.conv1d``, ``tensor.additive_attention``, ``tensor.dense`` and
+the four head losses against the taped graphs they replace.
 
-The references are the layers' code before the fusion: a convolution built
-from zero pads, tap slices, two concats and a matmul, and attention built
-from about ten taped ops around a taped softmax.  Outputs and every
-gradient must be equal bit for bit, the sign of zero included.
+The references are the code before the fusion: a convolution built from
+zero pads, tap slices, two concats and a matmul; attention built from about
+ten taped ops around a taped softmax; a Dense layer as a taped matmul, bias
+add and ReLU; and each head loss as the taped graph of its formula, with a
+taped square and log-softmax.  Outputs and every gradient must be equal bit
+for bit, the sign of zero included.
 """
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafn import layers as nn
+from mafn import losses as L
 from mafn import tensor as T
 from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
@@ -23,6 +26,70 @@ def taped_tanh(x: Tensor) -> Tensor:
     smooth op for the tape's own gradient tests."""
     out = np.tanh(x.data)
     return T._make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
+
+
+def taped_square(x: Tensor) -> Tensor:
+    """The taped square the losses used; its backward is ``(g * 2.0) * x``."""
+    return T._make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,), "square")
+
+
+def sum_of_squares(x: Tensor) -> Tensor:
+    """A smooth scalar loss of ``x`` for gradient checks."""
+    return (x * x).sum()
+
+
+def taped_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """The taped log-softmax the state loss used."""
+    if np.isnan(x.data).any():
+        raise NumericError("log_softmax input contains NaN")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return T._make(out, (x,), lambda g: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),), "log_softmax")
+
+
+def negated(x: Tensor) -> Tensor:
+    """``-x`` as the tape recorded it: a product with a 0-d -1."""
+    return T.mul(x, T.as_tensor(-1.0))
+
+
+def divided(x: Tensor, d: float) -> Tensor:
+    """``x / d`` as the tape recorded it: a product with a 0-d reciprocal."""
+    return T.mul(x, T.as_tensor(1.0 / float(d)))
+
+
+def reference_dense(layer: nn.Dense, x: Tensor) -> Tensor:
+    """``Dense.__call__`` as a taped matmul, bias add and ReLU."""
+    y = T.matmul(x, layer.W) + layer.b
+    return T.relu(y) if layer.relu else y
+
+
+def reference_state_loss(logits: Tensor, targets, mask) -> Tensor:
+    targets, mask = np.asarray(targets, dtype=np.int64), np.asarray(mask, dtype=np.float64)
+    onehot = np.zeros(logits.shape)
+    np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
+    picked = (taped_log_softmax(logits, axis=-1) * Tensor(onehot)).sum(axis=-1)
+    return divided(negated((picked * Tensor(mask)).sum()), max(float(mask.sum()), 1.0))
+
+
+def reference_degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
+    diffs = trend[..., 1:] - trend[..., :-1]
+    mono = T.relu(negated(diffs)).sum(axis=-1)
+    smooth = taped_square(diffs).sum(axis=-1)
+    per_sample = divided(mono + lambda_smooth * smooth, trend.shape[-1] - 1)
+    return per_sample.mean() if per_sample.ndim else per_sample
+
+
+def reference_forecast_loss(pred: Tensor, target, mask) -> Tensor:
+    target, mask = np.asarray(target, dtype=np.float64), np.asarray(mask, dtype=np.float64)
+    sq = taped_square(pred - Tensor(target)).sum(axis=-1)
+    return divided((sq * Tensor(mask)).sum(), max(float(mask.sum()), 1.0))
+
+
+def reference_rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> Tensor:
+    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
+    late = taped_square(T.relu(diff))
+    early = taped_square(T.relu(negated(diff)))
+    return (lambda_late * late + lambda_early * early).mean()
 
 
 def reference_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -144,7 +211,7 @@ class TestConv1dOp:
     def test_gradients(self, rng, kernel, t_len):
         conv = nn.Conv1d(rng, 2, 3, kernel)
         x = T.parameter(rng.normal(size=(2, t_len, 2)))
-        check_gradients(lambda: T.square(T.conv1d(x, conv.W) + conv.b).sum(), [x, conv.W, conv.b])
+        check_gradients(lambda: sum_of_squares(T.conv1d(x, conv.W) + conv.b), [x, conv.W, conv.b])
 
     @pytest.mark.parametrize("shape", [(5, 3), (1, 5, 2), (1, 5, 3, 1)])
     def test_bad_input_shape_rejected(self, rng, shape):
@@ -183,10 +250,121 @@ class TestAdditiveAttentionOp:
     def test_gradients(self, rng, t_len):
         attn = nn.Attention(rng, 4, 3)
         h = T.parameter(rng.normal(size=(2, t_len, 4)))
-        check_gradients(lambda: T.square(attn(h)[0]).sum(), [h] + [t for _, t in attn.parameters()])
+        check_gradients(lambda: sum_of_squares(attn(h)[0]), [h] + [t for _, t in attn.parameters()])
 
     @pytest.mark.parametrize("shape", [(5, 4), (1, 5, 3)])
     def test_bad_input_shape_rejected(self, rng, shape):
         attn = nn.Attention(rng, 4, 3)
         with pytest.raises(DimensionError):
             attn(Tensor(np.zeros(shape)))
+
+
+@st.composite
+def dense_cases(draw):
+    lead = (draw(st.sampled_from([1, 7, 64])),) + ((draw(st.integers(2, 6)),) if draw(st.booleans()) else ())
+    return (lead, draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.booleans()), draw(ZERO_SHARES),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestDenseOp:
+    @settings(max_examples=80, deadline=None)
+    @given(dense_cases())
+    def test_bits_match_taped_graph(self, case):
+        lead, n_in, n_out, relu, share, seed = case
+        rng = np.random.default_rng(seed)
+        layer = nn.Dense(rng, n_in, n_out, relu=relu)
+        layer.b.data = with_zeros(rng, n_out, 0.3)
+        dead = rng.random(n_out) < 0.3          # pre-activations of exactly 0 in these columns
+        layer.W.data[:, dead], layer.b.data[dead] = 0.0, 0.0
+        x = T.parameter(with_zeros(rng, lead + (n_in,), 0.2))
+        upstream = with_zeros(rng, lead + (n_out,), share)
+        leaves = [x, layer.W, layer.b]
+        out, grads = grads_of(lambda: layer(x), leaves, upstream)
+        ref_out, ref_grads = grads_of(lambda: reference_dense(layer, x), leaves, upstream)
+        assert_bits_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert_bits_equal(g, ref)
+
+    def test_one_tape_node(self, rng):
+        layer = nn.Dense(rng, 3, 2, relu=True)
+        x = T.parameter(rng.normal(size=(4, 5, 3)))
+        out = layer(x)
+        assert out._op == "dense" and out._parents == (x, layer.W, layer.b)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)])
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients(self, rng, shape, relu):
+        layer = nn.Dense(rng, 3, 2, relu=relu)
+        layer.b.data = rng.normal(size=2)
+        x = T.parameter(rng.normal(size=shape))
+        check_gradients(lambda: sum_of_squares(layer(x)), [x, layer.W, layer.b])
+
+    def test_bad_shapes_rejected(self, rng):
+        W = Tensor(np.zeros((3, 2)))
+        with pytest.raises(DimensionError, match=r"inner dimensions disagree: \(4, 2\) @ \(3, 2\)"):
+            T.dense(Tensor(np.zeros((4, 2))), W, Tensor(np.zeros(2)), True)
+        with pytest.raises(DimensionError, match=r"dense bias \(3,\) does not fit weights \(3, 2\)"):
+            T.dense(Tensor(np.zeros((4, 3))), W, Tensor(np.zeros(3)), False)
+
+
+@st.composite
+def loss_cases(draw):
+    return (draw(st.sampled_from([1, 7, 64])), draw(st.integers(2, 6)), draw(st.integers(1, 6)),
+            draw(st.sampled_from(["zeros", "ones", "mixed"])), draw(st.integers(0, 2**32 - 1)))
+
+
+def head_losses(rng, batch, horizon, k, mask_kind):
+    """Each fused head loss, its taped reference and its input, on inputs
+    with ties: repeated trend steps and predictions equal to their targets
+    put the ReLUs' pre-activations at exactly 0."""
+    mask = np.full((batch, horizon), float(mask_kind == "ones"))
+    if mask_kind == "mixed":
+        mask = (rng.random((batch, horizon)) < 0.5).astype(np.float64)
+    targets = rng.integers(0, k, size=(batch, horizon))
+    trend = rng.normal(size=(batch, horizon))
+    trend[rng.random((batch, horizon)) < 0.3] = 0.5
+    sensors = rng.normal(size=(batch, horizon, 3))
+    rul_target = rng.random(batch)
+    rul = np.where(rng.random(batch) < 0.3, rul_target, rng.normal(size=batch))
+    smooth, late, early = rng.choice([0.0, 0.1, 1.3]), rng.uniform(1.0, 3.0), rng.uniform(0.0, 1.0)
+    target = with_zeros(rng, (batch, horizon, 3), 0.2)
+    return [
+        (L.state_loss, reference_state_loss, rng.normal(size=(batch, horizon, k)) * 3.0, (targets, mask)),
+        (L.degradation_loss, reference_degradation_loss, trend, (smooth,)),
+        (L.forecast_loss, reference_forecast_loss, sensors, (target, mask)),
+        (L.rul_loss, reference_rul_loss, rul, (rul_target, late, early)),
+    ]
+
+
+class TestHeadLossOps:
+    @settings(max_examples=60, deadline=None)
+    @given(loss_cases(), st.sampled_from([1.0, 0.3, -0.0]))
+    def test_bits_match_taped_graph(self, case, upstream):
+        batch, horizon, k, mask_kind, seed = case
+        for fused, reference, data, args in head_losses(np.random.default_rng(seed), batch, horizon, k, mask_kind):
+            x = T.parameter(data)
+            value, (grad,) = grads_of(lambda: fused(x, *args), [x], upstream)
+            ref_value, (ref_grad,) = grads_of(lambda: reference(x, *args), [x], upstream)
+            assert_bits_equal(value, ref_value)
+            assert_bits_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("mask_kind", ["zeros", "ones", "mixed"])
+    def test_one_tape_node_and_gradients(self, rng, mask_kind):
+        for fused, _, data, args in head_losses(rng, 3, 4, 3, mask_kind):
+            x = T.parameter(data + rng.normal(size=data.shape) * 1e-3)   # off the ReLUs' kinks
+            loss = fused(x, *args)
+            assert loss._op == fused.__name__ and loss._parents == (x,)
+            check_gradients(lambda: fused(x, *args), [x])
+
+    def test_one_dimensional_trend(self, rng):
+        trend = T.parameter(rng.normal(size=5))
+        value, (grad,) = grads_of(lambda: L.degradation_loss(trend, 0.2), [trend], 1.0)
+        ref_value, (ref_grad,) = grads_of(lambda: reference_degradation_loss(trend, 0.2), [trend], 1.0)
+        assert_bits_equal(value, ref_value)
+        assert_bits_equal(grad, ref_grad)
+
+    def test_untaped_under_no_grad(self, rng):
+        x = T.parameter(rng.normal(size=(2, 3, 4)))
+        with T.no_grad():
+            loss = L.state_loss(x, np.zeros((2, 3), dtype=int), np.ones((2, 3)))
+        assert not loss.requires_grad and loss._grad_fn is None

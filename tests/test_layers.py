@@ -14,7 +14,7 @@ from mafn.errors import ContractError, DimensionError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel
 from mafn.tensor import Tensor
-from tests.test_fused_ops import ZERO_SHARES, assert_bits_equal, with_zeros
+from tests.test_fused_ops import ZERO_SHARES, assert_bits_equal, sum_of_squares, with_zeros
 
 
 def naive_conv1d(x, W, b, kernel):
@@ -106,7 +106,7 @@ class TestConv1d:
     def test_gradients(self, rng):
         conv = nn.Conv1d(rng, 2, 2, 3)
         x = T.parameter(rng.normal(size=(1, 5, 2)))
-        check_gradients(lambda: T.square(conv(x)).sum(), [x, conv.W, conv.b])
+        check_gradients(lambda: sum_of_squares(conv(x)), [x, conv.W, conv.b])
 
 
 def numpy_lstm(xw, W_h, b, h, c, dhidden=None):
@@ -267,7 +267,7 @@ class TestLstm:
 
         def loss():
             # the second step's h reads the first step's c
-            return T.square(scan_cell(cell, x, h0, c0, steps=2)).sum()
+            return sum_of_squares(scan_cell(cell, x, h0, c0, steps=2))
 
         tensors = [x] + [t for _, t in cell.parameters()]
         check_gradients(loss, tensors)
@@ -534,7 +534,7 @@ class TestLstmScan:
         x = T.parameter(rng.normal(size=(2, 5, 3)))
         h0, c0 = zero_state(cell, 2)
         hidden = T.lstm_scan([(x, cell.W_x, h0, c0, cell.W_h, cell.b)], 5)
-        loss = T.square(hidden).sum()
+        loss = sum_of_squares(hidden)
         loss.backward()
         assert hidden.grad is None and loss.grad is None
         leaves = [x, cell.W_x, cell.W_h, cell.b]
@@ -664,7 +664,7 @@ class TestAttention:
 
         def loss():
             context, _ = attn(h)
-            return T.square(context).sum()
+            return sum_of_squares(context)
 
         check_gradients(loss, [h] + [t for _, t in attn.parameters()])
 
@@ -691,4 +691,4 @@ class TestDense:
     def test_gradients(self, rng):
         layer = nn.Dense(rng, 3, 2, relu=True)
         x = T.parameter(rng.normal(size=(4, 3)))
-        check_gradients(lambda: T.square(layer(x)).sum(), [x, layer.W, layer.b])
+        check_gradients(lambda: sum_of_squares(layer(x)), [x, layer.W, layer.b])

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import logging
 import re
 import warnings
@@ -15,10 +16,11 @@ from mafn import tensor as T
 from mafn import training
 from mafn.pipeline import fit_pipeline, train_run, windows_for_records
 from mafn.config import TrainConfig
-from mafn.data import pack_windows, parse_cmapss, split_by_engine, truncate_at_fraction, write_cmapss
+from mafn.data import WindowDataset, pack_windows, parse_cmapss, split_by_engine, truncate_at_fraction, write_cmapss
 from mafn.errors import ContractError, NumericError
 from mafn.model import MafnModel, PreprocessBundle, forecast_trajectory, predict_rul
 from mafn.synthetic import SynthSpec, generate
+from tests.test_fused_ops import sum_of_squares
 from mafn.training import (
     CUTOFF_GRID,
     Adam,
@@ -74,7 +76,7 @@ class TestAdam:
         opt = Adam(OrderedDict(x=p), lr=0.1)
         for _ in range(500):
             opt.zero_grad()
-            loss = T.square(p).sum()
+            loss = sum_of_squares(p)
             loss.backward()
             opt.step()
         assert abs(p.data[0]) < 1e-2
@@ -91,6 +93,49 @@ class TestAdam:
         opt = Adam(OrderedDict(weight=T.parameter([1.0])), lr=0.1)
         with pytest.raises(ContractError, match="weight"):
             opt.step()
+
+    def test_failed_step_changes_nothing(self):
+        a, b = T.parameter([1.0, 2.0]), T.parameter([3.0])
+        opt = Adam(OrderedDict(a=a, b=b), lr=0.1)
+        a.grad = np.array([1.0, -1.0])
+        with pytest.raises(ContractError, match="'b' has no gradient"):
+            opt.step()
+        assert opt.step_count == 0 and not opt.m.any() and not opt.v.any()
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [3.0])
+        # the next good step is a fresh optimizer's first, bit for bit
+        b.grad = np.array([0.5])
+        opt.step()
+        fresh_a, fresh_b = T.parameter([1.0, 2.0]), T.parameter([3.0])
+        fresh = Adam(OrderedDict(a=fresh_a, b=fresh_b), lr=0.1)
+        fresh_a.grad, fresh_b.grad = np.array([1.0, -1.0]), np.array([0.5])
+        fresh.step()
+        assert opt.step_count == fresh.step_count == 1
+        for got, want in ((a.data, fresh_a.data), (b.data, fresh_b.data), (opt.m, fresh.m), (opt.v, fresh.v)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_bits_match_per_parameter_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(3, 4), (4,), (2, 1, 3), (1,)]
+        params = OrderedDict((f"p{i}", T.parameter(rng.normal(size=s))) for i, s in enumerate(shapes))
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in ref.items()}
+        v = {name: np.zeros_like(p) for name, p in ref.items()}
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, b1, b2, eps)
+        for t in range(1, 6):
+            for name, p in params.items():
+                p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-8, 3)
+                # the update as one loop per parameter
+                g = p.grad
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat, v_hat = m[name] / (1.0 - b1 ** t), v[name] / (1.0 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            for name, p in params.items():
+                assert p.data.shape == ref[name].shape and p.data.tobytes() == ref[name].tobytes()
 
     def test_clip_rescales_to_max_norm(self):
         p = T.parameter(np.zeros(4))
@@ -161,6 +206,45 @@ class TestTrainLoop:
         train_ds.sensors[train_ds.starts[i] + cfg.window + cfg.horizon - 1, 0] = np.nan
         with pytest.raises(NumericError, match=r"forecast.*epoch 1, batch \d"):
             train(train_ds, val_ds, cfg, 11)
+
+
+def training_step_digest():
+    """sha256 of the four component losses of three ``train``-loop steps
+    (zero_grad, losses, backward, clipping, Adam) and of every parameter
+    after them: a default-config model (seed 0) on fixed synthetic windows,
+    two in five horizons cut short and one window in five fully masked."""
+    cfg = TrainConfig()
+    rng = np.random.default_rng(3)
+    n_windows, n_sensors = 3 * cfg.batch_size, 14
+    rows = n_windows + cfg.window + cfg.horizon
+    mask = np.ones((n_windows, cfg.horizon))
+    mask[::3, 2:] = 0.0
+    mask[1::5] = 0.0
+    ds = WindowDataset(sensors=rng.normal(size=(rows, n_sensors)),
+                       state_ids=rng.integers(0, cfg.k_states, size=rows),
+                       starts=np.arange(n_windows), mask=mask,
+                       rul=rng.uniform(0.0, cfg.rul_cap, size=n_windows), window=cfg.window)
+    model = MafnModel(cfg, n_sensors, np.random.default_rng(0))
+    params = model.parameters()
+    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    digest = hashlib.sha256()
+    for idx in rng.permutation(n_windows).reshape(3, cfg.batch_size):
+        opt.zero_grad()
+        components = _batch_losses(model, ds, idx, cfg)
+        components["total"].backward()
+        clip_gradients(params, cfg.grad_clip)
+        opt.step()
+        for name in ("state", "forecast", "degradation", "rul"):
+            digest.update(components[name].data.tobytes())
+    for p in params.values():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+def test_training_step_bits():
+    # the losses and Adam, bit for bit: a change to their arithmetic shows
+    # here before it reaches the golden checkpoint hashes
+    assert training_step_digest() == "b0516cf56b11367b1a27f4ee6abf6a06874239ece17d682a835c22f90b88b700"
 
 
 # four engines of 20-24 cycles: every window ending at end of life has an
