@@ -50,11 +50,13 @@ class EmbeddingTable:
 
 
 class Conv1d:
-    """Temporal convolution with stride 1 and same (zero) padding, then ReLU.
+    """Temporal convolution with stride 1 and same (zero) padding, then bias
+    and ReLU.
 
     Kernels have shape (kernel, channels, filters); padding is
     floor((kernel-1)/2) on the left and kernel-1-p on the right so the
-    output length equals the input length; :func:`mafn.tensor.conv1d` is one node.
+    output length equals the input length; :func:`mafn.tensor.conv1d` is one
+    node, the bias and ReLU inside it.
     """
 
     def __init__(self, rng, n_channels: int, n_filters: int, kernel: int):
@@ -63,7 +65,7 @@ class Conv1d:
         self.b = T.parameter(np.zeros(n_filters))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.relu(T.conv1d(x, self.W) + self.b)
+        return T.conv1d(x, self.W, self.b)
 
     def parameters(self):
         return [("W", self.W), ("b", self.b)]

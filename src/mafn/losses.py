@@ -1,13 +1,13 @@
 """The four head losses, their weighted total, and the evaluation metrics.
 
-Each head loss is one tape node, usable as a training objective: its
-forward and backward run in numpy the expressions of the taped graph it
-replaced, in the same order (a division as a product with the reciprocal,
-a negation as a product with -1, reductions over explicit axes), so values
-and gradients are bit-equal to that graph's, whose ``_unbroadcast`` calls
-were identities.  The metrics operate on plain numpy arrays.  Masked losses
-ignore padded horizon positions entirely: garbage at masked slots cannot
-change the result.
+Each head loss and their weighted total is one tape node, usable as a
+training objective: its forward and backward run in numpy the expressions
+of the taped graph it replaced, in the same order (a division as a product
+with the reciprocal, a negation as a product with -1, reductions over
+explicit axes), so values and gradients are bit-equal to that graph's,
+whose ``_unbroadcast`` calls were identities.  The metrics operate on plain
+numpy arrays.  Masked losses ignore padded horizon positions entirely:
+garbage at masked slots cannot change the result.
 """
 from __future__ import annotations
 
@@ -135,7 +135,10 @@ def total_loss(components: dict, weights) -> Tensor:
     """w_state*L_state + w_degradation*L_degradation + w_forecast*L_forecast + w_rul*L_rul,
     the weights read from ``weights``, a ``LossWeights`` or a ``TrainConfig``.
 
-    Raises NumericError when a component or the weighted sum (0 * inf) is NaN.
+    One tape node: its forward sums ``w * L`` in component order, each weight
+    a 0-d float64, and its backward is ``g * w`` per component, bit-equal to
+    the taped products and sums it replaced.  Raises NumericError when a
+    component or the weighted sum (0 * inf) is NaN.
     """
     for name, value in components.items():
         if np.isnan(value.data).any():
@@ -149,15 +152,16 @@ def total_loss(components: dict, weights) -> Tensor:
     unknown = set(components) - set(w)
     if unknown:
         raise ContractError(f"unknown loss components: {sorted(unknown)}")
-    out = None
-    for name, value in components.items():
-        term = w[name] * value
-        out = term if out is None else out + term
-    if out is None:
+    if not components:
         raise ContractError("total_loss needs at least one component")
-    if np.isnan(out.data).any():
+    scales = [np.asarray(w[name], dtype=np.float64) for name in components]
+    out = None
+    for scale, value in zip(scales, components.values()):
+        term = scale * value.data
+        out = term if out is None else out + term
+    if np.isnan(out).any():
         raise NumericError("weighted total loss is NaN")
-    return out
+    return T._make(out, tuple(components.values()), lambda g: tuple(g * scale for scale in scales), "total_loss")
 
 
 def _all(a: np.ndarray) -> tuple:

@@ -4,14 +4,15 @@ Every forward operation records a node on a dynamic tape (parent links plus
 a closure computing parent gradients from the output gradient).  Calling
 ``backward()`` on a scalar tensor topologically sorts the tape and pushes
 gradients back, accumulating additively into the leaves' ``.grad`` so
-repeated backward passes without zeroing sum their contributions.  A layer
-or a head loss records one node (``dense``, ``conv1d``, ``additive_attention``,
-``lstm_scan``, and the losses through ``_make``) whose backward repeats the
-arithmetic of the graph of small ops it replaced, bit for bit.
+repeated backward passes without zeroing sum their contributions.  Each
+layer records one node (``dense``, ``conv1d`` with its bias and ReLU,
+``additive_attention``, ``lstm_scan``), and so do the four head losses and
+their weighted sum ``total_loss``, through ``_make``; each node's backward
+repeats the arithmetic of the graph of small ops it replaced, bit for bit.
+There is no general elementwise algebra.
 
 All data is float64: the finite-difference checks this package leans on
-need double precision.  Broadcasting follows numpy rules; shapes that do
-not broadcast raise :class:`DimensionError` naming both operands.
+need double precision.
 
 Graphs are single-threaded.  Tensors with no live graph references may be
 handed between threads freely.
@@ -115,33 +116,11 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(data) -> Tensor:
@@ -192,83 +171,46 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _broadcast(ufunc, a: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """``ufunc`` on both operands' data; a shape clash raises DimensionError."""
-    try:
-        return ufunc(a.data, b.data)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-# -- arithmetic ---------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast(np.add, a, b, "add")
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)), "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast(np.subtract, a, b, "sub")
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)), "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _broadcast(np.multiply, a, b, "mul")
-    return _make(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-        "mul",
-    )
-
-
-def _product(a: Tensor, b: Tensor) -> np.ndarray:
-    """``a.data @ b.data``; operands that do not multiply raise DimensionError."""
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; operands that do not multiply raise DimensionError."""
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        return a.data @ b.data
+        return a @ b
     except ValueError:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}") from None
 
 
-def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
     return ga, gb
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _make(_product(a, b), (a, b), lambda g: _matmul_grads(g, a, b), "matmul")
-
-
-def dense(x: Tensor, W: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """``x @ W + b`` for a (n_out,) bias, through a ReLU when ``relu``, as
-    one tape node.  The backward repeats the taped matmul, add and ReLU:
-    the mask product, the bias gradient summed down to ``b``, then the
-    matmul's two products."""
-    if b.shape != W.shape[-1:]:
-        raise DimensionError(f"dense bias {b.shape} does not fit weights {W.shape}")
-    y = _product(x, W) + b.data
+def _affine(a: np.ndarray, w: np.ndarray, b: Tensor, relu: bool, parents: tuple, op: str,
+            to_parents=lambda *grads: grads) -> Tensor:
+    """``a @ w + b`` for a (n_out,) bias, through a ReLU when ``relu``, as
+    one tape node of ``parents``.  The backward repeats the taped matmul,
+    add and ReLU: the mask product, the matmul's two products and the bias
+    gradient summed down to ``b``, which ``to_parents`` maps to the parents'."""
+    if b.shape != w.shape[-1:]:
+        raise DimensionError(f"{op} bias {b.shape} does not fit weights {w.shape}")
+    y = _product(a, w) + b.data
 
     def grad_fn(g):
         if relu:
             g = g * (y > 0.0)
-        return (*_matmul_grads(g, x, W), _unbroadcast(g, b.shape))
+        return to_parents(*_matmul_grads(g, a, w), _unbroadcast(g, b.shape))
 
-    return _make(np.maximum(y, 0.0) if relu else y, (x, W, b), grad_fn, "dense")
-
-
-# -- pointwise nonlinearities --------------------------------------------------
+    return _make(np.maximum(y, 0.0) if relu else y, parents, grad_fn, op)
 
 
-def relu(x: Tensor) -> Tensor:
-    # subgradient at exactly 0 is 0
-    out = np.maximum(x.data, 0.0)
-    return _make(out, (x,), lambda g: (g * (x.data > 0.0),), "relu")
+def dense(x: Tensor, W: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``x @ W + b`` for a (n_out,) bias, through a ReLU when ``relu``, as
+    one tape node."""
+    return _affine(x.data, W.data, b, relu, (x, W, b), "dense")
 
 
 # -- shape surgery ---------------------------------------------------------------
@@ -276,7 +218,7 @@ def relu(x: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along ``axis``; the gradient splits back by slice."""
-    ts = [as_tensor(t) for t in tensors]
+    ts = list(tensors)
     if not ts:
         raise ContractError("concat of zero tensors")
     ndim = ts[0].ndim
@@ -346,40 +288,16 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _make(out, (table,), grad_fn, "gather_rows")
 
 
-# -- reductions -------------------------------------------------------------------
-
-
-def _axis_tuple(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
-
-
-def tsum(x: Tensor, axis=None) -> Tensor:
-    axes = _axis_tuple(axis, x.ndim)
-    out = x.data.sum(axis=axes or None)
-    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))   # the gradient before it broadcasts
-    return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), x.shape),), "sum")
-
-
-def tmean(x: Tensor, axis=None) -> Tensor:
-    axes = _axis_tuple(axis, x.ndim)
-    count = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    out = x.data.mean(axis=axes or None)
-    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
-    return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), x.shape) / count,), "mean")
-
-
 # -- convolution and attention -----------------------------------------------------
 
 
-def conv1d(x: Tensor, W: Tensor) -> Tensor:
+def conv1d(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Same-padded (``(kernel-1)//2`` zeros on the left) stride-1 convolution
-    of (B, T, C) ``x`` with (kernel, C, F) ``W`` as one tape node: one matmul
-    over a strided view of the padded input.  The backward sums one zero
-    buffer per tap in tap order, bit-equal to a graph of tap slices."""
+    of (B, T, C) ``x`` with (kernel, C, F) ``W``, plus the (F,) bias ``b``,
+    through a ReLU, as one tape node: one matmul over a strided view of the
+    padded input, with :func:`dense`'s bias, ReLU and matmul gradients.  The
+    backward sums one zero buffer per tap in tap order, bit-equal to a graph
+    of tap slices, a bias add and a ReLU."""
     if x.ndim != 3 or x.shape[2] != W.shape[1]:
         raise DimensionError(f"conv1d input must be (B, T, {W.shape[1]}), got {x.shape}")
     (B, t_len, C), (kernel, _, n_filters) = x.shape, W.shape
@@ -389,18 +307,16 @@ def conv1d(x: Tensor, W: Tensor) -> Tensor:
     xp = np.zeros((B, t_len + kernel - 1, C))
     xp[:, p : p + t_len] = x.data
     cols = np.ndarray((B, t_len, kernel * C), xp.dtype, buffer=xp, strides=xp.strides).copy()
-    w2 = W.data.reshape(kernel * C, n_filters)
 
-    def grad_fn(g):
-        g_cols = g @ w2.T
+    def to_parents(g_cols, g_w, g_b):
         dxp = None
         for j in range(kernel):
             buf = np.zeros_like(xp)
             buf[:, j : j + t_len] = g_cols[..., j * C : (j + 1) * C]
             dxp = buf if dxp is None else dxp + buf
-        return dxp[:, p : p + t_len], _unbroadcast(np.swapaxes(cols, -1, -2) @ g, w2.shape).reshape(W.shape)
+        return dxp[:, p : p + t_len], g_w.reshape(W.shape), g_b
 
-    return _make(cols @ w2, (x, W), grad_fn, "conv1d")
+    return _affine(cols, W.data.reshape(kernel * C, n_filters), b, True, (x, W, b), "conv1d", to_parents)
 
 
 def additive_attention(h: Tensor, Wh: Tensor, s: Tensor, Ws: Tensor, v: Tensor):

@@ -35,7 +35,7 @@ from mafn.model import MafnModel, PreprocessBundle, clamp_rul
 from mafn.synthetic import SynthSpec, generate
 from mafn.training import evaluate_cutoffs, train
 from mafn.tensor import Tensor
-from tests.test_fused_ops import sum_of_squares
+from tests.taped import sum_of_squares
 from tests.test_layers import naive_conv1d
 
 

@@ -35,6 +35,7 @@ from mafn.model import MafnModel, prepare_window
 from mafn.pipeline import load_predictor, train_run
 from mafn.svgplot import LineChart, _nice_ticks
 from mafn.training import format_log_csv
+from tests.taped import add, tsum
 from tests.test_model import with_header
 
 
@@ -203,7 +204,7 @@ class TestConfig:
         x, s = rng.random((cfg.batch_size, cfg.window, 2)), rng.integers(0, 2, (cfg.batch_size, cfg.window))
         monkeypatch.setattr(T, "np", RecordingNumpy())
         out = model.forward(x, s)
-        (out.rul.sum() + out.degradation.sum() + out.forecast.sum() + out.state_logits.sum()).backward()
+        add(add(add(tsum(out.rul), tsum(out.degradation)), tsum(out.forecast)), tsum(out.state_logits)).backward()
         assert max(sizes) == cfg.batch_size * cfg.window * 8 * cfg.lstm_hidden
         assert max(sizes) <= model_sizes(cfg, 2)[1]
 

@@ -1,12 +1,13 @@
-"""``tensor.conv1d``, ``tensor.additive_attention``, ``tensor.dense`` and
-the four head losses against the taped graphs they replace.
+"""``tensor.conv1d``, ``tensor.additive_attention``, ``tensor.dense``, the
+four head losses and ``total_loss`` against the taped graphs they replace.
 
-The references are the code before the fusion: a convolution built from
-zero pads, tap slices, two concats and a matmul; attention built from about
-ten taped ops around a taped softmax; a Dense layer as a taped matmul, bias
-add and ReLU; and each head loss as the taped graph of its formula, with a
-taped square and log-softmax.  Outputs and every gradient must be equal bit
-for bit, the sign of zero included.
+The references are the code before the fusion, built on the taped ops of
+``tests/taped.py``: a convolution from zero pads, tap slices, two concats,
+a matmul, a bias add and a ReLU; attention from about ten taped ops around
+a taped softmax; a Dense layer as a taped matmul, bias add and ReLU; each
+head loss as the taped graph of its formula, with a taped square and
+log-softmax; and the weighted total as taped products and sums.  Outputs
+and every gradient must be equal bit for bit, the sign of zero included.
 """
 import numpy as np
 import pytest
@@ -16,80 +17,58 @@ from hypothesis import strategies as st
 from mafn import layers as nn
 from mafn import losses as L
 from mafn import tensor as T
+from mafn.config import TrainConfig
 from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.tensor import Tensor
-
-
-def taped_tanh(x: Tensor) -> Tensor:
-    """A taped tanh: the attention reference graph's nonlinearity, and a
-    smooth op for the tape's own gradient tests."""
-    out = np.tanh(x.data)
-    return T._make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
-
-
-def taped_square(x: Tensor) -> Tensor:
-    """The taped square the losses used; its backward is ``(g * 2.0) * x``."""
-    return T._make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,), "square")
-
-
-def sum_of_squares(x: Tensor) -> Tensor:
-    """A smooth scalar loss of ``x`` for gradient checks."""
-    return (x * x).sum()
-
-
-def taped_log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """The taped log-softmax the state loss used."""
-    if np.isnan(x.data).any():
-        raise NumericError("log_softmax input contains NaN")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return T._make(out, (x,), lambda g: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),), "log_softmax")
-
-
-def negated(x: Tensor) -> Tensor:
-    """``-x`` as the tape recorded it: a product with a 0-d -1."""
-    return T.mul(x, T.as_tensor(-1.0))
-
-
-def divided(x: Tensor, d: float) -> Tensor:
-    """``x / d`` as the tape recorded it: a product with a 0-d reciprocal."""
-    return T.mul(x, T.as_tensor(1.0 / float(d)))
+from tests.taped import (add, divided, matmul, mul, negated, relu, sub, sum_of_squares, taped_log_softmax,
+                         taped_square, taped_tanh, tmean, tsum, weighted_sum)
 
 
 def reference_dense(layer: nn.Dense, x: Tensor) -> Tensor:
     """``Dense.__call__`` as a taped matmul, bias add and ReLU."""
-    y = T.matmul(x, layer.W) + layer.b
-    return T.relu(y) if layer.relu else y
+    y = add(matmul(x, layer.W), layer.b)
+    return relu(y) if layer.relu else y
 
 
 def reference_state_loss(logits: Tensor, targets, mask) -> Tensor:
     targets, mask = np.asarray(targets, dtype=np.int64), np.asarray(mask, dtype=np.float64)
     onehot = np.zeros(logits.shape)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-    picked = (taped_log_softmax(logits, axis=-1) * Tensor(onehot)).sum(axis=-1)
-    return divided(negated((picked * Tensor(mask)).sum()), max(float(mask.sum()), 1.0))
+    picked = tsum(mul(taped_log_softmax(logits, axis=-1), Tensor(onehot)), axis=-1)
+    return divided(negated(tsum(mul(picked, Tensor(mask)))), max(float(mask.sum()), 1.0))
 
 
 def reference_degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
-    diffs = trend[..., 1:] - trend[..., :-1]
-    mono = T.relu(negated(diffs)).sum(axis=-1)
-    smooth = taped_square(diffs).sum(axis=-1)
-    per_sample = divided(mono + lambda_smooth * smooth, trend.shape[-1] - 1)
-    return per_sample.mean() if per_sample.ndim else per_sample
+    diffs = sub(trend[..., 1:], trend[..., :-1])
+    mono = tsum(relu(negated(diffs)), axis=-1)
+    smooth = tsum(taped_square(diffs), axis=-1)
+    per_sample = divided(add(mono, mul(Tensor(lambda_smooth), smooth)), trend.shape[-1] - 1)
+    return tmean(per_sample) if per_sample.ndim else per_sample
 
 
 def reference_forecast_loss(pred: Tensor, target, mask) -> Tensor:
     target, mask = np.asarray(target, dtype=np.float64), np.asarray(mask, dtype=np.float64)
-    sq = taped_square(pred - Tensor(target)).sum(axis=-1)
-    return divided((sq * Tensor(mask)).sum(), max(float(mask.sum()), 1.0))
+    sq = tsum(taped_square(sub(pred, Tensor(target))), axis=-1)
+    return divided(tsum(mul(sq, Tensor(mask))), max(float(mask.sum()), 1.0))
 
 
 def reference_rul_loss(pred: Tensor, target, lambda_late: float, lambda_early: float) -> Tensor:
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    late = taped_square(T.relu(diff))
-    early = taped_square(T.relu(negated(diff)))
-    return (lambda_late * late + lambda_early * early).mean()
+    diff = sub(pred, Tensor(np.asarray(target, dtype=np.float64)))
+    late = taped_square(relu(diff))
+    early = taped_square(relu(negated(diff)))
+    return tmean(add(mul(Tensor(lambda_late), late), mul(Tensor(lambda_early), early)))
+
+
+def reference_total_loss(components: dict, weights) -> Tensor:
+    """``total_loss`` as taped products ``w * L`` summed in component order."""
+    w = {"state": weights.w_state, "degradation": weights.w_degradation, "forecast": weights.w_forecast,
+         "rul": weights.w_rul}
+    out = None
+    for name, value in components.items():
+        term = mul(Tensor(w[name]), value)
+        out = term if out is None else add(out, term)
+    return out
 
 
 def reference_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -108,8 +87,8 @@ def reference_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def reference_conv(conv: nn.Conv1d, x: Tensor) -> Tensor:
-    """``T.conv1d(x, conv.W) + conv.b`` as pads, tap slices, concats and a
-    matmul: ``Conv1d.__call__`` before its ReLU."""
+    """``Conv1d.__call__`` as pads, tap slices, concats, a matmul, a bias add
+    and a ReLU."""
     B, t_len, C = x.shape
     kernel, n_channels, n_filters = conv.W.shape
     if C != n_channels:
@@ -126,17 +105,17 @@ def reference_conv(conv: nn.Conv1d, x: Tensor) -> Tensor:
     taps = [xp[:, j : j + t_len, :] for j in range(kernel)]
     cols = T.concat(taps, axis=2)
     w2 = conv.W.reshape((kernel * n_channels, n_filters))
-    return T.matmul(cols, w2) + conv.b
+    return relu(add(matmul(cols, w2), conv.b))
 
 
 def reference_attention(attn: nn.Attention, h: Tensor):
     """``Attention.__call__`` as taped matmuls, tanh, softmax, a (B, T, 1)
     broadcast multiply and a sum over time."""
     B, t_len, _ = h.shape
-    pre = taped_tanh(T.matmul(h, attn.Wh) + T.matmul(attn.s, attn.Ws))
-    scores = T.matmul(pre, attn.v).reshape((B, t_len))
+    pre = taped_tanh(add(matmul(h, attn.Wh), matmul(attn.s, attn.Ws)))
+    scores = matmul(pre, attn.v).reshape((B, t_len))
     weights = reference_softmax(scores, axis=-1)
-    context = (weights.reshape((B, t_len, 1)) * h).sum(axis=1)
+    context = tsum(mul(weights.reshape((B, t_len, 1)), h), axis=1)
     return context, weights
 
 
@@ -153,7 +132,7 @@ def grads_of(build, leaves, upstream):
     for leaf in leaves:
         leaf.zero_grad()
     out = build()
-    (out * Tensor(upstream)).sum().backward()
+    weighted_sum(out, upstream).backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 
@@ -171,7 +150,7 @@ def conv_cases(draw):
     kernel = draw(st.integers(1, 6))
     t_len = draw(st.integers(-(-kernel // 2), 8))
     return (draw(st.integers(1, 4)), t_len, draw(st.integers(1, 3)), draw(st.integers(1, 3)), kernel,
-            draw(st.booleans()), draw(ZERO_SHARES), draw(st.integers(0, 2**32 - 1)))
+            draw(ZERO_SHARES), draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -184,43 +163,42 @@ class TestConv1dOp:
     @settings(max_examples=80, deadline=None)
     @given(conv_cases())
     def test_bits_match_sliced_graph(self, case):
-        B, t_len, C, F, kernel, relu, share, seed = case
+        B, t_len, C, F, kernel, share, seed = case
         rng = np.random.default_rng(seed)
         conv = nn.Conv1d(rng, C, F, kernel)
-        conv.b.data = rng.normal(size=F)
+        conv.b.data = with_zeros(rng, F, 0.3)
+        dead = rng.random(F) < 0.3          # pre-activations of exactly 0 in these filters
+        conv.W.data[..., dead], conv.b.data[dead] = 0.0, 0.0
         x = T.parameter(with_zeros(rng, (B, t_len, C), 0.2))
         upstream = with_zeros(rng, (B, t_len, F), share)
         leaves = [x, conv.W, conv.b]
-        if relu:    # the layer against the reference through a taped ReLU
-            out, grads = grads_of(lambda: conv(x), leaves, upstream)
-            ref_out, ref_grads = grads_of(lambda: T.relu(reference_conv(conv, x)), leaves, upstream)
-        else:       # the op plus bias against the reference itself
-            out, grads = grads_of(lambda: T.conv1d(x, conv.W) + conv.b, leaves, upstream)
-            ref_out, ref_grads = grads_of(lambda: reference_conv(conv, x), leaves, upstream)
+        out, grads = grads_of(lambda: conv(x), leaves, upstream)
+        ref_out, ref_grads = grads_of(lambda: reference_conv(conv, x), leaves, upstream)
         assert_bits_equal(out, ref_out)
         for g, ref in zip(grads, ref_grads):
             assert_bits_equal(g, ref)
 
     def test_one_tape_node(self, rng):
         x = T.parameter(rng.normal(size=(2, 5, 3)))
-        W = T.parameter(rng.normal(size=(4, 3, 2)))
-        out = T.conv1d(x, W)
-        assert out._op == "conv1d" and out._parents == (x, W)
+        W, b = T.parameter(rng.normal(size=(4, 3, 2))), T.parameter(rng.normal(size=2))
+        out = T.conv1d(x, W, b)
+        assert out._op == "conv1d" and out._parents == (x, W, b)
 
     @pytest.mark.parametrize("kernel,t_len", [(1, 1), (2, 1), (4, 2), (5, 3), (6, 3)])
     def test_gradients(self, rng, kernel, t_len):
         conv = nn.Conv1d(rng, 2, 3, kernel)
+        conv.b.data = rng.normal(size=3)
         x = T.parameter(rng.normal(size=(2, t_len, 2)))
-        check_gradients(lambda: sum_of_squares(T.conv1d(x, conv.W) + conv.b), [x, conv.W, conv.b])
+        check_gradients(lambda: sum_of_squares(conv(x)), [x, conv.W, conv.b])
 
     @pytest.mark.parametrize("shape", [(5, 3), (1, 5, 2), (1, 5, 3, 1)])
     def test_bad_input_shape_rejected(self, rng, shape):
         with pytest.raises(DimensionError):
-            T.conv1d(Tensor(np.zeros(shape)), Tensor(np.zeros((3, 3, 2))))
+            T.conv1d(Tensor(np.zeros(shape)), Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros(2)))
 
     def test_kernel_longer_than_twice_window_rejected(self):
         with pytest.raises(ContractError):
-            T.conv1d(Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros((5, 1, 1))))
+            T.conv1d(Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros((5, 1, 1))), Tensor(np.zeros(1)))
 
 
 class TestAdditiveAttentionOp:
@@ -362,6 +340,34 @@ class TestHeadLossOps:
         ref_value, (ref_grad,) = grads_of(lambda: reference_degradation_loss(trend, 0.2), [trend], 1.0)
         assert_bits_equal(value, ref_value)
         assert_bits_equal(grad, ref_grad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(["state", "degradation", "forecast", "rul"]), st.integers(1, 4),
+           st.lists(st.booleans(), min_size=4, max_size=4), st.booleans(), st.sampled_from([1.0, 0.3, -0.0]),
+           st.integers(0, 2**32 - 1))
+    def test_total_bits_match_taped_sum(self, names, count, zero_weights, as_config, upstream, seed):
+        rng = np.random.default_rng(seed)
+        weights = np.where(zero_weights, 0.0, rng.uniform(0.1, 3.0, size=4))
+        fields = dict(zip(("w_state", "w_degradation", "w_forecast", "w_rul"), weights.tolist()))
+        carrier = TrainConfig(**fields) if as_config else L.LossWeights(**fields)
+        components = {name: T.parameter(rng.random() * 10.0) for name in names[:count]}
+        leaves = list(components.values())
+        value, grads = grads_of(lambda: L.total_loss(components, carrier), leaves, upstream)
+        ref_value, ref_grads = grads_of(lambda: reference_total_loss(components, carrier), leaves, upstream)
+        assert_bits_equal(value, ref_value)
+        for g, ref in zip(grads, ref_grads):
+            assert_bits_equal(g, ref)
+
+    def test_total_is_one_tape_node(self, rng):
+        components = {name: T.parameter(rng.random()) for name in ("rul", "state")}
+        total = L.total_loss(components, TrainConfig())
+        assert total._op == "total_loss" and total._parents == tuple(components.values())
+        check_gradients(lambda: L.total_loss(components, TrainConfig()), list(components.values()))
+
+    def test_total_zero_weight_of_inf_is_nan(self):
+        components = {"state": T.parameter(np.inf), "rul": T.parameter(1.0)}
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="weighted total loss is NaN"):
+            L.total_loss(components, L.LossWeights(w_state=0.0))
 
     def test_untaped_under_no_grad(self, rng):
         x = T.parameter(rng.normal(size=(2, 3, 4)))

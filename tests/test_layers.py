@@ -14,7 +14,8 @@ from mafn.errors import ContractError, DimensionError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel
 from mafn.tensor import Tensor
-from tests.test_fused_ops import ZERO_SHARES, assert_bits_equal, sum_of_squares, with_zeros
+from tests.taped import add, matmul, sum_of_squares, tsum, weighted_sum
+from tests.test_fused_ops import ZERO_SHARES, assert_bits_equal, with_zeros
 
 
 def naive_conv1d(x, W, b, kernel):
@@ -50,7 +51,7 @@ class TestEmbedding:
     def test_gradient_accumulates_per_row(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter(np.zeros((3, 2)))
-        table([1, 1]).sum().backward()
+        tsum(table([1, 1])).backward()
         np.testing.assert_array_equal(table.weights.grad, [[0, 0], [2, 2], [0, 0]])
 
     def test_out_of_range_id(self, rng):
@@ -346,7 +347,7 @@ def per_direction_oracle(directions, steps, weight, oracle):
     n = directions[0][4].shape[0]
     hidden, grads = [], []
     for d, (x, W_x, h0, c0, W_h, b) in enumerate(directions):
-        proj = T.matmul(x, W_x)
+        proj = matmul(x, W_x)
         xw = proj.reshape((x.shape[0], 1, 4 * n)) if x.ndim == 2 else proj
         flip = (lambda a: a[:, ::-1]) if d else (lambda a: a)
         full = np.broadcast_to(xw.data, (x.shape[0], steps, 4 * n))
@@ -401,7 +402,7 @@ def default_batch_peak(taped):
     try:
         if taped:
             out = model.forward(windows, states)
-            (out.state_logits.sum() + out.degradation.sum() + out.forecast.sum() + out.rul.sum()).backward()
+            add(add(add(tsum(out.state_logits), tsum(out.degradation)), tsum(out.forecast)), tsum(out.rul)).backward()
         else:
             with T.no_grad():
                 model.forward(windows, states)
@@ -433,7 +434,7 @@ def default_gradient_digest():
         data = np.random.default_rng(1)
         out = model.forward(data.normal(size=(batch, cfg.window, len(SELECTED_SENSORS))),
                             data.integers(0, cfg.k_states, size=(batch, cfg.window)))
-        (out.state_logits.sum() + out.degradation.sum() + out.forecast.sum() + out.rul.sum()).backward()
+        add(add(add(tsum(out.state_logits), tsum(out.degradation)), tsum(out.forecast)), tsum(out.rul)).backward()
         for p in model.parameters().values():
             digest.update(p.grad.tobytes())
     return digest.hexdigest()
@@ -445,7 +446,7 @@ class TestLstmScan:
         directions, weight = scan_problem(rng, batch, steps, two, constant)
 
         def loss():
-            return (T.lstm_scan(directions, steps) * Tensor(weight)).sum()
+            return weighted_sum(T.lstm_scan(directions, steps), weight)
 
         check_gradients(loss, leaves_of(directions))
 
@@ -453,7 +454,7 @@ class TestLstmScan:
     def test_matches_numpy_oracle(self, rng, batch, steps, two, constant):
         directions, weight = scan_problem(rng, batch, steps, two, constant)
         out = T.lstm_scan(directions, steps)
-        (out * Tensor(weight)).sum().backward()
+        weighted_sum(out, weight).backward()
         hidden, grads = per_direction_oracle(directions, steps, weight, numpy_lstm)
         np.testing.assert_allclose(out.data, hidden, rtol=0, atol=1e-14)
         for leaf, expected in zip(leaves_of(directions), grads):

@@ -4,7 +4,7 @@ import hashlib
 import logging
 import re
 import warnings
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from mafn.data import WindowDataset, pack_windows, parse_cmapss, split_by_engine
 from mafn.errors import ContractError, NumericError
 from mafn.model import MafnModel, PreprocessBundle, forecast_trajectory, predict_rul
 from mafn.synthetic import SynthSpec, generate
-from tests.test_fused_ops import sum_of_squares
+from tests.taped import sum_of_squares
 from mafn.training import (
     CUTOFF_GRID,
     Adam,
@@ -245,6 +245,25 @@ def test_training_step_bits():
     # the losses and Adam, bit for bit: a change to their arithmetic shows
     # here before it reaches the golden checkpoint hashes
     assert training_step_digest() == "b0516cf56b11367b1a27f4ee6abf6a06874239ece17d682a835c22f90b88b700"
+
+
+def test_training_step_tape_census():
+    # one node per stage of the network and per loss: a default-config step
+    # at batch 64 records no generic elementwise node
+    cfg = TrainConfig()
+    rng = np.random.default_rng(3)
+    rows, n_sensors = cfg.batch_size + cfg.window + cfg.horizon, 14
+    ds = WindowDataset(sensors=rng.normal(size=(rows, n_sensors)),
+                       state_ids=rng.integers(0, cfg.k_states, size=rows),
+                       starts=np.arange(cfg.batch_size), mask=np.ones((cfg.batch_size, cfg.horizon)),
+                       rul=rng.uniform(0.0, cfg.rul_cap, size=cfg.batch_size), window=cfg.window)
+    model = MafnModel(cfg, n_sensors, np.random.default_rng(0))
+    total = _batch_losses(model, ds, np.arange(cfg.batch_size), cfg)["total"]
+    census = Counter(node._op for node in T.topo_order(total) if node._parents)
+    assert census == Counter(dense=10, getitem=4, lstm_scan=3, gather_rows=2, concat=2, reshape=2, conv1d=1,
+                             additive_attention=1, state_loss=1, forecast_loss=1, degradation_loss=1, rul_loss=1,
+                             total_loss=1)
+    assert census.total() == 30
 
 
 # four engines of 20-24 cycles: every window ending at end of life has an
