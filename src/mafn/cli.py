@@ -120,8 +120,7 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args.config, args.seed)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
-    with np.errstate(over="ignore"):        # as pipeline.windows_for_records
-        labels = np.concatenate([record_states(r, model) for r in normalized])
+    labels = np.concatenate([record_states(r, model) for r in normalized])
     counts = np.bincount(labels, minlength=model.k)
     report_lines = ["cluster,count," + ",".join(f"c{i}" for i in range(model.centroids.shape[1]))]
     for j in range(model.k):

@@ -331,6 +331,7 @@ def kmeans_fit(
     return ClusterModel(k=k, centroids=centroids, inertia=inertia, feature_spec=feature_spec)
 
 
+@np.errstate(over="ignore")                       # a far-out point's squared distance is +inf, which still compares
 def assign_states(points: np.ndarray, model: ClusterModel) -> np.ndarray:
     """Index of the nearest centroid per row; ties break to the lowest index."""
     points = np.asarray(points, dtype=np.float64)
@@ -341,7 +342,6 @@ def assign_states(points: np.ndarray, model: ClusterModel) -> np.ndarray:
     return _nearest(np.ascontiguousarray(points.T), model.centroids)[0]
 
 
-@np.errstate(over="ignore")                       # as kmeans_fit
 def relabel_canonical(model: ClusterModel, train_points: np.ndarray) -> ClusterModel:
     """Permute cluster ids into a canonical order.
 

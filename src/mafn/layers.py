@@ -104,8 +104,8 @@ def bilstm(x: Tensor, fwd_cell: LstmCell, bwd_cell: LstmCell) -> Tensor:
     if x.ndim != 3:
         raise DimensionError(f"bilstm input must be (B, T, F), got {x.shape}")
     B, t_len, _ = x.shape
-    zeros = Tensor(np.zeros((B, fwd_cell.n_hidden)))
-    return T.lstm_scan([(x, cell.W_x, zeros, zeros, cell.W_h, cell.b) for cell in (fwd_cell, bwd_cell)], t_len)
+    zeros = Tensor(np.zeros((B, 2 * fwd_cell.n_hidden)))
+    return T.lstm_scan([(x, cell.W_x, zeros, cell.W_h, cell.b) for cell in (fwd_cell, bwd_cell)], t_len)
 
 
 class Attention:

@@ -106,12 +106,11 @@ class MafnModel:
     # -- forward ----------------------------------------------------------------
 
     def _decode(self, cell: LstmCell, init: Dense, context: Tensor, horizon: int) -> Tensor:
-        """Hidden states (B, horizon, H) of ``cell`` run from (h0, c0) =
-        ``init(context)`` with the (B, 2H) context as its input at every
-        step; the scan projects the context itself, once."""
-        hidden = cell.n_hidden
-        hc = init(context)
-        return T.lstm_scan([(context, cell.W_x, hc[:, :hidden], hc[:, hidden:], cell.W_h, cell.b)], horizon)
+        """Hidden states (B, horizon, H) of ``cell`` run from ``init(context)``,
+        the (B, 2H) initial state ``[h0 | c0]`` the scan takes whole, with the
+        context as its input at every step; the scan projects the context
+        itself, once."""
+        return T.lstm_scan([(context, cell.W_x, init(context), cell.W_h, cell.b)], horizon)
 
     def encode(self, windows, state_ids):
         """Shared encoder: the attention context (B, 2H) and weights (B, T)."""
@@ -212,6 +211,8 @@ def prepare_window(record: EngineRecord, bundle: PreprocessBundle):
     return window.sensors, record_states(window, bundle.cluster)
 
 
+# an input far outside the training range overflows exp in the LSTM gates, where 1 / (1 + inf) is the exact limit
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle) -> float:
     """RUL estimate in cycles from the last window, clamped to [0, rul_cap];
     runs the encoder and the RUL head only, not the forecasting heads."""
@@ -222,7 +223,7 @@ def predict_rul(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle
     return clamp_rul(rul * bundle.config.rul_cap, bundle.config.rul_cap)
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")     # as training._predicted
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")     # as predict_rul
 def forecast_trajectory(record: EngineRecord, model: MafnModel, bundle: PreprocessBundle):
     """Post-cutoff forecast from one forward: the normalized (H, d_s) sensor
     forecast, H state ids and the RUL in cycles as :func:`predict_rul` gives it."""

@@ -42,7 +42,6 @@ def fit_pipeline(records, cfg: TrainConfig):
     return model, stats, normalized
 
 
-@np.errstate(over="ignore")            # a far-out setting's squared distance is +inf, which still compares
 def windows_for_records(records, cluster_model, cfg: TrainConfig):
     """One window dataset per record, as ``make_windows`` cuts it under ``cfg``."""
     return [

@@ -114,13 +114,8 @@ class Tensor:
                 prev = adjoint.get(id(parent))
                 adjoint[id(parent)] = pg if prev is None else prev + pg
 
-    # -- operator sugar -------------------------------------------------------
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
+    def reshape(self, shape):
+        return reshape(self, shape)
 
 
 def parameter(data) -> Tensor:
@@ -245,25 +240,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(out, (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
-_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
-
-
-def getitem(x: Tensor, idx) -> Tensor:
-    """Basic indexing only (ints, slices, ``...``, ``None``): each output
-    element has its own source element, so the gradient is a slice assignment."""
-    for item in idx if isinstance(idx, tuple) else (idx,):
-        if isinstance(item, bool) or not isinstance(item, _BASIC_INDEX):
-            raise ContractError(f"getitem of {type(item).__name__}: use gather_rows for an array index")
-    out = x.data[idx]
-
-    def grad_fn(g):
-        buf = np.zeros_like(x.data)
-        buf[idx] = g
-        return (buf,)
-
-    return _make(out, (x,), grad_fn, "getitem")
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Row lookup ``table[ids]`` for an integer id array of any shape.
 
@@ -361,9 +337,11 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     """One or two LSTM unrolls as one tape node; returns hidden states
     (B, steps, dirs * H), the directions' blocks side by side.
 
-    Each direction is a tuple ``(x, W_x, h0, c0, W_h, b)``: ``x`` is a
+    Each direction is a tuple ``(x, W_x, hc0, W_h, b)``: ``x`` is a
     (B, steps, F) sequence or a (B, F) input held over every step (the
-    decoders' context), and every direction has the same shapes.  The scan
+    decoders' context), ``hc0`` the (B, 2H) initial state ``[h0 | c0]``, and
+    every direction has the same shapes.  The scan reads ``h0`` and ``c0`` as
+    views of its halves, and its backward returns one ``[dh0 | dc0]``.  The scan
     projects its own input, ``x @ W_x`` as per-batch (steps, F) @ (F, 4H)
     products or one (B, F) @ (F, 4H), into its time-step-major buffer; its
     backward returns ``dx`` and ``dW_x`` from the same products, the weight's
@@ -380,13 +358,13 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     dirs = len(directions)
     if dirs not in (1, 2):
         raise ContractError(f"lstm_scan runs one or two directions, got {dirs}")
-    n, B = directions[0][4].shape[0], directions[0][2].shape[0]
+    n, B = directions[0][3].shape[0], directions[0][2].shape[0]
     const = directions[0][0].ndim == 2
-    for x, W_x, h0, c0, W_h, b in directions:
+    for x, W_x, hc0, W_h, b in directions:
         if (steps < 1 or x.shape[:-1] != ((B,) if const else (B, steps)) or W_x.shape != (x.shape[-1], 4 * n)
-                or W_h.shape != (n, 4 * n) or b.shape != (4 * n,) or h0.shape != (B, n) or c0.shape != (B, n)):
+                or W_h.shape != (n, 4 * n) or b.shape != (4 * n,) or hc0.shape != (B, 2 * n)):
             raise DimensionError(
-                f"lstm_scan: x {x.shape}, W_x {W_x.shape}, h0 {h0.shape}, c0 {c0.shape}, W_h {W_h.shape} and "
+                f"lstm_scan: x {x.shape}, W_x {W_x.shape}, hc0 {hc0.shape}, W_h {W_h.shape} and "
                 f"b {b.shape} do not fit {steps} steps of batch {B}, hidden {n}"
             )
     # time-step-major buffers: scan step k of every direction sits at index k,
@@ -396,8 +374,8 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
     xs = np.empty((1 if const else steps, dirs, B, 4 * n))
     for d, (x, W_x, *_) in enumerate(directions):
         xs[:, d] = _scan_order((x.data @ W_x.data).reshape(B, -1, 4 * n).transpose(1, 0, 2), d)
-    h0, c0, W_h, b = (np.array([d[j].data for d in directions]) for j in range(2, 6))
-    b = b[:, None]
+    hc0, W_h, b = (np.array([d[j].data for d in directions]) for j in range(2, 5))
+    h0, c0, b = hc0[..., :n], hc0[..., n:], b[:, None]
     record = _grad_enabled and any(t.requires_grad for direction in directions for t in direction)
     slots = steps if record else 1
     gates = np.empty((slots, 4, dirs, B, n))  # i, f, g, o activations
@@ -477,7 +455,7 @@ def lstm_scan(directions: Sequence[tuple], steps: int) -> Tensor:
                     dz_d[[j, -1 - j]] = dz_d[[-1 - j, j]]
                 dxw = dz_d.transpose(1, 0, 2)
             dW_x = _unbroadcast(np.swapaxes(x.data, -1, -2) @ dxw, W_x.shape)
-            grads += [dxw @ W_x.data.T, dW_x, dh[d], dc[d], dW_h, db]
+            grads += [dxw @ W_x.data.T, dW_x, np.concatenate([dh[d], dc[d]], axis=1), dW_h, db]
             del dz_d, dxw                    # before the next direction's copy
         return grads
 

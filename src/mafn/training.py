@@ -279,8 +279,6 @@ def evaluate_testset(records, rul_truth: np.ndarray, model: MafnModel, bundle: P
     return L.rmse(p, t), L.score(p, t)
 
 
-# an input far outside the training range overflows exp in the LSTM gates, where 1 / (1 + inf) is the exact limit
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _predicted(records, truths, model: MafnModel, bundle: PreprocessBundle):
     """The one scoring loop of both protocols: one ``predict_rul`` per
     record, and the truths capped at ``rul_cap``, as float64 arrays."""

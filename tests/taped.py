@@ -3,14 +3,14 @@
 The library records each layer, head loss and the weighted total as one
 fused node.  The graphs of small ops those nodes replaced are the tests'
 oracles, so the small ops live here: ``add``, ``sub``, ``mul``,
-``matmul``, ``relu``, ``tsum`` and ``tmean`` are the library's former
-ops, each one ``_make`` node; ``matmul`` takes the library's own product
+``matmul``, ``relu``, ``tsum``, ``tmean`` and ``getitem`` are the
+library's former ops, each one ``_make`` node; ``matmul`` takes the library's own product
 and gradient helpers, which now act on arrays.  Broadcasting follows numpy
 rules, and the gradients sum back down to each operand's shape.
 """
 import numpy as np
 
-from mafn.errors import DimensionError, NumericError
+from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.tensor import Tensor, _make, _matmul_grads, _product, _unbroadcast
 
 
@@ -73,6 +73,25 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     out = x.data.mean(axis=axes or None)
     kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
     return _make(out, (x,), lambda g: (np.broadcast_to(g.reshape(kept), x.shape) / count,), "mean")
+
+
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def getitem(x: Tensor, idx) -> Tensor:
+    """Basic indexing only (ints, slices, ``...``, ``None``): each output
+    element has its own source element, so the gradient is a slice assignment."""
+    for item in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(item, bool) or not isinstance(item, _BASIC_INDEX):
+            raise ContractError(f"getitem of {type(item).__name__}: use gather_rows for an array index")
+    out = x.data[idx]
+
+    def grad_fn(g):
+        buf = np.zeros_like(x.data)
+        buf[idx] = g
+        return (buf,)
+
+    return _make(out, (x,), grad_fn, "getitem")
 
 
 # -- composites the references and gradient checks share -----------------------------

@@ -99,11 +99,11 @@ def test_criterion_1_gradient_suite():
     for g in _instance_rngs():
         cell = nn.LstmCell(g, 2, 2)
         x = T.parameter(g.normal(size=(1, 2)))
-        h0, c0 = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
+        hc0 = Tensor(np.zeros((1, 4)))
 
         def scan_loss():
             # two steps of a constant input: the second step's h reads the first step's c
-            h = T.lstm_scan([(x, cell.W_x, h0, c0, cell.W_h, cell.b)], 2)
+            h = T.lstm_scan([(x, cell.W_x, hc0, cell.W_h, cell.b)], 2)
             return sum_of_squares(h)
 
         check_gradients(scan_loss, [x] + [t for _, t in cell.parameters()])

@@ -21,8 +21,8 @@ from mafn.config import TrainConfig
 from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.tensor import Tensor
-from tests.taped import (add, divided, matmul, mul, negated, relu, sub, sum_of_squares, taped_log_softmax,
-                         taped_square, taped_tanh, tmean, tsum, weighted_sum)
+from tests.taped import (add, divided, getitem, matmul, mul, negated, relu, sub, sum_of_squares,
+                         taped_log_softmax, taped_square, taped_tanh, tmean, tsum, weighted_sum)
 
 
 def reference_dense(layer: nn.Dense, x: Tensor) -> Tensor:
@@ -40,7 +40,7 @@ def reference_state_loss(logits: Tensor, targets, mask) -> Tensor:
 
 
 def reference_degradation_loss(trend: Tensor, lambda_smooth: float) -> Tensor:
-    diffs = sub(trend[..., 1:], trend[..., :-1])
+    diffs = sub(getitem(trend, (Ellipsis, slice(1, None))), getitem(trend, (Ellipsis, slice(None, -1))))
     mono = tsum(relu(negated(diffs)), axis=-1)
     smooth = tsum(taped_square(diffs), axis=-1)
     per_sample = divided(add(mono, mul(Tensor(lambda_smooth), smooth)), trend.shape[-1] - 1)
@@ -102,7 +102,7 @@ def reference_conv(conv: nn.Conv1d, x: Tensor) -> Tensor:
     if right:
         pieces.append(Tensor(np.zeros((B, right, C))))
     xp = T.concat(pieces, axis=1) if len(pieces) > 1 else x
-    taps = [xp[:, j : j + t_len, :] for j in range(kernel)]
+    taps = [getitem(xp, (slice(None), slice(j, j + t_len), slice(None))) for j in range(kernel)]
     cols = T.concat(taps, axis=2)
     w2 = conv.W.reshape((kernel * n_channels, n_filters))
     return relu(add(matmul(cols, w2), conv.b))

@@ -213,16 +213,17 @@ def scan_step_oracle(xw, W_h, b, h, c, dhidden):
 
 
 def zero_state(cell, batch):
-    """A zero (h0, c0) for ``cell``, as ``bilstm`` starts each direction."""
-    return Tensor(np.zeros((batch, cell.n_hidden))), Tensor(np.zeros((batch, cell.n_hidden)))
+    """A zero (B, 2H) ``[h0 | c0]`` for ``cell``, as ``bilstm`` starts each direction."""
+    return Tensor(np.zeros((batch, 2 * cell.n_hidden)))
 
 
-def scan_cell(cell, x, h, c, steps=None):
-    """Hidden states of ``cell`` run from (h, c) over the (B, T, n_in) input
-    ``x``; a (B, n_in) input held for ``steps`` steps is the decoders' use."""
+def scan_cell(cell, x, hc, steps=None):
+    """Hidden states of ``cell`` run from ``hc`` = [h0 | c0] over the
+    (B, T, n_in) input ``x``; a (B, n_in) input held for ``steps`` steps is
+    the decoders' use."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     steps = x.shape[1] if steps is None else steps
-    return T.lstm_scan([(x, cell.W_x, h, c, cell.W_h, cell.b)], steps)
+    return T.lstm_scan([(x, cell.W_x, hc, cell.W_h, cell.b)], steps)
 
 
 class TestLstm:
@@ -239,7 +240,7 @@ class TestLstm:
         cell = nn.LstmCell(rng, 3, 4)
         for p in (cell.W_x, cell.W_h, cell.b):
             p.data[:] = 0.0
-        h1 = scan_cell(cell, rng.normal(size=(1, 1, 3)), *zero_state(cell, 1))
+        h1 = scan_cell(cell, rng.normal(size=(1, 1, 3)), zero_state(cell, 1))
         np.testing.assert_array_equal(h1.data, np.zeros((1, 1, 4)))
 
     def test_saturated_forget_gate_carries_cell(self, rng):
@@ -249,26 +250,24 @@ class TestLstm:
         cell.W_h.data[:] = 0.0
         cell.b.data[3:6] = 10.0              # forget gate pinned open
         c_prev = rng.normal(size=(1, 3))
-        h_prev = Tensor(np.zeros((1, 3)))
-        h = scan_cell(cell, rng.normal(size=(1, 4, 2)), h_prev, Tensor(c_prev))
+        h = scan_cell(cell, rng.normal(size=(1, 4, 2)), Tensor(np.concatenate([np.zeros((1, 3)), c_prev], axis=1)))
         c = np.arctanh(2.0 * h.data)
         for t in range(4):
             np.testing.assert_allclose(c[:, t], c_prev, atol=1e-3)
 
     def test_hidden_bounded(self, rng):
         cell = nn.LstmCell(rng, 2, 3)
-        h = scan_cell(cell, rng.normal(size=(4, 10, 2)) * 5.0, *zero_state(cell, 4))
+        h = scan_cell(cell, rng.normal(size=(4, 10, 2)) * 5.0, zero_state(cell, 4))
         assert (np.abs(h.data) < 1.0).all()
 
     def test_gradients(self, rng):
         cell = nn.LstmCell(rng, 2, 2)
         x = T.parameter(rng.normal(size=(1, 2)))
-        h0 = Tensor(np.zeros((1, 2)))
-        c0 = Tensor(np.zeros((1, 2)))
+        hc0 = zero_state(cell, 1)
 
         def loss():
             # the second step's h reads the first step's c
-            return sum_of_squares(scan_cell(cell, x, h0, c0, steps=2))
+            return sum_of_squares(scan_cell(cell, x, hc0, steps=2))
 
         tensors = [x] + [t for _, t in cell.parameters()]
         check_gradients(loss, tensors)
@@ -298,7 +297,7 @@ class TestLstm:
         cell = random_cell(rng, 3, 4)
         context = rng.normal(size=(2, 3))
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        out = scan_cell(cell, context, Tensor(h0), Tensor(c0), steps=5)
+        out = scan_cell(cell, context, Tensor(np.concatenate([h0, c0], axis=1)), steps=5)
         x = np.repeat(context[:, None], 5, axis=1)
         expected = numpy_lstm(x @ cell.W_x.data, cell.W_h.data, cell.b.data, h0, c0)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
@@ -331,9 +330,9 @@ def scan_problem(rng, batch, steps, two, constant, n=3, n_in=2):
     for _ in range(2 if two else 1):
         x = T.parameter(rng.normal(size=(batch, n_in) if constant else (batch, steps, n_in)))
         W_x = T.parameter(rng.normal(size=(n_in, 4 * n)))
-        h0, c0 = T.parameter(rng.normal(size=(batch, n))), T.parameter(rng.normal(size=(batch, n)))
+        hc0 = T.parameter(np.concatenate([rng.normal(size=(batch, n)), rng.normal(size=(batch, n))], axis=1))
         W_h, b = T.parameter(rng.normal(size=(n, 4 * n))), T.parameter(rng.normal(size=4 * n))
-        directions.append((x, W_x, h0, c0, W_h, b))
+        directions.append((x, W_x, hc0, W_h, b))
     return directions, rng.normal(size=(batch, steps, len(directions) * n))
 
 
@@ -343,16 +342,17 @@ def per_direction_oracle(directions, steps, weight, oracle):
     (B, 1, 4H) for a constant input, then ``oracle`` over that projection
     (time-reversed for the second direction), whose projection gradient goes
     back through the taped nodes' own gradient functions.  The gradients come
-    in leaf order, ``(x, W_x, h0, c0, W_h, b)`` per direction."""
-    n = directions[0][4].shape[0]
+    in leaf order, ``(x, W_x, hc0, W_h, b)`` per direction, the oracle's
+    ``dh0`` and ``dc0`` side by side as ``hc0``'s."""
+    n = directions[0][3].shape[0]
     hidden, grads = [], []
-    for d, (x, W_x, h0, c0, W_h, b) in enumerate(directions):
+    for d, (x, W_x, hc0, W_h, b) in enumerate(directions):
         proj = matmul(x, W_x)
         xw = proj.reshape((x.shape[0], 1, 4 * n)) if x.ndim == 2 else proj
         flip = (lambda a: a[:, ::-1]) if d else (lambda a: a)
         full = np.broadcast_to(xw.data, (x.shape[0], steps, 4 * n))
         h, dxw, dh0, dc0, dW_h, db = oracle(
-            flip(full), W_h.data, b.data, h0.data, c0.data, flip(weight[..., d * n : (d + 1) * n])
+            flip(full), W_h.data, b.data, hc0.data[:, :n], hc0.data[:, n:], flip(weight[..., d * n : (d + 1) * n])
         )
         # the projection's gradient reached the tape contiguous; a constant
         # input's was summed over the scan's steps in scan order
@@ -361,7 +361,7 @@ def per_direction_oracle(directions, steps, weight, oracle):
         else:
             dxw = np.ascontiguousarray(flip(dxw))
         hidden.append(flip(h))
-        grads += [*proj._grad_fn(dxw), dh0, dc0, dW_h, db]
+        grads += [*proj._grad_fn(dxw), np.concatenate([dh0, dc0], axis=1), dW_h, db]
     return np.concatenate(hidden, axis=2), grads
 
 
@@ -528,13 +528,13 @@ class TestLstmScan:
         out = nn.bilstm(x, fwd, bwd)
         assert out._op == "lstm_scan"
         zeros = out._parents[2]
-        assert out._parents == (x, fwd.W_x, zeros, zeros, fwd.W_h, fwd.b, x, bwd.W_x, zeros, zeros, bwd.W_h, bwd.b)
+        assert zeros.shape == (2, 8) and not zeros.data.any()
+        assert out._parents == (x, fwd.W_x, zeros, fwd.W_h, fwd.b, x, bwd.W_x, zeros, bwd.W_h, bwd.b)
 
     def test_grad_only_on_leaves(self, rng):
         cell = random_cell(rng, 3, 4)
         x = T.parameter(rng.normal(size=(2, 5, 3)))
-        h0, c0 = zero_state(cell, 2)
-        hidden = T.lstm_scan([(x, cell.W_x, h0, c0, cell.W_h, cell.b)], 5)
+        hidden = T.lstm_scan([(x, cell.W_x, zero_state(cell, 2), cell.W_h, cell.b)], 5)
         loss = sum_of_squares(hidden)
         loss.backward()
         assert hidden.grad is None and loss.grad is None
@@ -548,12 +548,15 @@ class TestLstmScan:
     def test_shape_mismatch_rejected(self, rng, xw_shape, steps):
         # ``xw_shape`` is the projection x @ W_x a bad direction would make:
         # too few steps, too few gate columns, another batch, or a constant
-        # input with too few gate columns (and beside a sequence)
-        h0 = c0 = Tensor(np.zeros((2, 3)))
+        # input with too few gate columns (and beside a sequence); and an
+        # initial state [h0 | c0] of h0's width alone, or one column too wide
+        hc0 = Tensor(np.zeros((2, 6)))
         W_h, b = Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
-        good = (Tensor(np.zeros((2, steps, 4))), Tensor(np.zeros((4, 12))), h0, c0, W_h, b)
-        bad = (Tensor(np.zeros(xw_shape[:-1] + (4,))), Tensor(np.zeros((4, xw_shape[-1]))), h0, c0, W_h, b)
-        for directions in ([bad], [good, bad], [bad, good]):
+        x, W_x = Tensor(np.zeros((2, steps, 4))), Tensor(np.zeros((4, 12)))
+        good = (x, W_x, hc0, W_h, b)
+        bad = (Tensor(np.zeros(xw_shape[:-1] + (4,))), Tensor(np.zeros((4, xw_shape[-1]))), hc0, W_h, b)
+        narrow, wide = ((x, W_x, Tensor(np.zeros((2, width))), W_h, b) for width in (3, 7))
+        for directions in ([bad], [good, bad], [bad, good], [narrow], [good, wide]):
             with pytest.raises(DimensionError):
                 T.lstm_scan(directions, steps)
 
@@ -561,15 +564,14 @@ class TestLstmScan:
                                                  ((2, 5, 1, 4), (4, 12))])
     def test_projection_shapes_checked(self, x_shape, w_shape):
         # W_x rows other than the input's width, and inputs of rank 1 or 4
-        h0 = c0 = Tensor(np.zeros((2, 3)))
-        bad = (Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), h0, c0, Tensor(np.zeros((3, 12))),
-               Tensor(np.zeros(12)))
+        bad = (Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros((2, 6))),
+               Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
         with pytest.raises(DimensionError):
             T.lstm_scan([bad], 5)
 
     def test_direction_count_rejected(self, rng):
-        direction = (Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((2, 3))),
-                     Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
+        direction = (Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((4, 12))), Tensor(np.zeros((2, 6))),
+                     Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
         for directions in ([], [direction] * 3):
             with pytest.raises(ContractError):
                 T.lstm_scan(directions, 5)
@@ -580,8 +582,8 @@ class TestBilstm:
         fwd, bwd = nn.LstmCell(rng, 2, 3), nn.LstmCell(rng, 2, 3)
         x = Tensor(rng.normal(size=(1, 1, 2)))
         out = nn.bilstm(x, fwd, bwd)
-        hf = scan_cell(fwd, x, *zero_state(fwd, 1))
-        hb = scan_cell(bwd, x, *zero_state(bwd, 1))
+        hf = scan_cell(fwd, x, zero_state(fwd, 1))
+        hb = scan_cell(bwd, x, zero_state(bwd, 1))
         np.testing.assert_allclose(out.data[0, 0, :3], hf.data[0, 0])
         np.testing.assert_allclose(out.data[0, 0, 3:], hb.data[0, 0])
 
@@ -597,8 +599,8 @@ class TestBilstm:
         fwd, bwd = nn.LstmCell(rng, 3, 2), nn.LstmCell(rng, 3, 2)
         x = rng.normal(size=(1, 3, 3))
         out = nn.bilstm(Tensor(x), fwd, bwd).data
-        fpart = scan_cell(fwd, x, *zero_state(fwd, 1)).data
-        bpart = scan_cell(bwd, x[:, ::-1], *zero_state(bwd, 1)).data[:, ::-1]
+        fpart = scan_cell(fwd, x, zero_state(fwd, 1)).data
+        bpart = scan_cell(bwd, x[:, ::-1], zero_state(bwd, 1)).data[:, ::-1]
         np.testing.assert_allclose(out, np.concatenate([fpart, bpart], axis=2), atol=1e-14)
 
     def test_causality_split(self, rng):

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import struct
@@ -6,6 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafn import losses as L
 from mafn import pipeline
@@ -13,12 +16,14 @@ from mafn import tensor as T
 from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from mafn.cluster import ClusterModel, assign_states
 from mafn.config import TrainConfig
-from mafn.data import NormalizationStats
-from mafn.errors import ContractError, DataError, DimensionError, NumericError
+from mafn.data import NormalizationStats, make_windows
+from mafn.errors import ContractError, DataError, DimensionError, MafnError, NumericError
 from mafn.gradcheck import check_gradients
-from mafn.model import MafnModel, PreprocessBundle, clamp_rul, predict_rul, prepare_window
+from mafn.model import MafnModel, PreprocessBundle, clamp_rul, forecast_trajectory, predict_rul, prepare_window
+from mafn.synthetic import SynthSpec, generate
 from mafn.tensor import Tensor
 from tests.test_data import make_record
+from tests.test_fused_ops import assert_bits_equal
 
 
 def tiny_config(**overrides):
@@ -271,6 +276,67 @@ class TestForecastTrajectory:
             assert np.abs(forecast[:, 0] - expected).max() < 0.5 / span
             cluster_truth = assign_states(rec.op_settings[cut : cut + 4], cluster)
             np.testing.assert_array_equal(pred_states, cluster_truth)
+
+
+@functools.lru_cache(maxsize=None)
+def walkthrough_prep(cluster_features: str):
+    """The walkthrough's raw engines, their normalized copies, the default
+    config's preprocessing fitted on them while clustering
+    ``cluster_features``, and an untrained model of that config."""
+    records = generate(SynthSpec())[0]
+    cfg = TrainConfig(cluster_features=cluster_features).validate()
+    cluster, stats, normalized = pipeline.fit_pipeline(records, cfg)
+    bundle = PreprocessBundle(config=cfg, cluster=cluster, stats=stats)
+    return records, normalized, bundle, MafnModel(cfg, bundle.n_sensors, np.random.default_rng(cfg.seed))
+
+
+class TestInferenceWindow:
+    @settings(max_examples=60)
+    @given(st.sampled_from(["settings", "sensors"]), st.data())
+    def test_equals_the_training_window(self, features, data):
+        """A raw history truncated at cycle ``c >= window`` gives, bit for
+        bit, the inputs and state ids of the training window that ends at
+        ``c`` on the normalized whole record."""
+        records, normalized, bundle, _ = walkthrough_prep(features)
+        cfg = bundle.config
+        i = data.draw(st.integers(0, len(records) - 1), label="engine")
+        cut = data.draw(st.integers(cfg.window, records[i].length), label="cycle")
+        raw = records[i]
+        inputs, states = prepare_window(replace(raw, op_settings=raw.op_settings[:cut], sensors=raw.sensors[:cut]),
+                                        bundle)
+        ds = make_windows(normalized[i], bundle.cluster, cfg.window, cfg.horizon, 1, cfg.rul_cap)
+        (at,) = np.flatnonzero(ds.starts == cut - cfg.window)
+        window = ds.batch([at])
+        assert_bits_equal(inputs, window["inputs"][0])
+        assert_bits_equal(states, window["states"][0])
+
+
+class TestFarOutReading:
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_predictions_warn_not(self, data):
+        """One setting or selected sensor in the last window at a finite
+        value of magnitude 1e3-1e300 overflows the nearest-state distances
+        or the LSTM gates.  Called directly, ``predict_rul`` and
+        ``forecast_trajectory`` each return a RUL in [0, rul_cap] or raise a
+        MafnError; a numpy warning fails the test."""
+        records, _, bundle, model = walkthrough_prep("settings")
+        cfg = bundle.config
+        rec = records[data.draw(st.integers(0, len(records) - 1), label="engine")]
+        row = data.draw(st.integers(rec.length - cfg.window, rec.length - 1), label="row")
+        column = data.draw(st.sampled_from([("setting", j) for j in range(3)]
+                                           + [("sensor", s - 1) for s in bundle.stats.sensor_ids]), label="column")
+        value = data.draw(st.floats(3.0, 300.0).map(lambda e: 10.0 ** e), label="magnitude")
+        value *= data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+        op_settings, sensors = rec.op_settings.copy(), rec.sensors.copy()
+        (op_settings if column[0] == "setting" else sensors)[row, column[1]] = value
+        edited = replace(rec, op_settings=op_settings, sensors=sensors)
+        for predict in (predict_rul, lambda *args: forecast_trajectory(*args)[2]):
+            try:
+                rul = predict(edited, model, bundle)
+            except MafnError:
+                continue
+            assert 0.0 <= rul <= cfg.rul_cap
 
 
 def with_header(blob, edit):
