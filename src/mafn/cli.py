@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import default_config_text, load_config, read_fields
-from .data import (atomic_write, normalize_record, parse_cmapss, parse_rul_file, record_states,
+from .cluster import assign_states
+from .data import (atomic_write, normalize_record, parse_cmapss, parse_rul_file, state_features,
                    truncate_at_fraction, write_cmapss)
 from .errors import ContractError, DataError, MafnError, NumericError
 from .model import forecast_trajectory
@@ -120,7 +121,7 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args.config, args.seed)
     records = parse_cmapss(args.data)
     model, _, normalized = fit_pipeline(records, cfg)
-    labels = np.concatenate([record_states(r, model) for r in normalized])
+    labels = assign_states(np.concatenate([state_features(r, model.feature_spec) for r in normalized]), model)
     counts = np.bincount(labels, minlength=model.k)
     report_lines = ["cluster,count," + ",".join(f"c{i}" for i in range(model.centroids.shape[1]))]
     for j in range(model.k):

@@ -27,8 +27,8 @@ all others, the second smallest at its last full pass less each later pass's
 largest centroid move (Hamerly).  A bound shrinks by ``_MARGIN`` (1e-9,
 relative) and ``_FLOOR`` whenever made or moved, far past rounding and
 underflow, so a proven label is the full kernel's strict minimum and no bit
-moves.  A pass that moves no label ends Lloyd without summing again; the polish
-returns before its (k, n) pass when the centroid gaps prove no move can pay.
+moves.  A pass that moves no label ends Lloyd without summing again; given its
+distances, the polish returns before any pass when no move can pay.
 """
 from __future__ import annotations
 
@@ -191,29 +191,33 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centroids
 
 
-def _single_point_moves(cols: np.ndarray, labels: np.ndarray, k: int, max_moves: int = 200):
+def _single_point_moves(cols: np.ndarray, labels: np.ndarray, k: int, max_moves: int = 200, means=None, own=None):
     """Best-improvement single-point reassignments with exact objective deltas.
 
     Moving x from cluster a (size n_a) to b (size n_b) changes the objective
     by n_b/(n_b+1)*d(x,mu_b)^2 - n_a/(n_a-1)*d(x,mu_a)^2; moves of lone
     points are forbidden so no cluster empties.  Of equal best moves, the one
     with the lowest (point, cluster) index pair is taken.  Returns the means
-    of the final assignment and the number of moves applied.
+    of the final assignment and the number of moves applied.  ``means`` and
+    ``own`` are an unmoved Lloyd run's centroids and own distances, or None.
     """
     n = cols.shape[1]
     at = np.arange(n)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = _cluster_sums(cols, labels, k)
-    centroids = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=counts[:, None] > 0)
+    sums = None if own is not None else _cluster_sums(cols, labels, k)
+    centroids = means.copy() if sums is None else np.divide(sums, counts[:, None], out=np.zeros_like(sums),
+                                                             where=counts[:, None] > 0)
     if counts.all():                    # else an empty cluster takes any point
         # x of cluster a lies within r_a (its farthest member) of mu_a, so at least |mu_a - mu_b| - r_a from
         # mu_b, and moving it to b pays only if sqrt(n_b/(n_b+1)) d(x, mu_b) < sqrt(n_a/(n_a-1)) d(x, mu_a)
         grow, shrink = np.sqrt(counts / (counts + 1.0)), np.sqrt(counts / np.maximum(counts - 1.0, 1.0))
         limit = ((1.0 - _MARGIN) * grow * _center_gaps(centroids) / (grow + shrink[:, None])).min(axis=1) ** 2
-        checks = (own < limit[labels[cut][part]] for cut in (slice(0, 256), slice(None))   # 256 points refute most
-                  for part, own, _ in _own_blocks(cols[:, cut], centroids, labels[cut]))
+        checks = [own < limit[labels]] if sums is None else (
+            dist < limit[labels[cut][part]] for cut in (slice(0, 256), slice(None))   # 256 points refute most
+            for part, dist, _ in _own_blocks(cols[:, cut], centroids, labels[cut]))
         if all(check.all() for check in checks):
             return centroids, 0
+    sums = _cluster_sums(cols, labels, k) if sums is None else sums
     d2 = _sq_dists(cols, centroids)
     w = max(1, BLOCK_BYTES // (8 * k))
     delta, best = np.empty((k, min(w, n))), np.empty(n)   # a block of deltas, each point's best
@@ -256,20 +260,22 @@ def fit_single_restart(cols: np.ndarray, k: int, seed: int, max_iter: int, tol: 
     inertia_history); the history is non-increasing across the entire run.
     """
     init = _kmeanspp_init(cols, k, np.random.default_rng(seed))
-    centroids, labels, inertia, history = lloyd_iterations(cols, init, max_iter, tol)
+    centroids, labels, inertia, history, own = lloyd_iterations(cols, init, max_iter, tol)
     for _ in range(50):
-        moved_centroids, n_moves = _single_point_moves(cols, labels.copy(), k)
+        moved_centroids, n_moves = _single_point_moves(cols, labels.copy(), k, means=centroids, own=own)
         if not n_moves:
             break
-        centroids, labels, inertia, more = lloyd_iterations(cols, moved_centroids, max_iter, tol)
+        centroids, labels, inertia, more, own = lloyd_iterations(cols, moved_centroids, max_iter, tol)
         history += more
     return centroids, labels, inertia, history
 
 
 def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
     """Run Lloyd updates on the points ``cols`` (d, n) from the given (k, d)
-    centroids.  Returns (centroids, labels, inertia, inertia_history) where
-    the history holds the objective after every assignment step.
+    centroids.  Returns (centroids, labels, inertia, inertia_history, own)
+    where the history holds the objective after every assignment step.  If no
+    label moved in the last pass, the centroids are the means of the labels and
+    ``own`` their squared distances as ``_block_dists`` adds them; else None.
     """
     k = centroids.shape[0]
     bounds = cols.shape[1] > BLOCK_BYTES // (8 * k)      # one block's pass is call overhead, which bounds do not cut
@@ -299,7 +305,7 @@ def lloyd_iterations(cols: np.ndarray, centroids: np.ndarray, max_iter: int, tol
         _, (labels, assigned, lower) = _assign_pass(cols, centroids, shift, labels, assigned, lower, bounds)
     inertia = float(assigned.sum())
     history.append(inertia)
-    return centroids, labels, inertia, history
+    return centroids, labels, inertia, history, assigned if unmoved else None
 
 
 @np.errstate(over="ignore", invalid="ignore")      # an overflowed distance is +inf, and a NaN bound proves nothing

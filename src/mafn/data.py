@@ -179,29 +179,36 @@ def _convert(lines) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
+def _rows_or_none(lines):
+    try:
+        return _convert(lines)
+    except ValueError:
+        return None
+
+
 def text_rows(path, columns: int):
     """(line numbers, rows) for each block of a whitespace-separated numeric
     file: the block's non-blank lines as an (n, ``columns``) float64 array.
 
-    A block converts in one call.  If that fails, each of its lines converts
-    alone, and ParseError names the first line that is not ``columns``
-    numbers.
+    A block's lines convert in one call; only if ``loadtxt`` skipped blank
+    lines are the others found, to number the rows.  If the call fails, the
+    non-blank lines convert again, then each alone, and ParseError names the
+    first line that is not ``columns`` numbers.
     """
     for first, text in text_blocks(path):
-        lines = text.split("\n")
-        numbers = [i for i, line in enumerate(lines) if line and not line.isspace()]
-        if not numbers:                         # loadtxt warns on no data
+        if text.isspace():                      # loadtxt warns on no data
             continue
-        lines = [lines[i] for i in numbers]
-        try:
-            rows = _convert(lines)
-        except ValueError:
-            rows = None
+        lines = text.removesuffix("\n").split("\n")   # a final "\n" ends a line and starts none
+        rows, numbers = _rows_or_none(lines), np.arange(len(lines))
+        if rows is None or len(rows) != len(lines):
+            numbers = [i for i, line in enumerate(lines) if line and not line.isspace()]
+            if rows is None or len(rows) != len(numbers):
+                rows = _rows_or_none([lines[i] for i in numbers])
         if rows is None or rows.shape[1] != columns:
             # a block fails only where one of its lines fails alone
-            for i, line in zip(numbers, lines):
+            for i in numbers:
                 try:
-                    found = _convert([line]).shape[1]
+                    found = _convert([lines[i]]).shape[1]
                 except ValueError as e:
                     message = str(e).replace("at row 0, ", "at ")
                     raise ParseError(f"{path}:{first + i}: {message}") from None
@@ -235,7 +242,7 @@ def parse_cmapss(path) -> list:
     """Parse a C-MAPSS text file into one EngineRecord per unit.
 
     The file is read in blocks of whole lines (``text_rows``): each block's
-    non-blank lines convert to float64 in one ``np.loadtxt`` call, and a
+    lines convert to float64 in one ``np.loadtxt`` call, and a
     block that fails converts line by line to find the line at fault.
     Tokens are what ``loadtxt`` reads as a float64; unlike ``float()``, it
     rejects underscored digits (``1_0``), non-ASCII digits and a bare
@@ -387,13 +394,14 @@ def record_states(record: EngineRecord, model: ClusterModel) -> np.ndarray:
 
 def make_windows(
     record: EngineRecord,
-    cluster_model: ClusterModel,
+    states: np.ndarray,
     window: int,
     horizon: int,
     stride: int = 1,
     rul_cap: float = 125.0,
 ) -> WindowDataset:
-    """Cut sliding windows with all four head targets.
+    """Cut sliding windows with all four head targets from a record and its
+    (L,) integer state ids, such as ``record_states`` gives.
 
     A window ending at cycle ``c`` (the cutoff) carries: the normalized
     sensors and state ids for cycles ``c-window+1 .. c``; the states and
@@ -407,15 +415,18 @@ def make_windows(
     if window < 1 or horizon < 1 or stride < 1:
         raise ContractError("window, horizon and stride must be positive")
     L, S = record.sensors.shape
+    if np.shape(states) != (L,) or np.asarray(states).dtype.kind not in "iu":
+        raise ContractError(f"unit {record.unit_id}: expected ({L},) integer state ids, "
+                            f"got {np.asarray(states).dtype}{list(np.shape(states))}")
     cuts = np.arange(window, L + 1, stride)          # cutoff cycles, 1-based
     # the zero tail fills the targets of windows that end near the record's end
     sensors = np.zeros((L + horizon, S))
     sensors[:L] = record.sensors
-    states = np.zeros(L + horizon, dtype=np.int64)
-    states[:L] = record_states(record, cluster_model)
+    state_ids = np.zeros(L + horizon, dtype=np.int64)
+    state_ids[:L] = states
     return WindowDataset(
         sensors=sensors,
-        state_ids=states,
+        state_ids=state_ids,
         starts=cuts - window,
         mask=(cuts[:, None] + np.arange(horizon) < L).astype(np.float64),
         rul=np.minimum(L - cuts, rul_cap).astype(np.float64),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import CheckpointBundle, load_checkpoint
-from .cluster import kmeans_fit, relabel_canonical
+from .cluster import assign_states, kmeans_fit, relabel_canonical
 from .config import TrainConfig
 from .data import fit_normalization, make_windows, normalize_record, pack_windows, split_by_engine, state_features
 from .errors import DataError, MafnError
@@ -43,10 +43,15 @@ def fit_pipeline(records, cfg: TrainConfig):
 
 
 def windows_for_records(records, cluster_model, cfg: TrainConfig):
-    """One window dataset per record, as ``make_windows`` cuts it under ``cfg``."""
+    """One window dataset per record, as ``make_windows`` cuts it under
+    ``cfg``, from state ids that one ``assign_states`` call gives all records."""
+    if not records:
+        return []
+    points = np.concatenate([state_features(rec, cluster_model.feature_spec) for rec in records])
+    states = np.split(assign_states(points, cluster_model), np.cumsum([rec.length for rec in records[:-1]]))
     return [
-        make_windows(rec, cluster_model, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
-        for rec in records
+        make_windows(rec, ids, cfg.window, cfg.horizon, cfg.stride, cfg.rul_cap)
+        for rec, ids in zip(records, states)
     ]
 
 

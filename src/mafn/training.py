@@ -18,7 +18,7 @@ from . import losses as L
 from . import tensor as T
 from .config import TrainConfig
 from .data import WindowDataset, truncate_at_fraction
-from .errors import ContractError, NumericError
+from .errors import ContractError, DataError, NumericError
 from .model import MafnModel, MafnOutput, PreprocessBundle, min_history, predict_rul
 from .tensor import Tensor
 
@@ -246,6 +246,8 @@ def evaluate_cutoffs(records, model: MafnModel, bundle: PreprocessBundle) -> lis
     Truncations shorter than ``min_history`` are skipped with a warning
     count; a cutoff where every engine is too short contributes no row.
     """
+    if not records:
+        raise DataError("no engine to evaluate: the data holds no engine records")
     shortest = min_history(bundle.config)
     rows = []
     skipped = 0

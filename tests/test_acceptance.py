@@ -27,6 +27,7 @@ from mafn.data import (
     normalize_record,
     pack_windows,
     parse_cmapss,
+    record_states,
     split_by_engine,
 )
 from mafn.errors import ContractError
@@ -308,7 +309,7 @@ def test_criterion_5_fd002_preprocessing():
     for rec in normalized:
         assert rec.sensors.min() >= 0.0 and rec.sensors.max() <= 1.0
 
-    windows = make_windows(normalized[0], cluster_model, cfg.window, cfg.horizon, 1, 125.0)
+    windows = make_windows(normalized[0], record_states(normalized[0], cluster_model), cfg.window, cfg.horizon, 1, 125.0)
     assert len(windows) > 0 and ((windows.rul >= 0.0) & (windows.rul <= 125.0)).all()
 
     points = np.concatenate([r.op_settings for r in train_records], axis=0)
@@ -339,7 +340,7 @@ def test_criterion_5_fd002_shaped_preprocessing():
         with pytest.raises(ContractError, match=f"unit {rec.unit_id}: record holds 11 sensor channels, not the raw 21"):
             normalize_record(rec, stats)
 
-    windows = make_windows(normalized[0], cluster_model, cfg.window, cfg.horizon, 1, 125.0)
+    windows = make_windows(normalized[0], record_states(normalized[0], cluster_model), cfg.window, cfg.horizon, 1, 125.0)
     assert len(windows) > 0 and ((windows.rul >= 0.0) & (windows.rul <= 125.0)).all()
 
     points = np.concatenate([r.op_settings for r in train_records], axis=0)

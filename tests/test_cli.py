@@ -699,6 +699,24 @@ class TestEvaluateCommand:
         assert code == 2 and len(err) == 1 and err[0].startswith("mafn: error:"), err
         assert f"unit 1: sensor 7 reads 1e+308 at cycle {cycle}, too far outside its training range" in err[0]
 
+    def test_data_without_engines_names_that_alone(self, workspace, tmp_path):
+        """A data file of blank lines holds no engine: one error line says
+        so, where nine "every truncation shorter than the window" warnings
+        and "no engine long enough at any cutoff" were printed before.  A
+        fresh interpreter, so that the warnings reach stderr as they would."""
+        data = tmp_path / "empty.txt"
+        data.write_text("\n  \n")
+        src = str(Path(mafn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mafn.cli", "evaluate", "--checkpoint", str(workspace / "run1" / "model.ckpt"),
+             "--data", str(data), "--mode", "cutoffs", "--out", str(tmp_path / "eval")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["mafn: error: no engine to evaluate: the data holds no engine records"]
+        assert not (tmp_path / "eval").exists()
+
     def test_truncated_checkpoint_clean_error(self, workspace, tmp_path, capsys):
         cut = tmp_path / "cut.ckpt"
         cut.write_bytes((workspace / "run1" / "model.ckpt").read_bytes()[:501])

@@ -196,7 +196,7 @@ class TestFit:
     def test_objective_monotone(self, rng):
         pts = rng.normal(size=(40, 3))
         init = pts[rng.choice(40, size=4, replace=False)]
-        _, _, _, history = lloyd_iterations(pts.T, init.copy(), max_iter=50, tol=0.0)
+        history = lloyd_iterations(pts.T, init.copy(), max_iter=50, tol=0.0)[3]
         diffs = np.diff(history)
         assert (diffs <= 1e-9).all()
 
@@ -204,7 +204,7 @@ class TestFit:
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
         # both initial centroids sit in the left blob: the right blob starves one
         init = np.array([[0.0], [0.1]])
-        centroids, labels, inertia, history = lloyd_iterations(pts.T, init.copy(), 50, 0.0)
+        centroids, labels, inertia, history, _ = lloyd_iterations(pts.T, init.copy(), 50, 0.0)
         assert len(set(labels.tolist())) == 2
         assert inertia == pytest.approx(0.01, abs=1e-12)
         assert (np.diff(history) <= 1e-9).all()
@@ -361,7 +361,7 @@ class TestBlocks:
             want = reference_lloyd(points, init.copy(), 20, 0.0)
             assert got[0].tobytes() == want[0].tobytes()
             np.testing.assert_array_equal(got[1], want[1])
-            assert got[2:] == want[2:]
+            assert got[2:4] == want[2:]
 
             labels = rng.integers(k, size=n)
             got_labels, want_labels = labels.copy(), labels.copy()
@@ -435,7 +435,7 @@ class TestBounds:
         want = reference_lloyd(points, init.copy(), 20, 0.0)
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2:] == want[2:] and len(got[3]) > 4
+        assert got[2:4] == want[2:] and len(got[3]) > 4
 
     def test_k1_matches_reference(self, monkeypatch):
         monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", 1 << 12)
@@ -471,7 +471,7 @@ class TestBounds:
             want = reference_lloyd(points, points[:2].copy(), 30, 0.0)
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2:] == want[2:]
+        assert got[2:4] == want[2:]
 
     @settings(max_examples=120)
     @given(
@@ -502,7 +502,7 @@ class TestBounds:
         want = reference_lloyd(points, start.copy(), 50, 0.0)
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
-        assert got[2:] == want[2:]
+        assert got[2:4] == want[2:]
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_idle_polish_builds_no_distance_matrix(self, seed, monkeypatch):
@@ -518,6 +518,69 @@ class TestBounds:
         assert rows == [1] * 10                   # one per restart, from the seeding
         centroids, inertia, _ = reference_fit(points, 6, seed)
         assert model.centroids.tobytes() == centroids.tobytes() and model.inertia == inertia
+
+
+class TestLloydState:
+    """A Lloyd run whose last pass moved no label hands its means and
+    own-centroid distances to the polish, which uses them in place of its
+    own sums and distances; every bit stays the same."""
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_idle_polish_neither_sums_nor_measures(self, seed, monkeypatch):
+        records, _ = generate(SynthSpec(seed=seed, engines=20, **FD002_SHAPE))
+        points = np.concatenate([r.op_settings for r in records])
+        polishing, calls, given_state = [False], [], []
+
+        def counted(name, orig):
+            return lambda *args, **kwargs: (calls.append(name) if polishing[0] else None) or orig(*args, **kwargs)
+
+        def polish(*args, **kwargs):
+            given_state.append(kwargs.get("own") is not None)
+            polishing[0] = True
+            try:
+                return moves(*args, **kwargs)
+            finally:
+                polishing[0] = False
+
+        moves = mafn.cluster._single_point_moves
+        for name in ("_cluster_sums", "_own_blocks"):
+            monkeypatch.setattr(mafn.cluster, name, counted(name, getattr(mafn.cluster, name)))
+        monkeypatch.setattr(mafn.cluster, "_single_point_moves", polish)
+        model = kmeans_fit(points, 6, seed=seed)
+        assert given_state == [True] * 10 and calls == []
+        centroids, inertia, _ = reference_fit(points, 6, seed)
+        assert model.centroids.tobytes() == centroids.tobytes() and model.inertia == inertia
+
+    @pytest.mark.parametrize("block_bytes", [None, 1 << 12])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_own_distances_are_own_blocks_bits(self, seed, block_bytes, monkeypatch):
+        """From a k-means++ start, in plain passes (one block) and bounded ones."""
+        if block_bytes:
+            monkeypatch.setattr(mafn.cluster, "BLOCK_BYTES", block_bytes)
+        records, _ = generate(SynthSpec(seed=seed, engines=20, **FD002_SHAPE))
+        cols = np.ascontiguousarray(np.concatenate([r.op_settings for r in records]).T)
+        init = mafn.cluster._kmeanspp_init(cols, 6, np.random.default_rng(seed))
+        centroids, labels, inertia, _, own = lloyd_iterations(cols, init, 100, 1e-8)
+        want = np.concatenate([dist.copy() for _, dist, _ in mafn.cluster._own_blocks(cols, centroids, labels)])
+        assert own is not None and own.tobytes() == want.tobytes() and inertia == float(want.sum())
+
+    def test_no_state_after_a_run_that_moved(self):
+        """Stopped by ``max_iter`` while labels still move: the last pass's
+        distances are not to the means of its labels, so none are handed on."""
+        points = np.random.default_rng(1).normal(size=(60, 2))
+        assert lloyd_iterations(np.ascontiguousarray(points.T), points[:4].copy(), 1, 0.0)[4] is None
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_moves_equal_with_and_without_lloyd_state(self, seed):
+        points = np.random.default_rng(seed).normal(size=(60, 2))
+        cols = np.ascontiguousarray(points.T)
+        centroids, labels, _, _, own = lloyd_iterations(cols, points[:4].copy(), 100, 0.0)
+        with_state, without = labels.copy(), labels.copy()
+        got = _single_point_moves(cols, with_state, 4, means=centroids, own=own)
+        want = _single_point_moves(cols, without, 4)
+        assert own is not None and want[1] > 0
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+        np.testing.assert_array_equal(with_state, without)
 
 
 class TestRelabel:

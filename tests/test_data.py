@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafn import data as D
-from mafn.cluster import ClusterModel
+from mafn.cluster import ClusterModel, kmeans_fit
 from mafn.config import TrainConfig
 from mafn.errors import ContractError, DataError, ParseError
 from mafn.model import MafnModel, PreprocessBundle, predict_rul
@@ -31,6 +31,11 @@ def make_record(unit=1, length=10, n_sensors=21, sensor_fn=None, settings=None):
 
 def single_state_cluster():
     return ClusterModel(k=1, centroids=np.zeros((1, 3)), inertia=0.0, feature_spec="settings")
+
+
+def one_state(record):
+    """State ids of a record whose every cycle is in state 0."""
+    return np.zeros(record.length, dtype=np.int64)
 
 
 def write_rows(path, rows):
@@ -452,19 +457,19 @@ def reference_case(length, phase=0):
 class TestWindows:
     def test_count_formula(self):
         rec = make_record(length=200, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, stride=1)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, stride=1)
         assert len(ds) == 171
 
     def test_rul_capping(self):
         rec = make_record(length=220, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5, rul_cap=125)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, rul_cap=125)
         # stride 1: window i ends at cycle 30 + i
         assert ds.rul[100 - 30] == 120.0
         assert ds.rul[50 - 30] == 125.0
 
     def test_mask_prefix_structure(self):
         rec = make_record(length=40, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=8)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=8)
         assert len(ds) == 11
         for m in ds.mask:
             first_zero = int(np.argmin(m)) if (m == 0).any() else len(m)
@@ -472,7 +477,7 @@ class TestWindows:
 
     def test_short_record_empty(self):
         rec = make_record(length=5, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=30, horizon=5)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5)
         assert len(ds) == 0
         batch = ds.batch(np.arange(len(ds)))
         assert batch["inputs"].shape == (0, 30, 11) and batch["future_sensors"].shape == (0, 5, 11)
@@ -481,7 +486,7 @@ class TestWindows:
 
     def test_targets_are_true_future_values(self):
         rec = make_record(length=50, n_sensors=11, sensor_fn=lambda c, t: t.astype(float))
-        ds = D.make_windows(rec, single_state_cluster(), window=10, horizon=3)
+        ds = D.make_windows(rec, one_state(rec), window=10, horizon=3)
         # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
         np.testing.assert_array_equal(ds.batch([0])["future_sensors"][0, :, 0], [10.0, 11.0, 12.0])
         np.testing.assert_array_equal(ds.mask[0], [1.0, 1.0, 1.0])
@@ -493,13 +498,13 @@ class TestWindows:
     )
     def test_count_property(self, length, window, stride):
         rec = make_record(length=length, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=window, horizon=4, stride=stride)
+        ds = D.make_windows(rec, one_state(rec), window=window, horizon=4, stride=stride)
         expected = 0 if length < window else (length - window) // stride + 1
         assert len(ds) == expected
 
     def test_rul_bounds_invariant(self):
         rec = make_record(length=150, n_sensors=11)
-        ds = D.make_windows(rec, single_state_cluster(), window=20, horizon=5, rul_cap=125)
+        ds = D.make_windows(rec, one_state(rec), window=20, horizon=5, rul_cap=125)
         assert ((ds.rul >= 0.0) & (ds.rul <= 125.0)).all()
 
     @given(
@@ -511,7 +516,7 @@ class TestWindows:
     )
     def test_matches_per_window_reference(self, length, window, horizon, stride, rul_cap):
         rec, cluster = reference_case(length)
-        ds = D.pack_windows([D.make_windows(rec, cluster, window, horizon, stride, rul_cap)])
+        ds = D.pack_windows([D.make_windows(rec, D.record_states(rec, cluster), window, horizon, stride, rul_cap)])
         batch = ds.batch(np.arange(len(ds)))
         expected = reference_windows(rec, cluster, window, horizon, stride, rul_cap)
         for name, want in expected.items():
@@ -528,7 +533,7 @@ class TestWindows:
     )
     def test_packed_batch_matches_reference_across_records(self, lengths, window, horizon, stride, data):
         cases = [reference_case(n, phase=i) for i, n in enumerate(lengths)]
-        ds = D.pack_windows([D.make_windows(rec, cluster, window, horizon, stride, 40.0)
+        ds = D.pack_windows([D.make_windows(rec, D.record_states(rec, cluster), window, horizon, stride, 40.0)
                              for rec, cluster in cases])
         refs = [reference_windows(rec, cluster, window, horizon, stride, 40.0) for rec, cluster in cases]
         expected = {name: np.concatenate([r[name] for r in refs]) for name in refs[0]}
@@ -544,7 +549,7 @@ class TestWindows:
 
     def test_pack_concatenates_records_into_fresh_arrays(self):
         recs = [make_record(unit=u, length=20 + u, n_sensors=11) for u in (1, 2)]
-        parts = [D.make_windows(r, single_state_cluster(), window=10, horizon=3) for r in recs]
+        parts = [D.make_windows(r, one_state(r), window=10, horizon=3) for r in recs]
         ds = D.pack_windows(parts)
         assert len(ds) == len(parts[0]) + len(parts[1]) == 12 + 13
         # one copy of each record's rows plus its 3 zero target rows, not one per window
@@ -563,7 +568,7 @@ class TestWindows:
 
     def test_batches_are_fresh_arrays(self):
         rec = make_record(length=25, n_sensors=11)
-        ds = D.pack_windows([D.make_windows(rec, single_state_cluster(), window=10, horizon=3)])
+        ds = D.pack_windows([D.make_windows(rec, one_state(rec), window=10, horizon=3)])
         batch = ds.batch(np.array([3, 0, 3]))
         for name, got in batch.items():
             assert got.flags.c_contiguous and got.flags.owndata, name
@@ -578,7 +583,7 @@ class TestWindows:
 
     def test_pack_rejects_mixed_window_lengths(self):
         rec = make_record(length=20, n_sensors=11)
-        parts = [D.make_windows(rec, single_state_cluster(), window=w, horizon=3) for w in (5, 6)]
+        parts = [D.make_windows(rec, one_state(rec), window=w, horizon=3) for w in (5, 6)]
         with pytest.raises(ContractError, match="different window"):
             D.pack_windows(parts)
 
@@ -601,6 +606,62 @@ class TestWindows:
         span = cfg.window + cfg.horizon
         assert total <= (rows + len(records) * span) * (S + 1) * 8 + n * (cfg.horizon + 2) * 8
         assert total < n * cfg.window * S * 8 / 10       # one copy per window would be 30x the rows
+
+
+@pytest.fixture(scope="module")
+def clustered():
+    """Six normalized synthetic records and a 3-state model of each feature set."""
+    records, _ = generate(SynthSpec(seed=3, engines=6, life_min=40, life_max=70))
+    stats = D.fit_normalization(records)
+    normalized = [D.normalize_record(r, stats) for r in records]
+    models = {
+        spec: kmeans_fit(np.concatenate([D.state_features(r, spec) for r in normalized]), 3, seed=0,
+                         restarts=2, feature_spec=spec)
+        for spec in ("settings", "sensors")
+    }
+    return normalized, models
+
+
+class TestWindowsForRecords:
+    @settings(max_examples=40)
+    @given(
+        spec=st.sampled_from(["settings", "sensors"]),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 70)), min_size=1, max_size=5),
+        window=st.integers(1, 40),
+        horizon=st.integers(1, 6),
+        stride=st.integers(1, 4),
+    )
+    def test_one_assignment_equals_per_record_states(self, clustered, spec, picks, window, horizon, stride):
+        """Records cut to 1-70 cycles, so some are shorter than the window:
+        one ``assign_states`` call over all of them gives each record's
+        windows bit for bit as its own ``record_states`` call does."""
+        normalized, models = clustered
+        model, cfg = models[spec], TrainConfig(window=window, horizon=horizon, stride=stride)
+        records = [dataclasses.replace(normalized[i], op_settings=normalized[i].op_settings[:n],
+                                       sensors=normalized[i].sensors[:n]) for i, n in picks]
+        got = windows_for_records(records, model, cfg)
+        assert len(got) == len(records)
+        for rec, ds in zip(records, got):
+            want = D.make_windows(rec, D.record_states(rec, model), window, horizon, stride, cfg.rul_cap)
+            for field in dataclasses.fields(ds):
+                a, b = getattr(ds, field.name), getattr(want, field.name)
+                if field.name == "window":
+                    assert a == b
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+    def test_no_records_give_no_datasets(self, clustered):
+        assert windows_for_records([], clustered[1]["settings"], TrainConfig()) == []
+
+    @pytest.mark.parametrize("states", [
+        np.zeros(9, dtype=np.int64),                # one short
+        np.zeros((10, 1), dtype=np.int64),          # not flat
+        np.zeros(10),                               # float
+        np.zeros(10, dtype=bool),
+    ])
+    def test_make_windows_rejects_bad_state_ids(self, states):
+        with pytest.raises(ContractError, match=r"unit 1: expected \(10,\) integer state ids"):
+            D.make_windows(make_record(length=10, n_sensors=11), states, window=4, horizon=2)
 
 
 class TestTruncate:

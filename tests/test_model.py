@@ -16,7 +16,7 @@ from mafn import tensor as T
 from mafn.checkpoint import CheckpointBundle, load_checkpoint, save_checkpoint
 from mafn.cluster import ClusterModel, assign_states
 from mafn.config import TrainConfig
-from mafn.data import NormalizationStats, make_windows
+from mafn.data import NormalizationStats, make_windows, record_states
 from mafn.errors import ContractError, DataError, DimensionError, MafnError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.model import MafnModel, PreprocessBundle, clamp_rul, forecast_trajectory, predict_rul, prepare_window
@@ -304,7 +304,7 @@ class TestInferenceWindow:
         raw = records[i]
         inputs, states = prepare_window(replace(raw, op_settings=raw.op_settings[:cut], sensors=raw.sensors[:cut]),
                                         bundle)
-        ds = make_windows(normalized[i], bundle.cluster, cfg.window, cfg.horizon, 1, cfg.rul_cap)
+        ds = make_windows(normalized[i], record_states(normalized[i], bundle.cluster), cfg.window, cfg.horizon, 1, cfg.rul_cap)
         (at,) = np.flatnonzero(ds.starts == cut - cfg.window)
         window = ds.batch([at])
         assert_bits_equal(inputs, window["inputs"][0])

@@ -284,3 +284,22 @@ def test_file_without_rows_is_empty_and_quiet(tmp_path, body):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert D.parse_cmapss(path) == []
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_block_without_a_bad_token_converts_once(tmp_path, monkeypatch, end):
+    """Blank and whitespace-only lines or not, a block whose tokens all
+    convert is converted in one call, and its rows keep their line numbers:
+    the cycle index that breaks the count after the blank lines is named at
+    its own line."""
+    rows = [f"1 {c} " + " ".join(["0.123456789"] * 24) for c in range(1, 2001)]
+    rows[1500] = rows[1500].replace("1 1501 ", "1 1502 ", 1)
+    rows[1400:1400] = ["", " \t", "\x0c", "\xa0"]
+    path = tmp_path / "big.txt"
+    path.write_bytes((end.join(rows) + end).encode())
+    calls = []
+    convert = D._convert
+    monkeypatch.setattr(D, "_convert", lambda lines: calls.append(len(lines)) or convert(lines))
+    with pytest.raises(ParseError, match=r"big\.txt:1505: unit 1: cycle index"):
+        D.parse_cmapss(path)
+    assert len(calls) == len(list(D.text_blocks(path))) > 4
