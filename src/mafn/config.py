@@ -83,7 +83,7 @@ class TrainConfig:
                 f"config field horizon must be >= 2, got {self.horizon}: the degradation head's "
                 "loss compares consecutive steps"
             )
-        for name in ("patience", "seed"):
+        for name in ("patience", "seed", "grad_clip"):   # a grad_clip of 0 turns clipping off
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0")
         if self.window < self.kernel_size:

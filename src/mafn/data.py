@@ -287,12 +287,9 @@ def write_cmapss(records: Sequence[EngineRecord], path):
     """Serialize records back to the 26-column text format (round-trip exact)."""
     with atomic_write(path) as fh:
         for rec in records:
-            sensors = _raw_sensors(rec)
-            for i in range(rec.length):
-                fields = [str(rec.unit_id), str(i + 1)]
-                fields += [repr(float(v)) for v in rec.op_settings[i]]
-                fields += [repr(float(v)) for v in sensors[i]]
-                fh.write(" ".join(fields) + "\n")
+            rows = np.hstack([rec.op_settings, _raw_sensors(rec)]).tolist()
+            fh.writelines(f"{rec.unit_id} {cycle} {' '.join(map(repr, row))}\n"
+                          for cycle, row in enumerate(rows, 1))
 
 
 def parse_rul_file(path) -> np.ndarray:
@@ -397,8 +394,8 @@ def make_windows(
     states: np.ndarray,
     window: int,
     horizon: int,
-    stride: int = 1,
-    rul_cap: float = 125.0,
+    stride: int,
+    rul_cap: float,
 ) -> WindowDataset:
     """Cut sliding windows with all four head targets from a record and its
     (L,) integer state ids, such as ``record_states`` gives.

@@ -37,13 +37,15 @@ class Dense:
 
 
 class EmbeddingTable:
-    """K discrete states mapped to dense rows of an (K, m) table."""
+    """K discrete states mapped to dense rows of an (K, m) table.  A call
+    appends each state's row to the input beside it: (..., D) and (...) ids
+    give (..., D + m), one :func:`mafn.tensor.embed_beside` node."""
 
     def __init__(self, rng, n_states: int, dim: int):
         self.weights = T.parameter(glorot_uniform(rng, n_states, dim, (n_states, dim)))
 
-    def __call__(self, state_ids) -> Tensor:
-        return T.gather_rows(self.weights, np.asarray(state_ids))
+    def __call__(self, x: Tensor, state_ids) -> Tensor:
+        return T.embed_beside(x, self.weights, state_ids)
 
     def parameters(self):
         return [("W", self.weights)]

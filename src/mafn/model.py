@@ -124,9 +124,7 @@ class MafnModel:
             raise DimensionError(
                 f"encoder stage: expected {self.n_sensors} sensor channels, got {x.shape[2]}"
             )
-        emb = self.embedding(ids)                          # (B, T, m)
-        augmented = T.concat([x, emb], axis=2)             # (B, T, D+m)
-        features = self.conv(augmented)                    # (B, T, N_f)
+        features = self.conv(self.embedding(x, ids))       # (B, T, D+m) -> (B, T, N_f)
         hidden = bilstm(features, self.enc_fwd, self.enc_bwd)
         return self.attention(hidden)
 
@@ -159,7 +157,7 @@ class MafnModel:
                 )
         else:
             fusion_ids = logits.data.argmax(axis=-1)
-        fused = T.concat([trend_vecs, self.embedding(fusion_ids)], axis=2)
+        fused = self.embedding(trend_vecs, fusion_ids)     # (B, H, d + m)
         for layer in self.fusion_layers:
             fused = layer(fused)
         forecast = self.fusion_out(fused)                  # (B, H, d_s)

@@ -5,7 +5,8 @@ a closure computing parent gradients from the output gradient).  Calling
 ``backward()`` on a scalar tensor topologically sorts the tape and pushes
 gradients back, accumulating additively into the leaves' ``.grad`` so
 repeated backward passes without zeroing sum their contributions.  Each
-layer records one node (``dense``, ``conv1d`` with its bias and ReLU,
+layer records one node (``embed_beside``, the state embedding's rows
+appended to its input, ``dense``, ``conv1d`` with its bias and ReLU,
 ``additive_attention``, ``lstm_scan``), and so do the four head losses and
 their weighted sum ``total_loss``, through ``_make``; each node's backward
 repeats the arithmetic of the graph of small ops it replaced, bit for bit.
@@ -211,57 +212,39 @@ def dense(x: Tensor, W: Tensor, b: Tensor, relu: bool) -> Tensor:
 # -- shape surgery ---------------------------------------------------------------
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along ``axis``; the gradient splits back by slice."""
-    ts = list(tensors)
-    if not ts:
-        raise ContractError("concat of zero tensors")
-    ndim = ts[0].ndim
-    ax = axis % ndim if ndim else 0
-    ref = list(ts[0].shape)
-    for t in ts[1:]:
-        if t.ndim != ndim:
-            raise DimensionError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
-        other = list(t.shape)
-        if ref[:ax] + ref[ax + 1 :] != other[:ax] + other[ax + 1 :]:
-            raise DimensionError(f"concat off-axis dims differ: {ts[0].shape} vs {t.shape} on axis {axis}")
-    out = np.concatenate([t.data for t in ts], axis=ax)
-    offsets = np.cumsum([t.shape[ax] for t in ts])[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, offsets, axis=ax))
-
-    return _make(out, tuple(ts), grad_fn, "concat")
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = x.data.reshape(shape)
     return _make(out, (x,), lambda g: (g.reshape(x.shape),), "reshape")
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Row lookup ``table[ids]`` for an integer id array of any shape.
-
-    Gradient accumulates into the looked-up rows only; repeated ids sum.
-    """
+def embed_beside(x: Tensor, table: Tensor, ids) -> Tensor:
+    """``x`` (..., D) with the (K, m) ``table``'s rows of the integer ``ids``
+    (...) appended on the last axis, (..., D + m), as one tape node of
+    ``(x, table)``.  The backward splits the gradient at column D; the
+    table's part accumulates into the looked-up rows, repeated ids summing."""
     if table.ndim != 2:
-        raise DimensionError(f"gather_rows needs a 2-d table, got {table.shape}")
+        raise DimensionError(f"embed_beside needs a 2-d table, got {table.shape}")
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError("gather_rows ids must be integers")
+        raise ContractError("embed_beside ids must be integers")
+    if x.ndim == 0 or ids.shape != x.shape[:-1]:
+        raise DimensionError(f"embed_beside ids {ids.shape} do not match input {x.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ContractError(
-            f"gather_rows id out of range [0, {table.shape[0]}): min {ids.min()}, max {ids.max()}"
+            f"embed_beside id out of range [0, {table.shape[0]}): min {ids.min()}, max {ids.max()}"
         )
-    out = table.data[ids]
+    D = x.shape[-1]
+    out = np.empty(ids.shape + (D + table.shape[1],))
+    out[..., :D] = x.data
+    out[..., D:] = table.data[ids]
 
     def grad_fn(g):
         buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        return (buf,)
+        np.add.at(buf, ids, g[..., D:])
+        return g[..., :D], buf
 
-    return _make(out, (table,), grad_fn, "gather_rows")
+    return _make(out, (x, table), grad_fn, "embed_beside")
 
 
 # -- convolution and attention -----------------------------------------------------

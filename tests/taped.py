@@ -3,11 +3,14 @@
 The library records each layer, head loss and the weighted total as one
 fused node.  The graphs of small ops those nodes replaced are the tests'
 oracles, so the small ops live here: ``add``, ``sub``, ``mul``,
-``matmul``, ``relu``, ``tsum``, ``tmean`` and ``getitem`` are the
-library's former ops, each one ``_make`` node; ``matmul`` takes the library's own product
-and gradient helpers, which now act on arrays.  Broadcasting follows numpy
-rules, and the gradients sum back down to each operand's shape.
+``matmul``, ``relu``, ``tsum``, ``tmean``, ``getitem``, ``concat`` and
+``gather_rows`` are the library's former ops, each one ``_make`` node;
+``matmul`` takes the library's own product and gradient helpers, which now
+act on arrays.  Broadcasting follows numpy rules, and the gradients sum
+back down to each operand's shape.
 """
+from typing import Sequence
+
 import numpy as np
 
 from mafn.errors import ContractError, DimensionError, NumericError
@@ -92,6 +95,53 @@ def getitem(x: Tensor, idx) -> Tensor:
         return (buf,)
 
     return _make(out, (x,), grad_fn, "getitem")
+
+
+def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
+    """Concatenate along ``axis``; the gradient splits back by slice."""
+    ts = list(tensors)
+    if not ts:
+        raise ContractError("concat of zero tensors")
+    ndim = ts[0].ndim
+    ax = axis % ndim if ndim else 0
+    ref = list(ts[0].shape)
+    for t in ts[1:]:
+        if t.ndim != ndim:
+            raise DimensionError(f"concat rank mismatch: {ts[0].shape} vs {t.shape}")
+        other = list(t.shape)
+        if ref[:ax] + ref[ax + 1 :] != other[:ax] + other[ax + 1 :]:
+            raise DimensionError(f"concat off-axis dims differ: {ts[0].shape} vs {t.shape} on axis {axis}")
+    out = np.concatenate([t.data for t in ts], axis=ax)
+    offsets = np.cumsum([t.shape[ax] for t in ts])[:-1]
+
+    def grad_fn(g):
+        return tuple(np.split(g, offsets, axis=ax))
+
+    return _make(out, tuple(ts), grad_fn, "concat")
+
+
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Row lookup ``table[ids]`` for an integer id array of any shape.
+
+    Gradient accumulates into the looked-up rows only; repeated ids sum.
+    """
+    if table.ndim != 2:
+        raise DimensionError(f"gather_rows needs a 2-d table, got {table.shape}")
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ContractError("gather_rows ids must be integers")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise ContractError(
+            f"gather_rows id out of range [0, {table.shape[0]}): min {ids.min()}, max {ids.max()}"
+        )
+    out = table.data[ids]
+
+    def grad_fn(g):
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, ids, g)
+        return (buf,)
+
+    return _make(out, (table,), grad_fn, "gather_rows")
 
 
 # -- composites the references and gradient checks share -----------------------------

@@ -90,7 +90,8 @@ def test_criterion_1_gradient_suite():
     for g in _instance_rngs():
         table = nn.EmbeddingTable(g, 3, 2)
         ids = g.integers(0, 3, size=4)
-        check_gradients(lambda: sum_of_squares(table(ids)), [table.weights])
+        x = T.parameter(g.normal(size=(4, 2)))
+        check_gradients(lambda: sum_of_squares(table(x, ids)), [x, table.weights])
 
     for i, g in enumerate(_instance_rngs()):
         conv = nn.Conv1d(g, 2, 2, kernel=1 + i % 3)

@@ -75,7 +75,7 @@ seed = 11
 BAD_CONFIG_LINES = [
     "rul_cap = inf", "grad_clip = nan", "learning_rate = nan", "lambda_smooth = nan",
     "adam_eps = -inf", "adam_eps = 0", "adam_eps = -1", "beta1 = 1.5", "beta1 = -0.1", "beta2 = 1.0",
-    "seed = -1", "horizon = 1",
+    "seed = -1", "horizon = 1", "grad_clip = -1",
 ]
 
 
@@ -1038,7 +1038,7 @@ def _cluster_edits():
     """Each edit of run1's settings cluster (k 2, three columns) and config,
     and what the loader names.  Each loaded once: a third centroid that no
     point is nearest to scored, one that state 0's points are nearest to
-    failed in ``gather_rows``, and the rest failed in ``assign_states`` or
+    failed in ``embed_beside``, and the rest failed in ``assign_states`` or
     ``state_features``, all after the data was parsed."""
     def extra_centroid(where):
         def edit(bundle):

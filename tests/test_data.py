@@ -457,19 +457,19 @@ def reference_case(length, phase=0):
 class TestWindows:
     def test_count_formula(self):
         rec = make_record(length=200, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, stride=1)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, stride=1, rul_cap=125.0)
         assert len(ds) == 171
 
     def test_rul_capping(self):
         rec = make_record(length=220, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, rul_cap=125)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, stride=1, rul_cap=125)
         # stride 1: window i ends at cycle 30 + i
         assert ds.rul[100 - 30] == 120.0
         assert ds.rul[50 - 30] == 125.0
 
     def test_mask_prefix_structure(self):
         rec = make_record(length=40, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=30, horizon=8)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=8, stride=1, rul_cap=125.0)
         assert len(ds) == 11
         for m in ds.mask:
             first_zero = int(np.argmin(m)) if (m == 0).any() else len(m)
@@ -477,7 +477,7 @@ class TestWindows:
 
     def test_short_record_empty(self):
         rec = make_record(length=5, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5)
+        ds = D.make_windows(rec, one_state(rec), window=30, horizon=5, stride=1, rul_cap=125.0)
         assert len(ds) == 0
         batch = ds.batch(np.arange(len(ds)))
         assert batch["inputs"].shape == (0, 30, 11) and batch["future_sensors"].shape == (0, 5, 11)
@@ -486,7 +486,7 @@ class TestWindows:
 
     def test_targets_are_true_future_values(self):
         rec = make_record(length=50, n_sensors=11, sensor_fn=lambda c, t: t.astype(float))
-        ds = D.make_windows(rec, one_state(rec), window=10, horizon=3)
+        ds = D.make_windows(rec, one_state(rec), window=10, horizon=3, stride=1, rul_cap=125.0)
         # cutoff at cycle 10 -> future rows 10, 11, 12 (0-based)
         np.testing.assert_array_equal(ds.batch([0])["future_sensors"][0, :, 0], [10.0, 11.0, 12.0])
         np.testing.assert_array_equal(ds.mask[0], [1.0, 1.0, 1.0])
@@ -498,13 +498,13 @@ class TestWindows:
     )
     def test_count_property(self, length, window, stride):
         rec = make_record(length=length, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=window, horizon=4, stride=stride)
+        ds = D.make_windows(rec, one_state(rec), window=window, horizon=4, stride=stride, rul_cap=125.0)
         expected = 0 if length < window else (length - window) // stride + 1
         assert len(ds) == expected
 
     def test_rul_bounds_invariant(self):
         rec = make_record(length=150, n_sensors=11)
-        ds = D.make_windows(rec, one_state(rec), window=20, horizon=5, rul_cap=125)
+        ds = D.make_windows(rec, one_state(rec), window=20, horizon=5, stride=1, rul_cap=125)
         assert ((ds.rul >= 0.0) & (ds.rul <= 125.0)).all()
 
     @given(
@@ -549,7 +549,7 @@ class TestWindows:
 
     def test_pack_concatenates_records_into_fresh_arrays(self):
         recs = [make_record(unit=u, length=20 + u, n_sensors=11) for u in (1, 2)]
-        parts = [D.make_windows(r, one_state(r), window=10, horizon=3) for r in recs]
+        parts = [D.make_windows(r, one_state(r), window=10, horizon=3, stride=1, rul_cap=125.0) for r in recs]
         ds = D.pack_windows(parts)
         assert len(ds) == len(parts[0]) + len(parts[1]) == 12 + 13
         # one copy of each record's rows plus its 3 zero target rows, not one per window
@@ -568,7 +568,7 @@ class TestWindows:
 
     def test_batches_are_fresh_arrays(self):
         rec = make_record(length=25, n_sensors=11)
-        ds = D.pack_windows([D.make_windows(rec, one_state(rec), window=10, horizon=3)])
+        ds = D.pack_windows([D.make_windows(rec, one_state(rec), window=10, horizon=3, stride=1, rul_cap=125.0)])
         batch = ds.batch(np.array([3, 0, 3]))
         for name, got in batch.items():
             assert got.flags.c_contiguous and got.flags.owndata, name
@@ -583,7 +583,7 @@ class TestWindows:
 
     def test_pack_rejects_mixed_window_lengths(self):
         rec = make_record(length=20, n_sensors=11)
-        parts = [D.make_windows(rec, one_state(rec), window=w, horizon=3) for w in (5, 6)]
+        parts = [D.make_windows(rec, one_state(rec), window=w, horizon=3, stride=1, rul_cap=125.0) for w in (5, 6)]
         with pytest.raises(ContractError, match="different window"):
             D.pack_windows(parts)
 
@@ -661,7 +661,7 @@ class TestWindowsForRecords:
     ])
     def test_make_windows_rejects_bad_state_ids(self, states):
         with pytest.raises(ContractError, match=r"unit 1: expected \(10,\) integer state ids"):
-            D.make_windows(make_record(length=10, n_sensors=11), states, window=4, horizon=2)
+            D.make_windows(make_record(length=10, n_sensors=11), states, window=4, horizon=2, stride=1, rul_cap=125.0)
 
 
 class TestTruncate:

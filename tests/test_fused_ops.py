@@ -1,13 +1,15 @@
-"""``tensor.conv1d``, ``tensor.additive_attention``, ``tensor.dense``, the
-four head losses and ``total_loss`` against the taped graphs they replace.
+"""``tensor.conv1d``, ``tensor.additive_attention``, ``tensor.dense``,
+``tensor.embed_beside``, the four head losses and ``total_loss`` against
+the taped graphs they replace.
 
 The references are the code before the fusion, built on the taped ops of
 ``tests/taped.py``: a convolution from zero pads, tap slices, two concats,
 a matmul, a bias add and a ReLU; attention from about ten taped ops around
-a taped softmax; a Dense layer as a taped matmul, bias add and ReLU; each
-head loss as the taped graph of its formula, with a taped square and
-log-softmax; and the weighted total as taped products and sums.  Outputs
-and every gradient must be equal bit for bit, the sign of zero included.
+a taped softmax; a Dense layer as a taped matmul, bias add and ReLU; the
+embedding as a row gather concatenated to its input; each head loss as
+the taped graph of its formula, with a taped square and log-softmax; and
+the weighted total as taped products and sums.  Outputs and every gradient
+must be equal bit for bit, the sign of zero included.
 """
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from mafn.config import TrainConfig
 from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.tensor import Tensor
-from tests.taped import (add, divided, getitem, matmul, mul, negated, relu, sub, sum_of_squares,
-                         taped_log_softmax, taped_square, taped_tanh, tmean, tsum, weighted_sum)
+from tests.taped import (add, concat, divided, gather_rows, getitem, matmul, mul, negated, relu, sub,
+                         sum_of_squares, taped_log_softmax, taped_square, taped_tanh, tmean, tsum, weighted_sum)
 
 
 def reference_dense(layer: nn.Dense, x: Tensor) -> Tensor:
@@ -101,11 +103,16 @@ def reference_conv(conv: nn.Conv1d, x: Tensor) -> Tensor:
     pieces.append(x)
     if right:
         pieces.append(Tensor(np.zeros((B, right, C))))
-    xp = T.concat(pieces, axis=1) if len(pieces) > 1 else x
+    xp = concat(pieces, axis=1) if len(pieces) > 1 else x
     taps = [getitem(xp, (slice(None), slice(j, j + t_len), slice(None))) for j in range(kernel)]
-    cols = T.concat(taps, axis=2)
+    cols = concat(taps, axis=2)
     w2 = conv.W.reshape((kernel * n_channels, n_filters))
     return relu(add(matmul(cols, w2), conv.b))
+
+
+def reference_embed_beside(x: Tensor, table: Tensor, ids) -> Tensor:
+    """``embed_beside`` as a taped row gather concatenated to its input."""
+    return concat([x, gather_rows(table, ids)], axis=-1)
 
 
 def reference_attention(attn: nn.Attention, h: Tensor):
@@ -283,6 +290,80 @@ class TestDenseOp:
             T.dense(Tensor(np.zeros((4, 2))), W, Tensor(np.zeros(2)), True)
         with pytest.raises(DimensionError, match=r"dense bias \(3,\) does not fit weights \(3, 2\)"):
             T.dense(Tensor(np.zeros((4, 3))), W, Tensor(np.zeros(3)), False)
+
+
+@st.composite
+def embed_cases(draw):
+    lead = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    k = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, k - 1), min_size=int(np.prod(lead)), max_size=int(np.prod(lead))))
+    return (lead, draw(st.integers(1, 4)), k, draw(st.integers(1, 3)), np.array(ids, dtype=np.int64).reshape(lead),
+            draw(ZERO_SHARES), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestEmbedBesideOp:
+    @settings(max_examples=80, deadline=None)
+    @given(embed_cases())
+    def test_bits_match_taped_graph(self, case):
+        lead, D, k, m, ids, share, seed = case
+        rng = np.random.default_rng(seed)
+        x = T.parameter(with_zeros(rng, lead + (D,), 0.2))
+        table = T.parameter(with_zeros(rng, (k, m), 0.2))
+        upstream = with_zeros(rng, lead + (D + m,), share)
+        out, grads = grads_of(lambda: T.embed_beside(x, table, ids), [x, table], upstream)
+        ref_out, ref_grads = grads_of(lambda: reference_embed_beside(x, table, ids), [x, table], upstream)
+        assert_bits_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert_bits_equal(g, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(2, 4), ZERO_SHARES, st.integers(0, 2**32 - 1))
+    def test_shared_table_bits_match_taped_graph(self, batch, t_len, horizon, share, seed):
+        # as in the model: the table beside the (B, T, D) input, then beside a
+        # (B, H, d) vector built from it that also feeds a second consumer, so
+        # the table and that vector each take two gradient contributions
+        rng = np.random.default_rng(seed)
+        D, d, k, m = 3, 2, 3, 2
+        x = T.parameter(with_zeros(rng, (batch, t_len, D), 0.2))
+        table = T.parameter(with_zeros(rng, (k, m), 0.2))
+        ids = rng.integers(0, k, size=(batch, t_len))
+        fusion_ids = rng.integers(0, k, size=(batch, horizon))
+        encoder = nn.Dense(rng, t_len * (D + m), horizon * d)
+        up_fused = with_zeros(rng, (batch, horizon, d + m), share)
+        up_vecs = with_zeros(rng, (batch, horizon, d), share)
+
+        def build(embed):
+            encoded = embed(x, table, ids).reshape((batch, t_len * (D + m)))
+            vecs = encoder(encoded).reshape((batch, horizon, d))
+            return add(weighted_sum(embed(vecs, table, fusion_ids), up_fused), weighted_sum(vecs, up_vecs))
+
+        leaves = [x, table, encoder.W, encoder.b]
+        out, grads = grads_of(lambda: build(T.embed_beside), leaves, 1.0)
+        ref_out, ref_grads = grads_of(lambda: build(reference_embed_beside), leaves, 1.0)
+        assert_bits_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert_bits_equal(g, ref)
+
+    def test_one_tape_node(self, rng):
+        x = T.parameter(rng.normal(size=(2, 5, 3)))
+        table = T.parameter(rng.normal(size=(4, 2)))
+        ids = np.array([[0, 1, 1, 3, 0], [2, 2, 2, 2, 2]])
+        out = T.embed_beside(x, table, ids)
+        assert out._op == "embed_beside" and out._parents == (x, table) and out.shape == (2, 5, 5)
+        check_gradients(lambda: sum_of_squares(T.embed_beside(x, table, ids)), [x, table])
+
+    @pytest.mark.parametrize("table_shape,ids,error", [
+        ((3, 2), np.array([[0.0, 1.0]]), ContractError),
+        ((3, 2), np.array([[0, -1]]), ContractError),
+        ((3, 2), np.array([[3, 0]]), ContractError),
+        ((3,), np.array([[0, 1]]), DimensionError),
+        ((3, 2), np.array([0, 1]), DimensionError),
+        ((3, 2), np.array([[0, 1, 2]]), DimensionError),
+        ((3, 2), np.array([[[0], [1]]]), DimensionError),
+    ])
+    def test_bad_input_rejected(self, table_shape, ids, error):
+        with pytest.raises(error, match="embed_beside"):
+            T.embed_beside(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros(table_shape)), ids)
 
 
 @st.composite

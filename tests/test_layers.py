@@ -39,25 +39,27 @@ class TestEmbedding:
     def test_single_row(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter([[1.0, 2.0, 3.0]])
-        out = table([0, 0])
-        np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
+        out = table(Tensor([[9.0], [8.0]]), [0, 0])
+        np.testing.assert_array_equal(out.data, [[9, 1, 2, 3], [8, 1, 2, 3]])
 
     def test_lookup_order(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter(np.eye(3))
-        out = table([2, 0])
-        np.testing.assert_array_equal(out.data, [[0, 0, 1], [1, 0, 0]])
+        out = table(Tensor([[5.0], [6.0]]), [2, 0])
+        np.testing.assert_array_equal(out.data, [[5, 0, 0, 1], [6, 1, 0, 0]])
 
     def test_gradient_accumulates_per_row(self):
         table = nn.EmbeddingTable.__new__(nn.EmbeddingTable)
         table.weights = T.parameter(np.zeros((3, 2)))
-        tsum(table([1, 1])).backward()
+        x = T.parameter(np.zeros((2, 1)))
+        tsum(table(x, [1, 1])).backward()
         np.testing.assert_array_equal(table.weights.grad, [[0, 0], [2, 2], [0, 0]])
+        np.testing.assert_array_equal(x.grad, np.ones((2, 1)))
 
     def test_out_of_range_id(self, rng):
         table = nn.EmbeddingTable(rng, 3, 2)
         with pytest.raises(ContractError):
-            table([3])
+            table(Tensor(np.zeros((1, 2))), [3])
 
 
 class TestConv1d:

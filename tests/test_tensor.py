@@ -7,7 +7,8 @@ from mafn import tensor as T
 from mafn.errors import ContractError, DimensionError, NumericError
 from mafn.gradcheck import check_gradients
 from mafn.tensor import Tensor
-from tests.taped import add, getitem, matmul, mul, sum_of_squares, taped_log_softmax, taped_tanh, tsum, weighted_sum
+from tests.taped import (add, concat, gather_rows, getitem, matmul, mul, sum_of_squares, taped_log_softmax,
+                         taped_tanh, tsum, weighted_sum)
 
 
 def product(a: Tensor, b: Tensor) -> Tensor:
@@ -124,24 +125,24 @@ class TestSoftmax:
 
 class TestConcat:
     def test_definition(self):
-        out = T.concat([Tensor([[1.0, 2.0]]), Tensor([[3.0]])], axis=-1)
+        out = concat([Tensor([[1.0, 2.0]]), Tensor([[3.0]])], axis=-1)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_trend_embedding_widths(self):
         # a 4-wide trend vector plus an 8-wide embedding fuse to width 12
-        out = T.concat([Tensor(np.zeros(4)), Tensor(np.ones(8))], axis=0)
+        out = concat([Tensor(np.zeros(4)), Tensor(np.ones(8))], axis=0)
         assert out.shape == (12,)
 
     def test_gradient_is_identity_split(self):
         a = T.parameter(np.zeros((2, 3)))
         b = T.parameter(np.zeros((2, 1)))
-        tsum(T.concat([a, b], axis=1)).backward()
+        tsum(concat([a, b], axis=1)).backward()
         np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 1)))
 
     def test_off_axis_mismatch(self):
         with pytest.raises(DimensionError):
-            T.concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 1)))], axis=1)
+            concat([Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 1)))], axis=1)
 
 
 class TestBackward:
@@ -237,12 +238,12 @@ class TestShapeOps:
 
     def test_gather_rows_accumulates_repeats(self):
         table = T.parameter(np.eye(3))
-        tsum(T.gather_rows(table, np.array([1, 1]))).backward()
+        tsum(gather_rows(table, np.array([1, 1]))).backward()
         np.testing.assert_array_equal(table.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0]])
 
     def test_gather_out_of_range(self):
         with pytest.raises(ContractError):
-            T.gather_rows(Tensor(np.eye(2)), np.array([2]))
+            gather_rows(Tensor(np.eye(2)), np.array([2]))
 
     def test_reshape_grad(self):
         x = T.parameter(np.arange(6.0))

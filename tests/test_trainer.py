@@ -260,10 +260,10 @@ def test_training_step_tape_census():
     model = MafnModel(cfg, n_sensors, np.random.default_rng(0))
     total = _batch_losses(model, ds, np.arange(cfg.batch_size), cfg)["total"]
     census = Counter(node._op for node in T.topo_order(total) if node._parents)
-    assert census == Counter(dense=10, lstm_scan=3, gather_rows=2, concat=2, reshape=2, conv1d=1,
+    assert census == Counter(dense=10, lstm_scan=3, embed_beside=2, reshape=2, conv1d=1,
                              additive_attention=1, state_loss=1, forecast_loss=1, degradation_loss=1, rul_loss=1,
                              total_loss=1)
-    assert census.total() == 26
+    assert census.total() == 24
 
 
 # four engines of 20-24 cycles: every window ending at end of life has an
